@@ -247,7 +247,8 @@ def expr_kind(expr: ModuleExpr) -> Kind:
         if isinstance(e, Atom):
             kinds.add(e.kind)
         elif isinstance(e, Sum):
-            for t in e.terms:
+            # k*X parses to k references to one X: visit it once
+            for t in {id(t): t for t in e.terms}.values():
                 walk(t)
         elif isinstance(e, Tensor):
             walk(e.left)

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 from .core import (
-    EMPTY_TYPE,
     Atom,
     Ext2,
     JordanType,
@@ -24,6 +24,11 @@ from .core import (
     cones_expansion,
     expr_kind,
 )
+
+
+def _q(n: int) -> int:
+    """The smallest power of two q >= n, so that q/2 < n <= q."""
+    return 1 << (n - 1).bit_length()
 
 
 @dataclass(frozen=True)
@@ -43,7 +48,7 @@ class QChoice:
     def for_dim(cls, n: int) -> "QChoice":
         if n < 1:
             raise ValueError("n must be positive")
-        return cls(n, 1 << (n - 1).bit_length())
+        return cls(n, _q(n))
 
 
 def tensor_decompose(m: int, n: int) -> JordanType:
@@ -53,37 +58,49 @@ def tensor_decompose(m: int, n: int) -> JordanType:
     """
     if m < 1 or n < 1:
         raise ValueError("block sizes must be positive")
-    a, b = sorted((m, n))
-    return _tensor(a, b)
+    return JordanType.from_pairs(_tensor_parts(*sorted((m, n))))
 
 
-@lru_cache(maxsize=None)
-def _tensor(m: int, n: int) -> JordanType:
-    # invariant: 1 <= m <= n
-    q = QChoice.for_dim(n).q
-    if n == q:
-        return JordanType.from_pairs([(q, m)])
-    if m + n > q:
-        # peel off n+m-q blocks of size q; remainder is the smaller tensor
-        # product of the complementary block sizes
-        rest = _tensor(*sorted((q - n, q - m)))
-        return JordanType.from_pairs([(q, m + n - q)]) + rest
-    # m + n <= q: complement every part of the smaller product in q
-    inner = _tensor(*sorted((m, q - n)))
-    return JordanType.from_pairs((q - s, mult) for s, mult in inner.parts)
+@lru_cache(maxsize=1 << 14)
+def _tensor_parts(m: int, n: int) -> tuple[tuple[int, int], ...]:
+    """(size, multiplicity) parts of V_m tensor V_n, sizes descending; 1 <= m <= n."""
+    acc: dict[int, int] = {}
+    # sizes of the current smaller product are emitted as offset + sign * s
+    offset, sign = 0, 1
+    while True:
+        q = _q(n)
+        if n == q:
+            size = offset + sign * q
+            acc[size] = acc.get(size, 0) + m
+            break
+        if m + n > q:
+            # peel off m+n-q blocks of size q; the remainder is the smaller
+            # tensor product of the complementary block sizes
+            size = offset + sign * q
+            acc[size] = acc.get(size, 0) + m + n - q
+            m, n = q - n, q - m
+        else:
+            # m + n <= q: complement every part of the smaller product in q
+            offset, sign = offset + sign * q, -sign
+            m, n = min(m, q - n), max(m, q - n)
+    return tuple(sorted(acc.items(), reverse=True))
 
 
-@lru_cache(maxsize=None)
+def _ext2_unipotent_pairs(n: int) -> list[tuple[int, int]]:
+    """Parts of ext2(V_n) for n >= 0, unmerged, following the recursion on q - n."""
+    pairs = []
+    while n >= 2:
+        q = _q(n)
+        pairs += [(q, n - q // 2 - 1), (3 * q // 2 - n, 1)]
+        n = q - n
+    return pairs
+
+
 def ext2_unipotent(n: int) -> JordanType:
     """Exterior square of the unipotent block V_n."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n == 1:
-        return EMPTY_TYPE
-    q = QChoice.for_dim(n).q
-    head = JordanType.from_pairs([(q, n - q // 2 - 1), (3 * q // 2 - n, 1)])
-    tail = ext2_unipotent(q - n) if q - n >= 2 else EMPTY_TYPE
-    return head + tail
+    return JordanType.from_pairs(_ext2_unipotent_pairs(n))
 
 
 def sym2_unipotent(n: int) -> JordanType:
@@ -92,10 +109,9 @@ def sym2_unipotent(n: int) -> JordanType:
         raise ValueError("n must be positive")
     if n == 1:
         return JordanType.from_pairs([(1, 1)])
-    q = QChoice.for_dim(n).q
-    head = JordanType.from_pairs([(q, n - q // 2), (q // 2, 1)])
-    tail = ext2_unipotent(q - n) if q - n >= 2 else EMPTY_TYPE
-    return head + tail
+    q = _q(n)
+    head = [(q, n - q // 2), (q // 2, 1)]
+    return JordanType.from_pairs(head + _ext2_unipotent_pairs(q - n))
 
 
 def ext2_nilpotent(n: int) -> JordanType:
@@ -131,30 +147,30 @@ def sym2_nilpotent(n: int) -> JordanType:
     return JordanType.from_pairs(pairs)
 
 
-@lru_cache(maxsize=None)
 def ext2_nilpotent_rec(n: int) -> JordanType:
     """Exterior square of W_n via the recursion on q - n (cross-check path)."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n == 1:
-        return EMPTY_TYPE
-    q = QChoice.for_dim(n).q
-    head = JordanType.from_pairs([(q - 1, n - q // 2)])
-    tail = ext2_nilpotent_rec(q - n) if q - n >= 2 else EMPTY_TYPE
-    return head + tail
+    pairs = []
+    while n >= 2:
+        q = _q(n)
+        pairs.append((q - 1, n - q // 2))
+        n = q - n
+    return JordanType.from_pairs(pairs)
 
 
-@lru_cache(maxsize=None)
 def sym2_nilpotent_rec(n: int) -> JordanType:
     """Symmetric square of W_n via the recursion on q - n (cross-check path)."""
     if n < 1:
         raise ValueError("n must be positive")
+    pairs = []
+    while n >= 2:
+        q = _q(n)
+        pairs += [(q, n - q // 2), (1, n - q // 2)]
+        n = q - n
     if n == 1:
-        return JordanType.from_pairs([(1, 1)])
-    q = QChoice.for_dim(n).q
-    head = JordanType.from_pairs([(q, n - q // 2), (1, n - q // 2)])
-    tail = sym2_nilpotent_rec(q - n) if q - n >= 1 else EMPTY_TYPE
-    return head + tail
+        pairs.append((1, 1))
+    return JordanType.from_pairs(pairs)
 
 
 def ext2_block(n: int, kind: Kind) -> JordanType:
@@ -173,38 +189,49 @@ def decompose_expr(expr: ModuleExpr) -> JordanType:
 
     Functors distribute over direct sums via
     F(A + B) = F(A) + (A tensor B) + F(B) for F in {ext2, sym2}, and the
-    tensor product is bilinear.
+    tensor product is bilinear.  Every part is added into one table of
+    block size -> multiplicity, which becomes a Jordan type once at the end.
     """
-    kind = expr_kind(expr)
-    return _eval(expr, kind)
+    return JordanType.from_pairs(_blocks(expr, expr_kind(expr)))
 
 
-def _eval(expr: ModuleExpr, kind: Kind) -> JordanType:
+def _eval(expr: ModuleExpr, kind: Kind, c: int, acc: dict[int, int]) -> None:
+    """Add the blocks of c copies of expr into acc (size -> multiplicity)."""
     if isinstance(expr, Atom):
-        return JordanType.from_pairs([(expr.dim, expr.multiplicity)])
-    if isinstance(expr, Sum):
-        total = EMPTY_TYPE
-        for t in expr.terms:
-            total = total + _eval(t, kind)
-        return total
-    if isinstance(expr, Tensor):
-        left = _eval(expr.left, kind)
-        right = _eval(expr.right, kind)
-        total = EMPTY_TYPE
-        for a, ca in left.parts:
-            for b, cb in right.parts:
-                total = total + tensor_decompose(a, b).scaled(ca * cb)
-        return total
-    if isinstance(expr, (Ext2, Sym2)):
-        inner = _eval(expr.inner, kind)
+        acc[expr.dim] = acc.get(expr.dim, 0) + expr.multiplicity * c
+    elif isinstance(expr, Sum):
+        # k*X parses to k references to one X: evaluate it once, k times over
+        for _, run in groupby(expr.terms, key=id):
+            run = list(run)
+            _eval(run[0], kind, c * len(run), acc)
+    elif isinstance(expr, Tensor):
+        right = _blocks(expr.right, kind)
+        for a, ca in _blocks(expr.left, kind):
+            for b, cb in right:
+                _add_tensor(acc, a, b, ca * cb * c)
+    elif isinstance(expr, (Ext2, Sym2)):
         square = ext2_block if isinstance(expr, Ext2) else sym2_block
-        total = EMPTY_TYPE
-        parts = inner.parts
-        for i, (a, c) in enumerate(parts):
-            total = total + square(a, kind).scaled(c)
-            # cross terms among the c copies of the same atom
-            total = total + tensor_decompose(a, a).scaled(c * (c - 1) // 2)
+        parts = _blocks(expr.inner, kind)
+        for i, (a, ca) in enumerate(parts):
+            for s, m in square(a, kind).parts:
+                acc[s] = acc.get(s, 0) + m * ca * c
+            # cross terms among the ca copies of the same block
+            if ca > 1:
+                _add_tensor(acc, a, a, ca * (ca - 1) // 2 * c)
             for b, cb in parts[i + 1 :]:
-                total = total + tensor_decompose(a, b).scaled(c * cb)
-        return total
-    raise TypeError(f"not a module expression: {expr!r}")
+                _add_tensor(acc, a, b, ca * cb * c)
+    else:
+        raise TypeError(f"not a module expression: {expr!r}")
+
+
+def _blocks(expr: ModuleExpr, kind: Kind) -> list[tuple[int, int]]:
+    """The (size, multiplicity) blocks of expr, equal sizes merged."""
+    acc: dict[int, int] = {}
+    _eval(expr, kind, 1, acc)
+    return list(acc.items())
+
+
+def _add_tensor(acc: dict[int, int], a: int, b: int, c: int) -> None:
+    """Add c copies of V_a tensor V_b into acc."""
+    for s, m in _tensor_parts(a, b) if a <= b else _tensor_parts(b, a):
+        acc[s] = acc.get(s, 0) + m * c

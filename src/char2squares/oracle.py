@@ -33,7 +33,12 @@ class OracleCapExceeded(RuntimeError):
 def dim_cap() -> int:
     """Active oracle dimension cap (overridable via environment)."""
     value = os.environ.get(CAP_ENV_VAR)
-    return int(value) if value else DEFAULT_DIM_CAP
+    if not value:
+        return DEFAULT_DIM_CAP
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{CAP_ENV_VAR} must be an integer, not {value!r}") from None
 
 
 def functor_dim(functor: Functor, n: int, m: int | None = None) -> int:

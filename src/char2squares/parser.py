@@ -8,7 +8,8 @@ Grammar (whitespace insensitive):
             | '(' expr ')'
     atom   := ('V' | 'W') int
 
-V atoms are unipotent blocks, W atoms nilpotent blocks.
+V atoms are unipotent blocks, W atoms nilpotent blocks.  Brackets may nest
+at most MAX_DEPTH levels deep.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ from .core import Atom, Ext2, ModuleExpr, Sum, Sym2, Tensor
 
 # repeated non-atom factors are expanded into explicit sums; cap the blowup
 MAX_REPEAT = 10_000
+# brackets nested deeper than this are a syntax error; it also bounds the
+# recursion depth of everything that walks the parsed expression
+MAX_DEPTH = 300
 
 
 class ExprSyntaxError(ValueError):
@@ -29,6 +33,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str) -> ExprSyntaxError:
         return ExprSyntaxError(message, self.pos)
@@ -55,41 +60,57 @@ class _Parser:
             raise self.error("expected an integer")
         return int(self.text[start : self.pos])
 
+    def open(self) -> None:
+        """Consume '(' and enter one more level of nesting."""
+        self.expect("(")
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise self.error(f"brackets nested deeper than {MAX_DEPTH}")
+
+    def close(self) -> None:
+        self.expect(")")
+        self.depth -= 1
+
     def expr(self) -> ModuleExpr:
-        terms = [self.term()]
-        while self.peek() == "+":
+        # each term is parsed inline, so that a bracket level costs two
+        # stack frames (expr, factor) rather than three
+        terms = []
+        while True:
+            count = self.integer() if self.peek().isdigit() else None
+            if count is not None:
+                self.expect("*")
+            terms.append(self.repeat(count, self.factor()))
+            if self.peek() != "+":
+                break
             self.pos += 1
-            terms.append(self.term())
         return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
-    def term(self) -> ModuleExpr:
-        if self.peek().isdigit():
-            count = self.integer()
-            self.expect("*")
-            factor = self.factor()
-            if count < 1:
-                raise self.error("multiplicity must be positive")
-            if isinstance(factor, Atom):
-                return Atom(factor.kind, factor.dim, factor.multiplicity * count)
-            if count > MAX_REPEAT:
-                raise self.error(f"multiplicity above limit {MAX_REPEAT}")
-            return Sum((factor,) * count)
-        return self.factor()
+    def repeat(self, count: int | None, factor: ModuleExpr) -> ModuleExpr:
+        """The term 'count * factor' (just factor when count is None)."""
+        if count is None:
+            return factor
+        if count < 1:
+            raise self.error("multiplicity must be positive")
+        if isinstance(factor, Atom):
+            return Atom(factor.kind, factor.dim, factor.multiplicity * count)
+        if count > MAX_REPEAT:
+            raise self.error(f"multiplicity above limit {MAX_REPEAT}")
+        return Sum((factor,) * count)
 
     def factor(self) -> ModuleExpr:
         ch = self.peek()
         if ch == "(":
-            self.pos += 1
+            self.open()
             inner = self.expr()
-            self.expect(")")
+            self.close()
             return inner
         if ch == "T":
             self.pos += 1
-            self.expect("(")
+            self.open()
             left = self.expr()
             self.expect(",")
             right = self.expr()
-            self.expect(")")
+            self.close()
             return Tensor(left, right)
         if ch in ("E", "S"):
             start = self.pos
@@ -98,9 +119,9 @@ class _Parser:
                 self.pos = start
                 raise self.error("expected 'E2' or 'S2'")
             self.pos += 1
-            self.expect("(")
+            self.open()
             inner = self.expr()
-            self.expect(")")
+            self.close()
             return Ext2(inner) if ch == "E" else Sym2(inner)
         if ch in ("V", "W"):
             self.pos += 1

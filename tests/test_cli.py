@@ -86,6 +86,14 @@ class TestDecompose:
         code, _, err = run_cli("decompose", "--functor", "sym2", "--n", "3")
         assert code == 1
 
+    def test_malformed_cap(self, monkeypatch):
+        code, out, err = run_cli(
+            "expr", "S2(W3)", "--method", "both", env_cap="12k", monkeypatch=monkeypatch
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: CHAR2SQUARES_ORACLE_CAP must be an integer, not '12k'\n"
+
 
 class TestExpr:
     def test_expr_formula(self):
@@ -103,6 +111,23 @@ class TestExpr:
         code, _, err = run_cli("expr", "T(V2")
         assert code == 1
         assert "parse error" in err
+
+    @pytest.mark.parametrize(
+        "opener, atom, expected", [("(", "W3", "3"), ("S2(", "W1", "1"), ("T(W1, ", "W2", "2")]
+    )
+    def test_expr_nested_300_levels(self, opener, atom, expected):
+        text = opener * 300 + atom + ")" * 300
+        code, out, err = run_cli("expr", text, "--method", "both")
+        assert code == 0
+        assert out.splitlines() == [expected, expected]
+        assert err == ""
+
+    def test_expr_nested_10000_levels(self):
+        code, out, err = run_cli("expr", "(" * 10_000 + "W3" + ")" * 10_000)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: parse error: brackets nested deeper than 300")
+        assert "Traceback" not in err
 
     def test_expr_mixed_kinds(self):
         code, _, err = run_cli("expr", "T(V2, W3)")

@@ -1,10 +1,22 @@
+from collections import Counter
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from char2squares.core import Atom, Ext2, Sum, Sym2, Tensor, parse_jordan_type
+from char2squares.core import (
+    Atom,
+    Ext2,
+    JordanType,
+    Sum,
+    Sym2,
+    Tensor,
+    expr_kind,
+    parse_jordan_type,
+)
 from char2squares.formulas import (
     QChoice,
+    _tensor_parts,
     decompose_expr,
     ext2_nilpotent,
     ext2_nilpotent_rec,
@@ -14,7 +26,8 @@ from char2squares.formulas import (
     sym2_unipotent,
     tensor_decompose,
 )
-from char2squares.oracle import oracle_jordan_type
+from char2squares.oracle import oracle_expr_jordan_type, oracle_jordan_type
+from char2squares.parser import parse_expr
 
 
 def jt(text):
@@ -57,6 +70,23 @@ class TestTensor:
         t = tensor_decompose(m, n)
         assert t == tensor_decompose(n, m)
         assert t.total_dim == m * n
+
+    def test_parts_equal_recursive_reference(self):
+        def reference(m, n):
+            # the recursion of the paper on 1 <= m <= n, as a Counter of sizes
+            q = 1 << (n - 1).bit_length()
+            if n == q:
+                return Counter({q: m})
+            if m + n > q:
+                return Counter({q: m + n - q}) + reference(q - n, q - m)
+            inner = reference(*sorted((m, q - n)))
+            return Counter({q - s: c for s, c in inner.items()})
+
+        for n in range(1, 257):
+            for m in range(1, n + 1):
+                expected = tuple(sorted(reference(m, n).items(), reverse=True))
+                assert _tensor_parts(m, n) == expected, (m, n)
+                assert tensor_decompose(n, m).parts == expected, (m, n)
 
     @given(st.integers(1, 200), st.integers(1, 200))
     def test_largest_block_at_most_q(self, m, n):
@@ -159,3 +189,89 @@ class TestDecomposeExpr:
         e = Sym2(Sum((Atom("nilpotent", 5), Atom("nilpotent", 3, 2))))
         d = 5 + 6
         assert decompose_expr(e).total_dim == d * (d + 1) // 2
+
+    def test_nested_repeats_evaluated_once(self):
+        # S_0 = W1, S_k = 2*(W1 + S_(k-1)): 2^40 copies of W1 at the bottom,
+        # yet each level is evaluated once with a doubled copy count
+        depth = 40
+        expr = parse_expr("2*(W1 + " * depth + "W1" + ")" * depth)
+        assert decompose_expr(expr) == JordanType.from_pairs([(1, 3 * 2**depth - 2)])
+
+
+MAX_ORACLE_DIM = 200
+
+
+@st.composite
+def module_text(draw, letter, budget, depth):
+    """(text, dim) of a random module expression of dimension at most budget.
+
+    Atom sizes are small, so equal sizes recur across sum terms, and atoms
+    carry multiplicities ('3*W5') and non-atoms repeat ('2*(...)').
+    """
+    choices = ["atom"]
+    if depth > 0 and budget >= 2:
+        choices += ["sum", "repeat", "tensor"]
+    if depth > 0 and budget >= 3:
+        choices += ["ext2", "sym2"]
+    choice = draw(st.sampled_from(choices))
+    if choice == "atom":
+        dim = draw(st.integers(1, min(budget, 8)))
+        mult = draw(st.integers(1, min(3, budget // dim)))
+        return (f"{mult}*{letter}{dim}" if mult > 1 else f"{letter}{dim}"), dim * mult
+    if choice == "sum":
+        left, dl = draw(module_text(letter, budget - 1, depth - 1))
+        right, dr = draw(module_text(letter, budget - dl, depth - 1))
+        return f"{left} + {right}", dl + dr
+    if choice == "repeat":
+        count = draw(st.integers(2, 3 if budget >= 3 else 2))
+        inner, d = draw(module_text(letter, budget // count, depth - 1))
+        return f"{count}*({inner})", count * d
+    if choice == "tensor":
+        left, dl = draw(module_text(letter, min(budget // 2, 12), depth - 1))
+        right, dr = draw(module_text(letter, budget // max(dl, 1), depth - 1))
+        return f"T({left}, {right})", dl * dr
+    inner_budget = 1
+    while (inner_budget + 1) * (inner_budget + 2) // 2 <= budget:
+        inner_budget += 1
+    inner, d = draw(module_text(letter, inner_budget, depth - 1))
+    functor = "E2" if choice == "ext2" else "S2"
+    return f"{functor}({inner})", d * (d - 1) // 2 if choice == "ext2" else d * (d + 1) // 2
+
+
+@st.composite
+def oracle_sized_expr(draw):
+    letter = draw(st.sampled_from("VW"))
+    text, _ = draw(module_text(letter, MAX_ORACLE_DIM, 3))
+    return text
+
+
+class TestDecomposeAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(oracle_sized_expr())
+    @example("S2(3*W5)")
+    @example("E2(3*V5)")
+    @example("S2(W3 + W4 + W3)")
+    @example("E2(2*V2 + V2 + V3)")
+    @example("2*(S2(W2 + W2) + T(W3, 2*W3))")
+    @example("S2(E2(W3 + W2) + 2*(W3))")
+    @example("T(S2(2*V2), E2(V2 + V3))")
+    @example("E2(S2(W2) + 2*(W1 + W2))")
+    def test_formula_equals_oracle(self, text):
+        expr = parse_expr(text)
+        kind = expr_kind(expr)
+        expected = oracle_expr_jordan_type(expr, kind)
+        assert expected.total_dim <= MAX_ORACLE_DIM
+        assert decompose_expr(expr) == expected, text
+
+
+class TestWideSquares:
+    def test_sym2_of_400_distinct_atoms(self):
+        dims = range(1, 401)
+        text = "S2(" + " + ".join(f"W{d}" for d in dims) + ")"
+        result = decompose_expr(parse_expr(text))
+        total = sum(dims)
+        assert result.total_dim == total * (total + 1) // 2
+        # S2(W_d) has d blocks and W_a tensor W_b has min(a, b) blocks
+        assert result.block_count == total + sum(
+            min(a, b) for i, a in enumerate(dims) for b in dims[i + 1 :]
+        )

@@ -1,7 +1,7 @@
 import pytest
 
 from char2squares.core import Atom, Ext2, Sum, Sym2, Tensor
-from char2squares.parser import ExprSyntaxError, parse_expr
+from char2squares.parser import MAX_DEPTH, ExprSyntaxError, parse_expr
 
 
 class TestParse:
@@ -44,6 +44,13 @@ class TestErrors:
             parse_expr("V2 + @")
         assert exc.value.position == 5
         assert "position" in str(exc.value)
+
+    @pytest.mark.parametrize("opener", ["(", "S2(", "T(V1, "])
+    def test_nesting_limit(self, opener):
+        depth = MAX_DEPTH
+        assert parse_expr(opener * depth + "V3" + ")" * depth)
+        with pytest.raises(ExprSyntaxError, match="nested deeper"):
+            parse_expr(opener * (depth + 1) + "V3" + ")" * (depth + 1))
 
     def test_mixed_kinds_parse_but_fail_evaluation(self):
         # the grammar accepts mixed atoms; kind checking happens on evaluation
