@@ -17,10 +17,9 @@ from .core import (
     expr_kind,
     format_jordan_type,
     parse_jordan_type,
-    suffix_values,
+    square_expr,
 )
 from .formulas import (
-    QChoice,
     decompose_expr,
     ext2_nilpotent,
     ext2_nilpotent_rec,

@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Subcommands: decompose (single block), expr (symbolic expression), table
+Subcommands: decompose (a square of a single block, shorthand for expr on
+E2(Xn), S2(Xn) or T(Xm, Xn)), expr (symbolic expression), table
 (overview of small squares), basis (explicit Jordan chains).  Exit codes:
 0 success, 1 usage or parse error, 2 verification mismatch, 3 resource cap.
 """
@@ -13,7 +14,7 @@ import sys
 
 from . import basis as basis_mod
 from . import formulas, oracle
-from .core import JordanType, MixedKindError, expr_kind, format_jordan_type
+from .core import FUNCTORS, KINDS, MixedKindError, expr_kind, format_jordan_type, square_expr
 from .parser import ExprSyntaxError, parse_expr
 
 EXIT_OK = 0
@@ -23,9 +24,7 @@ EXIT_CAP = 3
 
 
 class _CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+    """A usage error (exit 1)."""
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -43,8 +42,8 @@ def _build_parser() -> _ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     dec = sub.add_parser("decompose", help="decompose a square of a single block")
-    dec.add_argument("--functor", required=True, choices=oracle.FUNCTORS)
-    dec.add_argument("--kind", required=True, choices=("unipotent", "nilpotent"))
+    dec.add_argument("--functor", required=True, choices=FUNCTORS)
+    dec.add_argument("--kind", required=True, choices=KINDS)
     dec.add_argument("--n", required=True, type=int)
     dec.add_argument("--m", type=int, help="second block size (tensor only)")
     dec.add_argument("--method", default="formula", choices=("formula", "oracle", "both"))
@@ -66,68 +65,19 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
-def _emit(
-    result: JordanType, method: str, input_desc: dict, fmt: str, out
-) -> None:
-    if fmt == "json":
-        payload = {
-            "input": input_desc,
-            "method": method,
-            "blocks": [{"size": s, "multiplicity": m} for s, m in result.parts],
-            "total_dim": result.total_dim,
-        }
-        print(json.dumps(payload), file=out)
-    else:
-        print(format_jordan_type(result), file=out)
-
-
-def _run_both(formula_fn, oracle_fn, method: str, err) -> tuple[list[tuple[str, JordanType]], int]:
-    """Evaluate the requested methods; returns (label, result) pairs and a code."""
-    results = []
-    if method in ("formula", "both"):
-        results.append(("formula", formula_fn()))
-    if method in ("oracle", "both"):
-        try:
-            results.append(("oracle", oracle_fn()))
-        except oracle.OracleCapExceeded as exc:
-            if method == "oracle":
-                raise _CliError(str(exc), EXIT_CAP) from exc
-            print(f"warning: {exc}; falling back to formula only", file=err)
-    if len(results) == 2 and results[0][1] != results[1][1]:
-        return results, EXIT_MISMATCH
-    return results, EXIT_OK
-
-
 def _cmd_decompose(args, out, err) -> int:
     if args.n < 1 or (args.m is not None and args.m < 1):
         raise _CliError("block sizes must be positive")
     if args.m is not None and args.functor != "tensor":
         raise _CliError("--m is only valid with --functor tensor")
-    cap = oracle.dim_cap()
-
-    def formula_fn() -> JordanType:
-        if args.functor == "tensor":
-            return formulas.tensor_decompose(args.m if args.m is not None else args.n, args.n)
-        if args.functor == "ext2":
-            return formulas.ext2_block(args.n, args.kind)
-        return formulas.sym2_block(args.n, args.kind)
-
-    def oracle_fn() -> JordanType:
-        return oracle.oracle_jordan_type(args.kind, args.functor, args.n, args.m, cap=cap)
-
-    results, code = _run_both(formula_fn, oracle_fn, args.method, err)
     input_desc = {
         "functor": args.functor,
         "kind": args.kind,
         "n": args.n,
         **({"m": args.m} if args.m is not None else {}),
     }
-    for label, result in results:
-        method_label = label if args.method != "both" else "both"
-        _emit(result, method_label, input_desc, args.format, out)
-    if code == EXIT_MISMATCH:
-        print("error: formula and oracle disagree", file=err)
-    return code
+    expr = square_expr(args.functor, args.kind, args.n, args.m)
+    return _decompose(expr, args.kind, input_desc, args, out, err)
 
 
 def _cmd_expr(args, out, err) -> int:
@@ -139,20 +89,37 @@ def _cmd_expr(args, out, err) -> int:
         kind = expr_kind(expr)
     except MixedKindError as exc:
         raise _CliError(str(exc)) from exc
-    cap = oracle.dim_cap()
+    return _decompose(expr, kind, {"expr": args.text}, args, out, err)
 
-    results, code = _run_both(
-        lambda: formulas.decompose_expr(expr),
-        lambda: oracle.oracle_expr_jordan_type(expr, kind, cap=cap),
-        args.method,
-        err,
-    )
-    for label, result in results:
-        method_label = label if args.method != "both" else "both"
-        _emit(result, method_label, {"expr": args.text}, args.format, out)
-    if code == EXIT_MISMATCH:
+
+def _decompose(expr, kind, input_desc: dict, args, out, err) -> int:
+    """Evaluate expr by args.method, print each result, and report a mismatch."""
+    cap = oracle.dim_cap()
+    results = []
+    if args.method in ("formula", "both"):
+        results.append(formulas.decompose_expr(expr))
+    if args.method in ("oracle", "both"):
+        try:
+            results.append(oracle.oracle_expr_jordan_type(expr, kind, cap=cap))
+        except oracle.OracleCapExceeded as exc:
+            if args.method == "oracle":
+                raise
+            print(f"warning: {exc}; falling back to formula only", file=err)
+    for result in results:
+        if args.format == "json":
+            payload = {
+                "input": input_desc,
+                "method": args.method,
+                "blocks": [{"size": s, "multiplicity": m} for s, m in result.parts],
+                "total_dim": result.total_dim,
+            }
+            print(json.dumps(payload), file=out)
+        else:
+            print(format_jordan_type(result), file=out)
+    if len(results) == 2 and results[0] != results[1]:
         print("error: formula and oracle disagree", file=err)
-    return code
+        return EXIT_MISMATCH
+    return EXIT_OK
 
 
 def table_rows(max_n: int) -> list[tuple[int, str, str, str, str]]:
@@ -187,7 +154,6 @@ def _cmd_basis(args, out, err) -> int:
     if args.n < 1:
         raise _CliError("--n must be positive")
     cap = oracle.dim_cap()
-    dim = oracle.functor_dim(args.functor, args.n)
     if args.functor == "tensor":
         chains = basis_mod.build_tensor_basis(args.n)
         terminals = [basis_mod.build_z(c.s, args.n) for c in chains]
@@ -203,10 +169,6 @@ def _cmd_basis(args, out, err) -> int:
         for chain in chains:
             print(f"s={chain.s}: {basis_mod.format_chain(chain)}", file=out)
     if args.verify:
-        if dim > cap:
-            raise _CliError(
-                f"verification space has dimension {dim}, above the cap {cap}", EXIT_CAP
-            )
         action = oracle.square_action("nilpotent", args.functor, args.n, cap=cap)
         report = basis_mod.verify_basis(chains, action, terminals)
         if report.ok:
@@ -231,10 +193,10 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
         if args.command == "table":
             return _cmd_table(args, out, err)
         return _cmd_basis(args, out, err)
-    except _CliError as exc:
+    except oracle.OracleCapExceeded as exc:
         print(f"error: {exc}", file=err)
-        return exc.code
-    except ValueError as exc:
+        return EXIT_CAP
+    except (_CliError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
 

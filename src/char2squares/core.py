@@ -8,12 +8,14 @@ nilpotent Jordan blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Literal
 
 Kind = Literal["unipotent", "nilpotent"]
 
 KINDS = ("unipotent", "nilpotent")
+
+FUNCTORS = ("tensor", "ext2", "sym2")
 
 
 class MixedKindError(ValueError):
@@ -192,10 +194,6 @@ def cones_expansion(n: int) -> ConesExpansion:
     return ConesExpansion(n, tuple(betas))
 
 
-def suffix_values(exp: ConesExpansion) -> tuple[int, ...]:
-    return exp.suffix_values()
-
-
 # --- symbolic module expressions -----------------------------------------
 
 
@@ -237,6 +235,22 @@ class Ext2(ModuleExpr):
 @dataclass(frozen=True)
 class Sym2(ModuleExpr):
     inner: ModuleExpr
+
+
+def square_expr(functor: str, kind: Kind, n: int, m: int | None = None) -> ModuleExpr:
+    """The square of one block as an expression: E2(X_n), S2(X_n) or T(X_m, X_n).
+
+    X is V for the unipotent kind and W for the nilpotent one; m defaults to n.
+    """
+    if m is not None and functor != "tensor":
+        raise ValueError("m is only meaningful for the tensor functor")
+    if functor == "tensor":
+        return Tensor(Atom(kind, m if m is not None else n), Atom(kind, n))
+    if functor == "ext2":
+        return Ext2(Atom(kind, n))
+    if functor == "sym2":
+        return Sym2(Atom(kind, n))
+    raise ValueError(f"unknown functor {functor!r}")
 
 
 def expr_kind(expr: ModuleExpr) -> Kind:

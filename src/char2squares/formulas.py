@@ -8,7 +8,6 @@ and symmetric squares do not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
 
@@ -29,26 +28,6 @@ from .core import (
 def _q(n: int) -> int:
     """The smallest power of two q >= n, so that q/2 < n <= q."""
     return 1 << (n - 1).bit_length()
-
-
-@dataclass(frozen=True)
-class QChoice:
-    """The power of two q with q/2 < n <= q, i.e. the smallest q = 2^a >= n."""
-
-    n: int
-    q: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if self.q < self.n or self.q // 2 >= self.n or self.q & (self.q - 1):
-            raise ValueError(f"q={self.q} invalid for n={self.n}")
-
-    @classmethod
-    def for_dim(cls, n: int) -> "QChoice":
-        if n < 1:
-            raise ValueError("n must be positive")
-        return cls(n, _q(n))
 
 
 def tensor_decompose(m: int, n: int) -> JordanType:

@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import os
 
-from .core import Atom, Ext2, JordanType, Kind, ModuleExpr, Sum, Sym2, Tensor
+from .core import Atom, Ext2, JordanType, Kind, ModuleExpr, Sum, Sym2, Tensor, square_expr
 from .gf2 import Gf2Matrix, identity, jordan_type_of_nilpotent
 
-Functor = str  # one of "tensor", "ext2", "sym2"
-
-FUNCTORS = ("tensor", "ext2", "sym2")
+Functor = str  # one of core.FUNCTORS
 
 DEFAULT_DIM_CAP = 20_000
 CAP_ENV_VAR = "CHAR2SQUARES_ORACLE_CAP"
@@ -39,16 +37,6 @@ def dim_cap() -> int:
         return int(value)
     except ValueError:
         raise ValueError(f"{CAP_ENV_VAR} must be an integer, not {value!r}") from None
-
-
-def functor_dim(functor: Functor, n: int, m: int | None = None) -> int:
-    if functor == "tensor":
-        return n * (m if m is not None else n)
-    if functor == "ext2":
-        return n * (n - 1) // 2
-    if functor == "sym2":
-        return n * (n + 1) // 2
-    raise ValueError(f"unknown functor {functor!r}")
 
 
 def _check_cap(dim: int, cap: int | None) -> None:
@@ -193,25 +181,14 @@ def square_action(
     kind: Kind, functor: Functor, n: int, *, cap: int | None = DEFAULT_DIM_CAP
 ) -> Gf2Matrix:
     """Matrix of u or e on the chosen square of the size-n block."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    _check_cap(functor_dim(functor, n), cap)
-    block = block_matrix(kind, n)
-    if functor == "tensor":
-        return tensor_of(block, block, kind)
-    if functor == "ext2":
-        return ext2_of(block, kind)
-    return sym2_of(block, kind)
+    return expr_action(square_expr(functor, kind, n), kind, cap=cap)
 
 
 def tensor_action(
     kind: Kind, m: int, n: int, *, cap: int | None = DEFAULT_DIM_CAP
 ) -> Gf2Matrix:
     """Matrix of u or e on the mixed tensor product of blocks of sizes m, n."""
-    if m < 1 or n < 1:
-        raise ValueError("block sizes must be positive")
-    _check_cap(m * n, cap)
-    return tensor_of(block_matrix(kind, m), block_matrix(kind, n), kind)
+    return expr_action(square_expr("tensor", kind, n, m), kind, cap=cap)
 
 
 def expr_action(
@@ -236,8 +213,11 @@ def expr_action(
     if isinstance(expr, (Ext2, Sym2)):
         inner = expr_action(expr.inner, kind, cap=cap)
         d = inner.rows
+        if isinstance(expr, Ext2):
+            _check_cap(d * (d - 1) // 2, cap)
+            return ext2_of(inner, kind)
         _check_cap(d * (d + 1) // 2, cap)
-        return ext2_of(inner, kind) if isinstance(expr, Ext2) else sym2_of(inner, kind)
+        return sym2_of(inner, kind)
     raise TypeError(f"not a module expression: {expr!r}")
 
 
@@ -250,13 +230,7 @@ def oracle_jordan_type(
     cap: int | None = DEFAULT_DIM_CAP,
 ) -> JordanType:
     """Ground-truth Jordan type via explicit matrices and rank sequences."""
-    if m is not None and functor != "tensor":
-        raise ValueError("m is only meaningful for the tensor functor")
-    if functor == "tensor" and m is not None:
-        mat = tensor_action(kind, m, n, cap=cap)
-    else:
-        mat = square_action(kind, functor, n, cap=cap)
-    return _jordan_of_action(mat, kind)
+    return oracle_expr_jordan_type(square_expr(functor, kind, n, m), kind, cap=cap)
 
 
 def oracle_expr_jordan_type(

@@ -133,12 +133,65 @@ class TestExpr:
         code, _, err = run_cli("expr", "T(V2, W3)")
         assert code == 1
 
+    def test_ext2_cap_counts_ext2_dimension(self, monkeypatch):
+        # E2(W5) has dimension 10, under the cap, although S2(W5) has 15
+        code, out, err = run_cli(
+            "expr", "E2(W5)", "--method", "oracle", env_cap=12, monkeypatch=monkeypatch
+        )
+        assert code == 0
+        assert out == "7 3\n"
+        assert err == ""
+
     def test_expr_json(self):
         code, out, _ = run_cli("expr", "E2(V9)", "--format", "json")
         assert code == 0
         payload = json.loads(out)
         assert payload["input"] == {"expr": "E2(V9)"}
         assert payload["total_dim"] == 36
+
+
+def _decompose_argv(functor, kind, n, m):
+    argv = ["decompose", "--functor", functor, "--kind", kind, "--n", str(n)]
+    return argv + (["--m", str(m)] if m is not None else [])
+
+
+def _expr_text(functor, kind, n, m):
+    atom = "V" if kind == "unipotent" else "W"
+    if functor == "tensor":
+        return f"T({atom}{m if m is not None else n}, {atom}{n})"
+    return f"{'E2' if functor == 'ext2' else 'S2'}({atom}{n})"
+
+
+class TestDecomposeIsExpr:
+    """decompose is shorthand for expr on E2(Xn), S2(Xn) and T(Xm, Xn)."""
+
+    @pytest.mark.parametrize("method", ["formula", "oracle", "both"])
+    @pytest.mark.parametrize("kind", ["unipotent", "nilpotent"])
+    @pytest.mark.parametrize("functor", ["tensor", "ext2", "sym2"])
+    def test_same_result_as_expr(self, functor, kind, method, monkeypatch):
+        cases = [(n, None) for n in range(1, 13)]
+        if functor == "tensor":
+            cases += [(n, m) for n in range(1, 13) for m in range(1, n + 1)]
+        for cap in (None, 12):
+            if cap is None:
+                monkeypatch.delenv("CHAR2SQUARES_ORACLE_CAP", raising=False)
+            else:
+                monkeypatch.setenv("CHAR2SQUARES_ORACLE_CAP", str(cap))
+            for n, m in cases:
+                opts = ["--method", method, "--format", "json"]
+                dec = run_cli(*_decompose_argv(functor, kind, n, m), *opts)
+                exp = run_cli("expr", _expr_text(functor, kind, n, m), *opts)
+                assert dec[0] == exp[0], (cap, n, m, dec, exp)
+                dec_payloads = [json.loads(line) for line in dec[1].splitlines()]
+                exp_payloads = [json.loads(line) for line in exp[1].splitlines()]
+                keys = ("method", "blocks", "total_dim")
+                assert [[p[k] for k in keys] for p in dec_payloads] == [
+                    [p[k] for k in keys] for p in exp_payloads
+                ], (cap, n, m)
+                expected_input = {"functor": functor, "kind": kind, "n": n}
+                if m is not None:
+                    expected_input["m"] = m
+                assert all(p["input"] == expected_input for p in dec_payloads)
 
 
 class TestTable:
@@ -178,3 +231,12 @@ class TestBasis:
             "basis", "--n", "30", "--verify", env_cap=100, monkeypatch=monkeypatch
         )
         assert code == 3
+
+    def test_cap_message_names_oracle_space(self, monkeypatch):
+        code, out, err = run_cli(
+            "basis", "--n", "9", "--functor", "sym2", "--verify",
+            env_cap=40, monkeypatch=monkeypatch,
+        )
+        assert code == 3
+        assert "16 8^3 1^5" in out
+        assert err == "error: oracle space has dimension 45, above the cap 40\n"

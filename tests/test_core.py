@@ -12,12 +12,13 @@ from char2squares.core import (
     JordanType,
     MixedKindError,
     Sum,
+    Sym2,
     Tensor,
     cones_expansion,
     expr_kind,
     format_jordan_type,
     parse_jordan_type,
-    suffix_values,
+    square_expr,
 )
 
 
@@ -70,13 +71,13 @@ class TestConesExpansion:
 
 class TestSuffixValues:
     def test_n6(self):
-        assert suffix_values(cones_expansion(6)) == (6, 2, 0)
+        assert cones_expansion(6).suffix_values() == (6, 2, 0)
 
     def test_n4(self):
-        assert suffix_values(cones_expansion(4)) == (4, 0)
+        assert cones_expansion(4).suffix_values() == (4, 0)
 
     def test_n9(self):
-        assert suffix_values(cones_expansion(9)) == (9, 7, 1, 0)
+        assert cones_expansion(9).suffix_values() == (9, 7, 1, 0)
 
     @given(st.integers(1, 1 << 20))
     def test_strictly_decreasing_to_zero(self, n):
@@ -151,3 +152,18 @@ class TestModuleExpr:
             Atom("other", 2)
         with pytest.raises(ValueError):
             Atom("nilpotent", 2, 0)
+
+    def test_square_expr(self):
+        w = lambda n: Atom("nilpotent", n)
+        assert square_expr("ext2", "nilpotent", 5) == Ext2(w(5))
+        assert square_expr("sym2", "unipotent", 3) == Sym2(Atom("unipotent", 3))
+        assert square_expr("tensor", "nilpotent", 4) == Tensor(w(4), w(4))
+        assert square_expr("tensor", "nilpotent", 4, 2) == Tensor(w(2), w(4))
+
+    def test_square_expr_validation(self):
+        with pytest.raises(ValueError):
+            square_expr("ext2", "nilpotent", 4, 3)
+        with pytest.raises(ValueError):
+            square_expr("cube", "nilpotent", 4)
+        with pytest.raises(ValueError):
+            square_expr("sym2", "nilpotent", 0)

@@ -15,7 +15,7 @@ from char2squares.core import (
     parse_jordan_type,
 )
 from char2squares.formulas import (
-    QChoice,
+    _q,
     _tensor_parts,
     decompose_expr,
     ext2_nilpotent,
@@ -35,17 +35,11 @@ def jt(text):
 
 
 class TestQChoice:
+    """The recursions' power of two q, with q/2 < n <= q."""
+
     @pytest.mark.parametrize("n, q", [(1, 1), (2, 2), (3, 4), (4, 4), (5, 8), (8, 8), (9, 16)])
     def test_for_dim(self, n, q):
-        assert QChoice.for_dim(n).q == q
-
-    def test_rejects_bad_q(self):
-        with pytest.raises(ValueError):
-            QChoice(5, 4)
-        with pytest.raises(ValueError):
-            QChoice(3, 8)
-        with pytest.raises(ValueError):
-            QChoice(5, 6)
+        assert _q(n) == q
 
 
 class TestTensor:
@@ -90,7 +84,7 @@ class TestTensor:
 
     @given(st.integers(1, 200), st.integers(1, 200))
     def test_largest_block_at_most_q(self, m, n):
-        q = QChoice.for_dim(max(m, n)).q
+        q = 1 << (max(m, n) - 1).bit_length()
         assert all(s <= q for s, _ in tensor_decompose(m, n).parts)
 
 
@@ -156,7 +150,7 @@ class TestSquares:
 
     @given(st.integers(2, 5000))
     def test_largest_block_at_most_q(self, n):
-        q = QChoice.for_dim(n).q
+        q = 1 << (n - 1).bit_length()
         for fn in (ext2_unipotent, sym2_unipotent, ext2_nilpotent, sym2_nilpotent):
             assert all(s <= q for s, _ in fn(n).parts)
 

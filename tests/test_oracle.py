@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from char2squares.core import Atom, Sum, Sym2, parse_jordan_type
+from char2squares.core import Atom, Ext2, Sum, Sym2, parse_jordan_type
 from char2squares.formulas import (
     decompose_expr,
     ext2_block,
@@ -156,6 +156,15 @@ class TestExprOracle:
         from char2squares.gf2 import jordan_type_of_nilpotent
 
         assert jordan_type_of_nilpotent(mat) == jt("3 2")
+
+    def test_cap_uses_each_square_dimension(self):
+        w5 = Atom("nilpotent", 5)
+        assert expr_action(Ext2(w5), "nilpotent", cap=10).rows == 10
+        with pytest.raises(OracleCapExceeded):
+            expr_action(Ext2(w5), "nilpotent", cap=9)
+        assert expr_action(Sym2(w5), "nilpotent", cap=15).rows == 15
+        with pytest.raises(OracleCapExceeded):
+            expr_action(Sym2(w5), "nilpotent", cap=14)
 
     def test_expr_oracle_matches_formula(self):
         from char2squares.parser import parse_expr
