@@ -10,6 +10,7 @@ from .core import (
     JordanType,
     MixedKindError,
     ModuleExpr,
+    Scaled,
     Sum,
     Sym2,
     Tensor,

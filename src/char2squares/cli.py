@@ -94,13 +94,12 @@ def _cmd_expr(args, out, err) -> int:
 
 def _decompose(expr, kind, input_desc: dict, args, out, err) -> int:
     """Evaluate expr by args.method, print each result, and report a mismatch."""
-    cap = oracle.dim_cap()
     results = []
     if args.method in ("formula", "both"):
         results.append(formulas.decompose_expr(expr))
     if args.method in ("oracle", "both"):
         try:
-            results.append(oracle.oracle_expr_jordan_type(expr, kind, cap=cap))
+            results.append(oracle.oracle_expr_jordan_type(expr, kind, cap=oracle.dim_cap()))
         except oracle.OracleCapExceeded as exc:
             if args.method == "oracle":
                 raise
@@ -153,7 +152,7 @@ def _cmd_table(args, out, err) -> int:
 def _cmd_basis(args, out, err) -> int:
     if args.n < 1:
         raise _CliError("--n must be positive")
-    cap = oracle.dim_cap()
+    cap = oracle.dim_cap() if args.verify else None  # before any output
     if args.functor == "tensor":
         chains = basis_mod.build_tensor_basis(args.n)
         terminals = [basis_mod.build_z(c.s, args.n) for c in chains]

@@ -205,15 +205,24 @@ class ModuleExpr:
 class Atom(ModuleExpr):
     kind: Kind
     dim: int
-    multiplicity: int = 1
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.dim < 1:
             raise ValueError("atom dimension must be positive")
-        if self.multiplicity < 1:
-            raise ValueError("atom multiplicity must be positive")
+
+
+@dataclass(frozen=True)
+class Scaled(ModuleExpr):
+    """The direct sum of count copies of inner."""
+
+    count: int
+    inner: ModuleExpr
+
+    def __post_init__(self) -> None:
+        if self.count < 1:
+            raise ValueError("multiplicity must be positive")
 
 
 @dataclass(frozen=True)
@@ -261,13 +270,12 @@ def expr_kind(expr: ModuleExpr) -> Kind:
         if isinstance(e, Atom):
             kinds.add(e.kind)
         elif isinstance(e, Sum):
-            # k*X parses to k references to one X: visit it once
-            for t in {id(t): t for t in e.terms}.values():
+            for t in e.terms:
                 walk(t)
         elif isinstance(e, Tensor):
             walk(e.left)
             walk(e.right)
-        elif isinstance(e, (Ext2, Sym2)):
+        elif isinstance(e, (Scaled, Ext2, Sym2)):
             walk(e.inner)
         else:
             raise TypeError(f"not a module expression: {e!r}")

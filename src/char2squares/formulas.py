@@ -9,7 +9,6 @@ and symmetric squares do not.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import groupby
 
 from .core import (
     Atom,
@@ -17,6 +16,7 @@ from .core import (
     JordanType,
     Kind,
     ModuleExpr,
+    Scaled,
     Sum,
     Sym2,
     Tensor,
@@ -177,12 +177,12 @@ def decompose_expr(expr: ModuleExpr) -> JordanType:
 def _eval(expr: ModuleExpr, kind: Kind, c: int, acc: dict[int, int]) -> None:
     """Add the blocks of c copies of expr into acc (size -> multiplicity)."""
     if isinstance(expr, Atom):
-        acc[expr.dim] = acc.get(expr.dim, 0) + expr.multiplicity * c
+        acc[expr.dim] = acc.get(expr.dim, 0) + c
+    elif isinstance(expr, Scaled):
+        _eval(expr.inner, kind, c * expr.count, acc)
     elif isinstance(expr, Sum):
-        # k*X parses to k references to one X: evaluate it once, k times over
-        for _, run in groupby(expr.terms, key=id):
-            run = list(run)
-            _eval(run[0], kind, c * len(run), acc)
+        for t in expr.terms:
+            _eval(t, kind, c, acc)
     elif isinstance(expr, Tensor):
         right = _blocks(expr.right, kind)
         for a, ca in _blocks(expr.left, kind):

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import os
 
-from .core import Atom, Ext2, JordanType, Kind, ModuleExpr, Sum, Sym2, Tensor, square_expr
-from .gf2 import Gf2Matrix, identity, jordan_type_of_nilpotent
+from .core import Atom, Ext2, JordanType, Kind, ModuleExpr, Scaled, Sum, Sym2, Tensor, square_expr
+from .gf2 import Gf2Matrix, _support, identity, jordan_type_of_nilpotent
 
 Functor = str  # one of core.FUNCTORS
 
@@ -119,17 +119,7 @@ def _pair_action(a: Gf2Matrix, kind: Kind, sym: bool) -> Gf2Matrix:
     else:
         keys = [(i, j) for i in range(d) for j in range(i + 1, d)]
     index = {key: pos for pos, key in enumerate(keys)}
-    cols = a.columns()
-
-    def bits_of(col: int) -> list[int]:
-        out = []
-        while col:
-            low = col & -col
-            out.append(low.bit_length() - 1)
-            col ^= low
-        return out
-
-    col_supports = [bits_of(c) for c in cols]
+    col_supports = [_support(c) for c in a.columns()]
     rows = [0] * len(keys)
     for (i, j), col in index.items():
         image: dict[tuple[int, int], int] = {}
@@ -198,12 +188,19 @@ def expr_action(
     if isinstance(expr, Atom):
         if expr.kind != kind:
             raise ValueError("expression kind mismatch")
-        _check_cap(expr.dim * expr.multiplicity, cap)
-        return direct_sum([block_matrix(kind, expr.dim)] * expr.multiplicity)
+        _check_cap(expr.dim, cap)
+        return block_matrix(kind, expr.dim)
+    if isinstance(expr, Scaled):
+        inner = expr_action(expr.inner, kind, cap=cap)
+        _check_cap(expr.count * inner.rows, cap)
+        # any number of copies of a zero space is that space
+        return direct_sum([inner] * expr.count) if inner.rows else inner
     if isinstance(expr, Sum):
-        mats = [expr_action(t, kind, cap=cap) for t in expr.terms]
-        total = sum(m.rows for m in mats)
-        _check_cap(total, cap)
+        mats, total = [], 0
+        for t in expr.terms:
+            mats.append(expr_action(t, kind, cap=cap))
+            total += mats[-1].rows
+            _check_cap(total, cap)
         return direct_sum(mats)
     if isinstance(expr, Tensor):
         left = expr_action(expr.left, kind, cap=cap)

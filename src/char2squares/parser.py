@@ -8,16 +8,15 @@ Grammar (whitespace insensitive):
             | '(' expr ')'
     atom   := ('V' | 'W') int
 
-V atoms are unipotent blocks, W atoms nilpotent blocks.  Brackets may nest
-at most MAX_DEPTH levels deep.
+V atoms are unipotent blocks, W atoms nilpotent blocks.  'k*X' is k copies
+of any factor X, for any k >= 1, held as one Scaled(k, X) node.  Brackets
+may nest at most MAX_DEPTH levels deep.
 """
 
 from __future__ import annotations
 
-from .core import Atom, Ext2, ModuleExpr, Sum, Sym2, Tensor
+from .core import Atom, Ext2, ModuleExpr, Scaled, Sum, Sym2, Tensor
 
-# repeated non-atom factors are expanded into explicit sums; cap the blowup
-MAX_REPEAT = 10_000
 # brackets nested deeper than this are a syntax error; it also bounds the
 # recursion depth of everything that walks the parsed expression
 MAX_DEPTH = 300
@@ -91,11 +90,7 @@ class _Parser:
             return factor
         if count < 1:
             raise self.error("multiplicity must be positive")
-        if isinstance(factor, Atom):
-            return Atom(factor.kind, factor.dim, factor.multiplicity * count)
-        if count > MAX_REPEAT:
-            raise self.error(f"multiplicity above limit {MAX_REPEAT}")
-        return Sum((factor,) * count)
+        return Scaled(count, factor)
 
     def factor(self) -> ModuleExpr:
         ch = self.peek()

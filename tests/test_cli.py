@@ -95,6 +95,31 @@ class TestDecompose:
         assert err == "error: CHAR2SQUARES_ORACLE_CAP must be an integer, not '12k'\n"
 
 
+class TestCapReadOnlyForOracle:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("expr", "S2(W3)", "--method", "formula"),
+            ("decompose", "--functor", "sym2", "--kind", "nilpotent", "--n", "7",
+             "--method", "formula"),
+            ("basis", "--n", "5"),
+            ("basis", "--n", "5", "--functor", "sym2", "--dump"),
+        ],
+    )
+    def test_malformed_cap_ignored_without_oracle(self, argv, monkeypatch):
+        monkeypatch.delenv("CHAR2SQUARES_ORACLE_CAP", raising=False)
+        expected = run_cli(*argv)
+        assert expected[0] == 0 and expected[1]
+        assert run_cli(*argv, env_cap="12k", monkeypatch=monkeypatch) == expected
+
+    def test_malformed_cap_before_basis_output(self, monkeypatch):
+        code, out, err = run_cli(
+            "basis", "--n", "5", "--verify", env_cap="12k", monkeypatch=monkeypatch
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: CHAR2SQUARES_ORACLE_CAP must be an integer, not '12k'\n"
+
+
 class TestExpr:
     def test_expr_formula(self):
         code, out, _ = run_cli("expr", "T(V2, V3)")
@@ -141,6 +166,25 @@ class TestExpr:
         assert code == 0
         assert out == "7 3\n"
         assert err == ""
+
+    def test_repeated_non_atom_above_10000(self):
+        # E2(W2) is one block of size 1
+        for method in ("formula", "oracle"):
+            code, out, err = run_cli("expr", "10001*E2(W2)", "--method", method)
+            assert (code, out, err) == (0, "1^10001\n", "")
+
+    @pytest.mark.parametrize("text", [
+        "99999999999999999999*E2(W1)",
+        "99999999999999999999*E2(E2(W2))",
+        "W3 + 99999999999999999999*E2(W1)",
+        "T(99999999999999999999*E2(W1), W4)",
+    ])
+    def test_long_count_of_zero_space(self, text):
+        # k copies of a zero-dimensional space are that space, whatever k is
+        code, out, err = run_cli("expr", text, "--method", "formula")
+        assert (code, err) == (0, "")
+        assert run_cli("expr", text, "--method", "oracle") == (0, out, "")
+        assert run_cli("expr", text, "--method", "both") == (0, out * 2, "")
 
     def test_expr_json(self):
         code, out, _ = run_cli("expr", "E2(V9)", "--format", "json")

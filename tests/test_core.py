@@ -11,6 +11,7 @@ from char2squares.core import (
     Ext2,
     JordanType,
     MixedKindError,
+    Scaled,
     Sum,
     Sym2,
     Tensor,
@@ -151,7 +152,7 @@ class TestModuleExpr:
         with pytest.raises(ValueError):
             Atom("other", 2)
         with pytest.raises(ValueError):
-            Atom("nilpotent", 2, 0)
+            Scaled(0, Atom("nilpotent", 2))
 
     def test_square_expr(self):
         w = lambda n: Atom("nilpotent", n)

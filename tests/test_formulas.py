@@ -8,6 +8,7 @@ from char2squares.core import (
     Atom,
     Ext2,
     JordanType,
+    Scaled,
     Sum,
     Sym2,
     Tensor,
@@ -161,7 +162,7 @@ class TestDecomposeExpr:
         assert decompose_expr(e) == jt("2 1")
 
     def test_sym2_of_repeated_trivial(self):
-        e = Sym2(Atom("nilpotent", 1, 2))
+        e = Sym2(Scaled(2, Atom("nilpotent", 1)))
         assert decompose_expr(e) == jt("1^3")
 
     def test_tensor_atoms(self):
@@ -175,12 +176,12 @@ class TestDecomposeExpr:
 
     def test_multiplicity_expansion(self):
         # E2(V_3^2) = E2(V_3)^2 + V_3 x V_3
-        direct = decompose_expr(Ext2(Atom("unipotent", 3, 2)))
+        direct = decompose_expr(Ext2(Scaled(2, Atom("unipotent", 3))))
         expected = decompose_expr(Ext2(Atom("unipotent", 3))).scaled(2) + tensor_decompose(3, 3)
         assert direct == expected
 
     def test_dimension_consistency(self):
-        e = Sym2(Sum((Atom("nilpotent", 5), Atom("nilpotent", 3, 2))))
+        e = Sym2(Sum((Atom("nilpotent", 5), Scaled(2, Atom("nilpotent", 3)))))
         d = 5 + 6
         assert decompose_expr(e).total_dim == d * (d + 1) // 2
 

@@ -166,6 +166,33 @@ class TestExprOracle:
         with pytest.raises(OracleCapExceeded):
             expr_action(Sym2(w5), "nilpotent", cap=14)
 
+    def test_repeated_factor_built_once(self, monkeypatch):
+        from char2squares import oracle
+        from char2squares.parser import parse_expr
+
+        calls = []
+        sym2_of = oracle.sym2_of
+        monkeypatch.setattr(oracle, "sym2_of", lambda *a: calls.append(a) or sym2_of(*a))
+        expr = parse_expr("4*S2(W6)")
+        assert expr_action(expr, "nilpotent").rows == 4 * 21
+        assert len(calls) == 1
+        assert oracle_expr_jordan_type(expr, "nilpotent") == jt("8^8 2^4 1^12")
+
+    def test_sum_stops_at_first_term_over_cap(self, monkeypatch):
+        from char2squares import oracle
+        from char2squares.parser import parse_expr
+
+        built = []
+        block_matrix_ = oracle.block_matrix
+        monkeypatch.setattr(
+            oracle, "block_matrix", lambda kind, n: built.append(n) or block_matrix_(kind, n)
+        )
+        expr = parse_expr("W15000 + W15000 + W15000 + W15000")
+        with pytest.raises(OracleCapExceeded) as exc:
+            expr_action(expr, "nilpotent", cap=20_000)
+        assert built == [15_000, 15_000]
+        assert exc.value.dim == 30_000
+
     def test_expr_oracle_matches_formula(self):
         from char2squares.parser import parse_expr
 

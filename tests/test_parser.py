@@ -1,6 +1,6 @@
 import pytest
 
-from char2squares.core import Atom, Ext2, Sum, Sym2, Tensor
+from char2squares.core import Atom, Ext2, Scaled, Sum, Sym2, Tensor
 from char2squares.parser import MAX_DEPTH, ExprSyntaxError, parse_expr
 
 
@@ -10,7 +10,7 @@ class TestParse:
 
     def test_sym_with_multiplicity(self):
         expr = parse_expr("S2(W5 + 2*W3)")
-        assert expr == Sym2(Sum((Atom("nilpotent", 5), Atom("nilpotent", 3, 2))))
+        assert expr == Sym2(Sum((Atom("nilpotent", 5), Scaled(2, Atom("nilpotent", 3)))))
 
     def test_tensor(self):
         assert parse_expr("T(V2, V3)") == Tensor(Atom("unipotent", 2), Atom("unipotent", 3))
@@ -24,7 +24,7 @@ class TestParse:
 
     def test_repeated_non_atom(self):
         expr = parse_expr("2*E2(V4)")
-        assert expr == Sum((Ext2(Atom("unipotent", 4)),) * 2)
+        assert expr == Scaled(2, Ext2(Atom("unipotent", 4)))
 
     def test_nested(self):
         assert parse_expr("S2(E2(W4))") == Sym2(Ext2(Atom("nilpotent", 4)))
