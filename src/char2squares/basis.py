@@ -4,6 +4,9 @@ The tensor-square basis is assembled from one chain per source index s:
 the chain top w_s is a short anti-diagonal sum of basis tensors chosen so
 that applying the derivation 2^b - 1 times lands exactly on the kernel
 vector z_s.  Projecting to the symmetric square yields its Jordan basis.
+
+Every chain vector is homogeneous: all its monomials v_i v_j share one
+degree i + j, and the derivation lowers that degree by exactly 1.
 """
 
 from __future__ import annotations
@@ -11,59 +14,61 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import ConesExpansion, JordanType, cones_expansion
-from .gf2 import Gf2Matrix, rank as gf2_rank
+from .gf2 import Gf2Matrix, _support, rank as gf2_rank
 from .oracle import basis_keys
 
 Space = str  # "tensor" or "sym2"
 
 
+def _valid_mask(space: Space, n: int, degree: int) -> int:
+    """Bits i with 1 <= i <= n and 1 <= degree - i <= n, and i <= degree - i in sym2."""
+    lo = max(1, degree - n)
+    hi = min(n, degree - 1, degree // 2 if space == "sym2" else n)
+    return 0 if hi < lo else (2 << hi) - (1 << lo)
+
+
 @dataclass(frozen=True)
 class SparseVec:
-    """GF(2) vector in the tensor or symmetric square, as a set of monomials.
+    """GF(2) vector of one degree in the tensor or symmetric square.
 
-    Terms are 1-based index pairs; symmetric-square pairs are normalized to
-    i <= j.  Out-of-range indices never appear (they denote zero vectors).
+    Bit i of mask stands for v_i (x) v_{degree-i}, or in sym2 for the
+    monomial v_i v_{degree-i} with i <= degree - i.  A zero mask is the
+    zero vector, whatever its degree.
     """
 
     space: Space
     n: int
-    terms: frozenset[tuple[int, int]]
+    degree: int
+    mask: int
 
     def __post_init__(self) -> None:
         if self.space not in ("tensor", "sym2"):
             raise ValueError(f"unknown space {self.space!r}")
-        for i, j in self.terms:
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise ValueError(f"index ({i}, {j}) out of range for n={self.n}")
-            if self.space == "sym2" and i > j:
-                raise ValueError("symmetric-square terms must satisfy i <= j")
+        if self.mask < 0 or self.mask & ~_valid_mask(self.space, self.n, self.degree):
+            raise ValueError(f"mask {self.mask:#x} invalid in degree {self.degree} for n={self.n}")
+
+    @property
+    def terms(self) -> frozenset[tuple[int, int]]:
+        """The monomials as 1-based index pairs (i <= j in sym2)."""
+        return frozenset((i, self.degree - i) for i in _support(self.mask))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.mask
 
     def apply_e(self) -> "SparseVec":
-        """Derivation action: v_i v_j -> v_{i-1} v_j + v_i v_{j-1} over GF(2)."""
-        acc: set[tuple[int, int]] = set()
-        for i, j in self.terms:
-            for a, b in ((i - 1, j), (i, j - 1)):
-                if a < 1 or b < 1:
-                    continue
-                if self.space == "sym2" and a > b:
-                    a, b = b, a
-                key = (a, b)
-                acc.symmetric_difference_update((key,))
-        return SparseVec(self.space, self.n, frozenset(acc))
+        """Derivation action: v_i v_j -> v_{i-1} v_j + v_i v_{j-1} over GF(2).
 
-    def __add__(self, other: "SparseVec") -> "SparseVec":
-        if (self.space, self.n) != (other.space, other.n):
-            raise ValueError("vectors live in different spaces")
-        return SparseVec(self.space, self.n, self.terms ^ other.terms)
+        Bit i goes to bits i - 1 and i of degree - 1; in sym2, e(v_i v_i) = 0.
+        """
+        mask = self.mask
+        if self.space == "sym2" and self.degree % 2 == 0:
+            mask &= ~(1 << self.degree // 2)
+        degree = self.degree - 1
+        mask = ((mask >> 1) ^ mask) & _valid_mask(self.space, self.n, degree)
+        return SparseVec(self.space, self.n, degree, mask)
 
     def to_bits(self, index: dict[tuple[int, int], int]) -> int:
-        bits = 0
-        for key in self.terms:
-            bits |= 1 << index[key]
-        return bits
+        return sum(1 << index[key] for key in self.terms)
 
 
 @dataclass(frozen=True)
@@ -86,7 +91,7 @@ def build_z(s: int, n: int) -> SparseVec:
     """Kernel vector z_s = sum of v_i tensor v_{s+1-i} for 1 <= i <= s."""
     if not (1 <= s <= n):
         raise ValueError(f"s={s} out of range for n={n}")
-    return SparseVec("tensor", n, frozenset((i, s + 1 - i) for i in range(1, s + 1)))
+    return SparseVec("tensor", n, s + 1, (2 << s) - 2)
 
 
 def band_index(s: int, n: int, exp: ConesExpansion | None = None) -> int:
@@ -124,25 +129,25 @@ def find_j0(s: int, n: int, beta: int) -> int:
 def build_w(s: int, n: int) -> SparseVec:
     """Chain top w_s; equals z_s in the beta = 0 band."""
     exp = cones_expansion(n)
-    k = band_index(s, n, exp)
-    beta = exp.betas[k - 1]
+    beta = exp.betas[band_index(s, n, exp) - 1]
     if beta == 0:
         return build_z(s, n)
     half = 1 << (beta - 1)
     step = 1 << beta
     j0 = find_j0(s, n, beta)
-    terms: set[tuple[int, int]] = set()
+    degree = s + step  # (s // 2 + half) + ((s + 1) // 2 + half)
+    mask = 0
     for j in range(-j0, j0 + 1):
         i = s // 2 + half + j * step
-        jj = (s + 1) // 2 + half - j * step
-        if 1 <= i <= n and 1 <= jj <= n:
-            terms.symmetric_difference_update(((i, jj),))
-    return SparseVec("tensor", n, frozenset(terms))
+        if 1 <= i <= n and 1 <= degree - i <= n:
+            mask ^= 1 << i
+    return SparseVec("tensor", n, degree, mask)
 
 
-def _chain_from_top(top: SparseVec, length: int, s: int) -> JordanChain:
+def _chain_from_top(top: SparseVec, s: int) -> JordanChain:
+    """The chain from top down to degree s + 1, the degree of z_s."""
     vectors = [top]
-    for _ in range(length - 1):
+    for _ in range(top.degree - s - 1):
         vectors.append(vectors[-1].apply_e())
     return JordanChain(s, tuple(vectors))
 
@@ -154,23 +159,17 @@ def build_tensor_basis(n: int) -> list[JordanChain]:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    exp = cones_expansion(n)
-    chains = []
-    for s in range(1, n + 1):
-        k = band_index(s, n, exp)
-        chains.append(_chain_from_top(build_w(s, n), 1 << exp.betas[k - 1], s))
-    return chains
+    return [_chain_from_top(build_w(s, n), s) for s in range(1, n + 1)]
 
 
 def project_to_sym(vec: SparseVec) -> SparseVec:
     """Quotient map to the symmetric square; transposed pairs cancel over GF(2)."""
     if vec.space != "tensor":
         raise ValueError("projection applies to tensor-square vectors")
-    acc: set[tuple[int, int]] = set()
-    for i, j in vec.terms:
-        key = (i, j) if i <= j else (j, i)
-        acc.symmetric_difference_update((key,))
-    return SparseVec("sym2", vec.n, frozenset(acc))
+    mask = 0
+    for i in _support(vec.mask):
+        mask ^= 1 << min(i, vec.degree - i)
+    return SparseVec("sym2", vec.n, vec.degree, mask)
 
 
 def build_sym_basis(n: int) -> list[JordanChain]:
@@ -181,15 +180,10 @@ def build_sym_basis(n: int) -> list[JordanChain]:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    exp = cones_expansion(n)
     chains = []
     for s in range(1, n + 1):
         top = project_to_sym(build_w(s, n))
-        if s % 2 == 0:
-            chains.append(JordanChain(s, (top,)))
-        else:
-            k = band_index(s, n, exp)
-            chains.append(_chain_from_top(top, 1 << exp.betas[k - 1], s))
+        chains.append(JordanChain(s, (top,)) if s % 2 == 0 else _chain_from_top(top, s))
     return chains
 
 
@@ -229,43 +223,33 @@ def verify_basis(
 
     def act(bits: int) -> int:
         out = 0
-        x = bits
-        while x:
-            low = x & -x
-            out ^= columns[low.bit_length() - 1]
-            x ^= low
+        for j in _support(bits):
+            out ^= columns[j]
         return out
 
     failures = []
-    all_bits = []
+    by_degree: dict[int, list[int]] = {}  # masks; rank adds up over degrees
     for ci, chain in enumerate(chains):
+        where = f"chain {ci} (s={chain.s})"
+        for v in chain.vectors:
+            by_degree.setdefault(v.degree, []).append(v.mask)
         bits = [v.to_bits(index) for v in chain.vectors]
-        all_bits.extend(bits)
         for pos, b in enumerate(bits):
             if b == 0:
-                failures.append(f"chain {ci} (s={chain.s}): vector {pos} is zero")
+                failures.append(f"{where}: vector {pos} is zero")
             image = act(b)
             if pos + 1 < len(bits):
                 if image != bits[pos + 1]:
-                    failures.append(
-                        f"chain {ci} (s={chain.s}): link {pos} -> {pos + 1} broken"
-                    )
+                    failures.append(f"{where}: link {pos} -> {pos + 1} broken")
             elif image != 0:
-                failures.append(
-                    f"chain {ci} (s={chain.s}): terminal vector not killed"
-                )
-        if expected_terminals is not None:
-            expected = expected_terminals[ci].to_bits(index)
-            if bits[-1] != expected:
-                failures.append(
-                    f"chain {ci} (s={chain.s}): terminal differs from expected vector"
-                )
-    matrix_rank = gf2_rank(Gf2Matrix(len(all_bits), dim, tuple(all_bits)))
-    if matrix_rank != len(all_bits):
-        failures.append(
-            f"chain vectors dependent: rank {matrix_rank} < count {len(all_bits)}"
-        )
-    return VerificationReport(len(all_bits), matrix_rank, failures)
+                failures.append(f"{where}: terminal vector not killed")
+        if expected_terminals is not None and bits[-1] != expected_terminals[ci].to_bits(index):
+            failures.append(f"{where}: terminal differs from expected vector")
+    count = sum(map(len, by_degree.values()))
+    matrix_rank = sum(gf2_rank(Gf2Matrix(len(r), n + 1, tuple(r))) for r in by_degree.values())
+    if matrix_rank != count:
+        failures.append(f"chain vectors dependent: rank {matrix_rank} < count {count}")
+    return VerificationReport(count, matrix_rank, failures)
 
 
 def chain_type(chains: list[JordanChain]) -> JordanType:

@@ -192,7 +192,7 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
         if args.command == "table":
             return _cmd_table(args, out, err)
         return _cmd_basis(args, out, err)
-    except oracle.OracleCapExceeded as exc:
+    except (oracle.OracleCapExceeded, formulas.MultiplicityCapExceeded) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_CAP
     except (_CliError, ValueError) as exc:

@@ -25,6 +25,15 @@ from .core import (
 )
 
 
+# Multiplicities must stay below this: Python prints an int of at most 4300
+# digits by default, and each nested square of a larger one doubles its size.
+MULTIPLICITY_LIMIT = 10**4300
+
+
+class MultiplicityCapExceeded(RuntimeError):
+    """A block multiplicity of the formula route reached MULTIPLICITY_LIMIT."""
+
+
 def _q(n: int) -> int:
     """The smallest power of two q >= n, so that q/2 < n <= q."""
     return 1 << (n - 1).bit_length()
@@ -170,8 +179,12 @@ def decompose_expr(expr: ModuleExpr) -> JordanType:
     F(A + B) = F(A) + (A tensor B) + F(B) for F in {ext2, sym2}, and the
     tensor product is bilinear.  Every part is added into one table of
     block size -> multiplicity, which becomes a Jordan type once at the end.
+    Raises MultiplicityCapExceeded if a multiplicity reaches MULTIPLICITY_LIMIT.
     """
-    return JordanType.from_pairs(_blocks(expr, expr_kind(expr)))
+    blocks = _blocks(expr, expr_kind(expr))
+    if any(m >= MULTIPLICITY_LIMIT for _, m in blocks):
+        raise MultiplicityCapExceeded("a block multiplicity reaches the limit 10^4300")
+    return JordanType.from_pairs(blocks)
 
 
 def _eval(expr: ModuleExpr, kind: Kind, c: int, acc: dict[int, int]) -> None:
@@ -179,7 +192,7 @@ def _eval(expr: ModuleExpr, kind: Kind, c: int, acc: dict[int, int]) -> None:
     if isinstance(expr, Atom):
         acc[expr.dim] = acc.get(expr.dim, 0) + c
     elif isinstance(expr, Scaled):
-        _eval(expr.inner, kind, c * expr.count, acc)
+        _eval(expr.inner, kind, min(c * expr.count, MULTIPLICITY_LIMIT), acc)
     elif isinstance(expr, Sum):
         for t in expr.terms:
             _eval(t, kind, c, acc)
@@ -204,10 +217,14 @@ def _eval(expr: ModuleExpr, kind: Kind, c: int, acc: dict[int, int]) -> None:
 
 
 def _blocks(expr: ModuleExpr, kind: Kind) -> list[tuple[int, int]]:
-    """The (size, multiplicity) blocks of expr, equal sizes merged."""
+    """The (size, multiplicity) blocks of expr, equal sizes merged.
+
+    Multiplicities saturate at MULTIPLICITY_LIMIT.  Counts only multiply and add, so
+    a saturated count feeds only counts that reach the limit, or a tensor that is 0.
+    """
     acc: dict[int, int] = {}
     _eval(expr, kind, 1, acc)
-    return list(acc.items())
+    return [(s, min(m, MULTIPLICITY_LIMIT)) for s, m in acc.items()]
 
 
 def _add_tensor(acc: dict[int, int], a: int, b: int, c: int) -> None:

@@ -14,6 +14,16 @@ from typing import Iterable, Sequence
 from .core import JordanType
 
 
+def _support(row: int) -> list[int]:
+    """Column indices of the set bits of row, lowest first."""
+    bits = []
+    while row:
+        low = row & -row
+        bits.append(low.bit_length() - 1)
+        row ^= low
+    return bits
+
+
 @dataclass(frozen=True)
 class Gf2Matrix:
     """Immutable bit-packed matrix over the two-element field."""
@@ -66,11 +76,8 @@ class Gf2Matrix:
         out = [0] * self.cols
         for i, row in enumerate(self.data):
             bit = 1 << i
-            x = row
-            while x:
-                low = x & -x
-                out[low.bit_length() - 1] |= bit
-                x ^= low
+            for j in _support(row):
+                out[j] |= bit
         return Gf2Matrix(self.cols, self.rows, tuple(out))
 
     def columns(self) -> list[int]:
@@ -99,11 +106,8 @@ def mul(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
     out = []
     for row in a.data:
         acc = 0
-        x = row
-        while x:
-            low = x & -x
-            acc ^= bdata[low.bit_length() - 1]
-            x ^= low
+        for j in _support(row):
+            acc ^= bdata[j]
         out.append(acc)
     return Gf2Matrix(a.rows, b.cols, tuple(out))
 
@@ -133,15 +137,6 @@ def _independent_rows(rows: Sequence[int], indices: Iterable[int], cols: int) ->
 def rank(m: Gf2Matrix) -> int:
     """Rank over GF(2) by bit-parallel Gaussian elimination (input unchanged)."""
     return len(_independent_rows(m.data, range(m.rows), m.cols))
-
-
-def _support(row: int) -> list[int]:
-    bits = []
-    while row:
-        low = row & -row
-        bits.append(low.bit_length() - 1)
-        row ^= low
-    return bits
 
 
 def _nilpotent_ranks(m: Gf2Matrix) -> list[int] | None:

@@ -57,7 +57,11 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             raise self.error("expected an integer")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # more digits than Python converts (4300 by default)
+            digits, self.pos = self.pos - start, start
+            raise self.error(f"integer too long ({digits} digits)") from None
 
     def open(self) -> None:
         """Consume '(' and enter one more level of nesting."""

@@ -140,6 +140,20 @@ class TestTensorBasis:
         assert not report.ok
         assert any("chain 0" in f and "link" in f for f in report.failures)
 
+    @pytest.mark.parametrize(
+        "build, space", [(build_tensor_basis, "tensor"), (build_sym_basis, "sym2")]
+    )
+    def test_repeated_chain_dependent(self, build, space):
+        chains = build(7)
+        action = square_action("nilpotent", space, 7)
+        full = verify_basis(chains, action)
+        report = verify_basis(chains + [chains[0]], action)
+        assert report.vector_count == full.vector_count + chains[0].length
+        assert report.rank == full.rank == full.vector_count
+        assert report.failures == [
+            f"chain vectors dependent: rank {full.rank} < count {report.vector_count}"
+        ]
+
 
 class TestSymBasis:
     def test_n1(self):
@@ -182,32 +196,49 @@ class TestSymBasis:
 
 class TestSparseVec:
     def test_validation(self):
+        # bit 0 is v_0, bit 3 in degree 4 is v_3 (x) v_1 (allowed) but bit 4
+        # is v_4 (x) v_0; in sym2, bit 3 of degree 4 is the unordered v_3 v_1
+        SparseVec("tensor", 3, 4, 0b1010)
+        SparseVec("sym2", 3, 4, 0b0110)
+        for space, degree, mask in (
+            ("tensor", 4, 0b0001),
+            ("tensor", 4, 0b10000),
+            ("tensor", 2, 0b100),
+            ("tensor", 7, 0b0010),
+            ("sym2", 4, 0b1000),
+            ("sym2", 4, 0b0001),
+            ("sym2", 7, 0b1000),
+            ("tensor", 4, -2),
+        ):
+            with pytest.raises(ValueError):
+                SparseVec(space, 3, degree, mask)
         with pytest.raises(ValueError):
-            SparseVec("tensor", 3, frozenset({(0, 1)}))
-        with pytest.raises(ValueError):
-            SparseVec("sym2", 3, frozenset({(2, 1)}))
-        with pytest.raises(ValueError):
-            SparseVec("other", 3, frozenset())
+            SparseVec("other", 3, 4, 0)
 
     def test_sym_derivation_cancels_square(self):
-        v = SparseVec("sym2", 3, frozenset({(2, 2)}))
+        v = SparseVec("sym2", 3, 4, 1 << 2)  # v_2 v_2
+        assert v.terms == frozenset({(2, 2)})
         assert v.apply_e().is_zero()
 
-    def test_apply_e_matches_matrix(self):
-        n = 5
-        action = square_action("nilpotent", "sym2", n)
-        index = {k: i for i, k in enumerate(basis_keys("sym2", n))}
+    @staticmethod
+    def check_apply_e_against_oracle(space, n):
+        # e of every monomial equals its column of the oracle's dense action
+        action = square_action("nilpotent", space, n)
+        index = {k: i for i, k in enumerate(basis_keys(space, n))}
         cols = action.columns()
-        for key, pos in index.items():
-            sparse = SparseVec("sym2", n, frozenset({key})).apply_e()
-            assert sparse.to_bits(index) == cols[pos]
+        for (i, j), pos in index.items():
+            monomial = SparseVec(space, n, i + j, 1 << i)
+            assert monomial.terms == frozenset({(i, j)})
+            assert monomial.apply_e().to_bits(index) == cols[pos]
+
+    def test_apply_e_matches_matrix(self):
+        self.check_apply_e_against_oracle("sym2", 5)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_apply_e_matches_matrix_tensor(self, n):
+        self.check_apply_e_against_oracle("tensor", n)
 
     def test_format_chain(self):
         chain = build_tensor_basis(2)[1]
         text = format_chain(chain)
         assert "v" in text and "|" in text
-
-    def test_addition(self):
-        a = SparseVec("tensor", 3, frozenset({(1, 1), (2, 2)}))
-        b = SparseVec("tensor", 3, frozenset({(2, 2), (3, 3)}))
-        assert (a + b).terms == frozenset({(1, 1), (3, 3)})

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -186,6 +187,39 @@ class TestExpr:
         assert run_cli("expr", text, "--method", "oracle") == (0, out, "")
         assert run_cli("expr", text, "--method", "both") == (0, out * 2, "")
 
+    @pytest.mark.parametrize("text", [
+        "S2(" * 16 + "W2" + ")" * 16,
+        "S2(" * 27 + "W2" + ")" * 27,
+        ("9" * 4300 + "*(") * 299 + "W1" + ")" * 299,
+    ])
+    def test_multiplicity_limit(self, text):
+        # multiplicities square at each S2 level, and nested counts multiply
+        start = time.perf_counter()
+        code, out, err = run_cli("expr", text)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == "error: a block multiplicity reaches the limit 10^4300\n"
+
+    def test_multiplicity_limit_spares_zero_tensor(self):
+        # the right factor saturates the limit, but T(0, X) = 0
+        start = time.perf_counter()
+        code, out, err = run_cli("expr", "T(E2(W1), " + "S2(" * 30 + "W2" + ")" * 30 + ")")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (0, "0\n", "")
+
+    def test_largest_printable_multiplicity(self):
+        count = "9" * 4300
+        assert run_cli("expr", f"{count}*W1") == (0, f"1^{count}\n", "")
+        code, _, _ = run_cli("expr", f"{count}*W1 + W1")
+        assert code == 3
+
+    @pytest.mark.parametrize("text", ["1" * 4400 + "*W1", "W" + "1" * 4400])
+    def test_integer_too_long(self, text):
+        code, out, err = run_cli("expr", text)
+        assert (code, out) == (1, "")
+        expected = f"integer too long (4400 digits) (at position {text.index('1')})"
+        assert err == f"error: parse error: {expected}\n"
+
     def test_expr_json(self):
         code, out, _ = run_cli("expr", "E2(V9)", "--format", "json")
         assert code == 0
@@ -269,6 +303,32 @@ class TestBasis:
         assert code == 0
         assert "v1*v1" in out
         assert sum(1 for line in out.splitlines() if line.startswith("s=")) == 3
+
+    @pytest.mark.parametrize(
+        "n, functor, expected",
+        [
+            (4, "tensor", [
+                "tensor square of W_4: 4 chains, type 4^4",
+                "s=1: v2*v3 | v1*v3+v2*v2 | v2*v1 | v1*v1",
+                "s=2: v3*v3 | v2*v3+v3*v2 | v1*v3+v3*v1 | v1*v2+v2*v1",
+                "s=3: v3*v4 | v2*v4+v3*v3 | v1*v4+v3*v2 | v1*v3+v2*v2+v3*v1",
+                "s=4: v4*v4 | v3*v4+v4*v3 | v2*v4+v4*v2 | v1*v4+v2*v3+v3*v2+v4*v1",
+            ]),
+            (5, "sym2", [
+                "sym2 square of W_5: 5 chains, type 8 4 1^3",
+                "s=1: v4*v5 | v3*v5+v4*v4 | v2*v5+v3*v4 | v1*v5+v3*v3 | v1*v4 | v1*v3"
+                " | v1*v2 | v1*v1",
+                "s=2: v5*v5",
+                "s=3: v3*v4 | v2*v4+v3*v3 | v1*v4+v2*v3 | v2*v2",
+                "s=4: v4*v4",
+                "s=5: v3*v3",
+            ]),
+        ],
+    )
+    def test_dump_golden(self, n, functor, expected):
+        code, out, err = run_cli("basis", "--n", str(n), "--functor", functor, "--dump")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == expected
 
     def test_cap(self, monkeypatch):
         code, _, _ = run_cli(

@@ -1,6 +1,8 @@
-"""The formula route and the matrix/basis routes must not import each other."""
+"""The formula route and the matrix/basis routes must not import each other,
+and the benchmark's tracer must find every name it wraps."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -54,3 +56,15 @@ def test_oracle_side_does_not_import_formulas(module):
 def test_formulas_do_not_import_oracle_side():
     source = (PACKAGE / "formulas.py").read_text()
     assert not sibling_imports(source) & set(ORACLE_SIDE)
+
+
+def test_tracer_patches_existing_names(monkeypatch):
+    # bench/tracing.py wraps package functions by name; a renamed or deleted
+    # one makes Tracer.__enter__ raise KeyError and breaks `bench/run.py --trace 1`
+    from char2squares import basis, gf2
+
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    tracing = importlib.import_module("tracing")
+    with tracing.Tracer():
+        pass
+    assert basis.gf2_rank is gf2.rank  # the originals are restored
