@@ -210,40 +210,54 @@ def verify_basis(
     Each chain must satisfy action.v_t = v_{t+1} with the last vector killed,
     all vectors together must be linearly independent, and when terminals are
     supplied the last vector of chain i must equal expected_terminals[i].
+    The action is read once into per-degree images, so it must lower the
+    degree of every monomial by exactly 1.
     """
     if not chains:
         return VerificationReport(0, 0)
     space = chains[0].top.space
     n = chains[0].top.n
-    index = {key: pos for pos, key in enumerate(basis_keys(space, n))}
-    dim = len(index)
+    keys = basis_keys(space, n)
+    dim = len(keys)
     if action.rows != dim or action.cols != dim:
         raise ValueError(f"action matrix is {action.rows}x{action.cols}, expected {dim}x{dim}")
-    columns = action.columns()
+    image: dict[tuple[int, int], int] = {}  # (degree, i) -> mask in degree - 1
+    ungraded = []
+    for (k, l), row in zip(keys, action.data):
+        for col in _support(row):
+            i, j = keys[col]
+            if k + l == i + j - 1:
+                image[i + j, i] = image.get((i + j, i), 0) ^ (1 << k)
+            else:
+                ungraded.append(f"v{i}*v{j} -> v{k}*v{l}")
 
-    def act(bits: int) -> int:
-        out = 0
-        for j in _support(bits):
-            out ^= columns[j]
-        return out
+    def same(v: SparseVec, degree: int, mask: int) -> bool:
+        # a zero mask is the zero vector in every degree
+        return v.mask == mask and (v.degree == degree or not mask)
 
     failures = []
+    if ungraded:
+        failures.append(
+            f"action breaks the grading in {len(ungraded)} of its entries, first {ungraded[0]}"
+        )
     by_degree: dict[int, list[int]] = {}  # masks; rank adds up over degrees
     for ci, chain in enumerate(chains):
         where = f"chain {ci} (s={chain.s})"
-        for v in chain.vectors:
+        vectors = chain.vectors
+        for pos, v in enumerate(vectors):
             by_degree.setdefault(v.degree, []).append(v.mask)
-        bits = [v.to_bits(index) for v in chain.vectors]
-        for pos, b in enumerate(bits):
-            if b == 0:
+            if not v.mask:
                 failures.append(f"{where}: vector {pos} is zero")
-            image = act(b)
-            if pos + 1 < len(bits):
-                if image != bits[pos + 1]:
+            mask = 0
+            for i in _support(v.mask):
+                mask ^= image.get((v.degree, i), 0)
+            if pos + 1 < len(vectors):
+                if not same(vectors[pos + 1], v.degree - 1, mask):
                     failures.append(f"{where}: link {pos} -> {pos + 1} broken")
-            elif image != 0:
+            elif mask:
                 failures.append(f"{where}: terminal vector not killed")
-        if expected_terminals is not None and bits[-1] != expected_terminals[ci].to_bits(index):
+        last = vectors[-1]
+        if expected_terminals is not None and not same(expected_terminals[ci], last.degree, last.mask):
             failures.append(f"{where}: terminal differs from expected vector")
     count = sum(map(len, by_degree.values()))
     matrix_rank = sum(gf2_rank(Gf2Matrix(len(r), n + 1, tuple(r))) for r in by_degree.values())

@@ -27,6 +27,10 @@ class _CliError(Exception):
     """A usage error (exit 1)."""
 
 
+class _OutputLimitExceeded(Exception):
+    """An integer too long for Python to print in JSON (exit 3)."""
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     # argparse exits with status 2 by default; usage errors must exit 1
     def error(self, message: str):
@@ -106,6 +110,9 @@ def _decompose(expr, kind, input_desc: dict, args, out, err) -> int:
             print(f"warning: {exc}; falling back to formula only", file=err)
     for result in results:
         if args.format == "json":
+            # total_dim bounds every size and multiplicity in the payload
+            if result.total_dim >= formulas.MULTIPLICITY_LIMIT:
+                raise _OutputLimitExceeded("total_dim reaches 10^4300, too long for JSON output")
             payload = {
                 "input": input_desc,
                 "method": args.method,
@@ -192,7 +199,8 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
         if args.command == "table":
             return _cmd_table(args, out, err)
         return _cmd_basis(args, out, err)
-    except (oracle.OracleCapExceeded, formulas.MultiplicityCapExceeded) as exc:
+    except (oracle.OracleCapExceeded, formulas.MultiplicityCapExceeded,
+            _OutputLimitExceeded) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_CAP
     except (_CliError, ValueError) as exc:

@@ -82,12 +82,6 @@ class JordanType:
             out.extend([size] * mult)
         return out
 
-    def multiplicity(self, size: int) -> int:
-        for s, m in self.parts:
-            if s == size:
-                return m
-        return 0
-
     def __add__(self, other: "JordanType") -> "JordanType":
         return JordanType.from_pairs(self.parts + other.parts)
 

@@ -80,78 +80,48 @@ def basis_keys(functor: Functor, n: int, m: int | None = None) -> list[tuple[int
 # --- generic functor actions ---------------------------------------------
 #
 # Builders below take the matrix of the operator on the base space(s); the
-# basis of a product space is ordered lexicographically with the first index
-# major, matching basis_keys.
+# basis of a product space is ordered as basis_keys lists it.
 
 
-def tensor_of(a: Gf2Matrix, b: Gf2Matrix, kind: Kind) -> Gf2Matrix:
-    """Action on the tensor product: a (x) b, or the derivation a (x) 1 + 1 (x) b."""
+def _pair_action(a: Gf2Matrix, b: Gf2Matrix, kind: Kind, functor: Functor) -> Gf2Matrix:
+    """Action on the pairs v_i (x) v_j of a and b, reduced to the functor's quotient.
+
+    u acts as u (x) u and e as the derivation e (x) 1 + 1 (x) e.  ext2 and
+    sym2 take b = a and identify (k, l) with (l, k); the pairs (k, k), which
+    ext2 alone leaves out, go to a spare row that is dropped.
+    """
     _check_kind(kind)
-    da, db = a.rows, b.rows
-    rows = []
-    for i in range(da):
-        arow = a.data[i]
-        for j in range(db):
-            if kind == "unipotent":
-                packed = 0
-                x = arow
-                while x:
-                    low = x & -x
-                    packed ^= b.data[j] << ((low.bit_length() - 1) * db)
-                    x ^= low
-            else:
-                packed = b.data[j] << (i * db)
-                x = arow
-                while x:
-                    low = x & -x
-                    packed ^= 1 << ((low.bit_length() - 1) * db + j)
-                    x ^= low
-            rows.append(packed)
-    return Gf2Matrix(da * db, da * db, tuple(rows))
-
-
-def _pair_action(a: Gf2Matrix, kind: Kind, sym: bool) -> Gf2Matrix:
-    # shared builder for the exterior (sym=False) and symmetric (sym=True) square
-    _check_kind(kind)
-    d = a.rows
-    if sym:
-        keys = [(i, j) for i in range(d) for j in range(i, d)]
-    else:
-        keys = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    index = {key: pos for pos, key in enumerate(keys)}
-    col_supports = [_support(c) for c in a.columns()]
-    rows = [0] * len(keys)
-    for (i, j), col in index.items():
-        image: dict[tuple[int, int], int] = {}
-
-        def toggle(k: int, l: int) -> None:
-            if k == l and not sym:
-                return
-            key = (k, l) if k <= l else (l, k)
-            image[key] = image.get(key, 0) ^ 1
-
-        if kind == "nilpotent":
-            for k in col_supports[i]:
-                toggle(k, j)
-            for l in col_supports[j]:
-                toggle(i, l)
-        else:
-            for k in col_supports[i]:
-                for l in col_supports[j]:
-                    toggle(k, l)
+    keys = basis_keys(functor, b.rows, a.rows)
+    spare = len(keys)
+    # 1-based like keys; index 0 is padding
+    row_of = [[spare] * (b.rows + 1) for _ in range(a.rows + 1)]
+    for pos, (i, j) in enumerate(keys):
+        row_of[i][j] = pos
+        if functor != "tensor":
+            row_of[j][i] = pos
+    down_a, down_b = ([()] + [[k + 1 for k in _support(c)] for c in m.columns()] for m in (a, b))
+    rows = [0] * (spare + 1)
+    nilpotent = kind == "nilpotent"
+    for col, (i, j) in enumerate(keys):
         bit = 1 << col
-        for key, coeff in image.items():
-            if coeff:
-                rows[index[key]] |= bit
-    return Gf2Matrix(len(keys), len(keys), tuple(rows))
+        if nilpotent:
+            for k in down_a[i]:
+                rows[row_of[k][j]] ^= bit
+            for l in down_b[j]:
+                rows[row_of[i][l]] ^= bit
+        else:
+            for k in down_a[i]:
+                for l in down_b[j]:
+                    rows[row_of[k][l]] ^= bit
+    return Gf2Matrix(spare, spare, tuple(rows[:-1]))
 
 
 def ext2_of(a: Gf2Matrix, kind: Kind) -> Gf2Matrix:
-    return _pair_action(a, kind, sym=False)
+    return _pair_action(a, a, kind, "ext2")
 
 
 def sym2_of(a: Gf2Matrix, kind: Kind) -> Gf2Matrix:
-    return _pair_action(a, kind, sym=True)
+    return _pair_action(a, a, kind, "sym2")
 
 
 def direct_sum(mats: list[Gf2Matrix]) -> Gf2Matrix:
@@ -206,7 +176,7 @@ def expr_action(
         left = expr_action(expr.left, kind, cap=cap)
         right = expr_action(expr.right, kind, cap=cap)
         _check_cap(left.rows * right.rows, cap)
-        return tensor_of(left, right, kind)
+        return _pair_action(left, right, kind, "tensor")
     if isinstance(expr, (Ext2, Sym2)):
         inner = expr_action(expr.inner, kind, cap=cap)
         d = inner.rows

@@ -155,6 +155,101 @@ class TestTensorBasis:
         ]
 
 
+class TestVerifyFrame:
+    """verify_basis reads the action per degree; its verdicts match the dense frame."""
+
+    @staticmethod
+    def corrupt(action, space, n, source, target):
+        # add the entry target <- source: the image of monomial source gains target
+        index = {k: i for i, k in enumerate(basis_keys(space, n))}
+        rows = list(action.data)
+        rows[index[target]] ^= 1 << index[source]
+        return Gf2Matrix(action.rows, action.cols, tuple(rows))
+
+    @pytest.mark.parametrize("target", [(1, 4), (1, 2), (4, 1)])
+    def test_grading_checked(self, target):
+        # v2*v3 has degree 5; its image must lie in degree 4 only
+        n = 5
+        chains = build_tensor_basis(n)
+        terminals = [build_z(c.s, n) for c in chains]
+        action = square_action("nilpotent", "tensor", n)
+        assert verify_basis(chains, action, terminals).ok
+        bad = self.corrupt(action, "tensor", n, (2, 3), target)
+        report = verify_basis(chains, bad, terminals)
+        k, l = target
+        assert report.failures == [
+            f"action breaks the grading in 1 of its entries, first v2*v3 -> v{k}*v{l}"
+        ]
+        assert (report.vector_count, report.rank) == (25, 25)
+
+    def test_graded_corruption_breaks_a_link(self):
+        # an entry that keeps the grading is read like any other
+        n = 5
+        chains = build_tensor_basis(n)
+        action = self.corrupt(square_action("nilpotent", "tensor", n), "tensor", n, (5, 5), (5, 4))
+        report = verify_basis(chains, action)
+        assert report.failures and not any("grading" in f for f in report.failures)
+
+    # failure lists of the dense n^2-bit check, recorded before it was replaced
+    DENSE_FAILURES = {
+        ("tensor", "swapped"): [
+            "chain 0 (s=1): link 5 -> 6 broken",
+            "chain 0 (s=1): link 6 -> 7 broken",
+            "chain 0 (s=1): terminal vector not killed",
+            "chain 0 (s=1): terminal differs from expected vector",
+        ],
+        ("tensor", "dropped"): ["chain 0 (s=1): link 0 -> 1 broken"],
+        ("tensor", "repeated"): ["chain vectors dependent: rank 36 < count 44"],
+        ("sym2", "swapped"): [
+            "chain 0 (s=1): link 5 -> 6 broken",
+            "chain 0 (s=1): link 6 -> 7 broken",
+            "chain 0 (s=1): terminal vector not killed",
+        ],
+        ("sym2", "dropped"): ["chain 0 (s=1): link 0 -> 1 broken"],
+        ("sym2", "repeated"): ["chain vectors dependent: rank 28 < count 36"],
+    }
+
+    @pytest.mark.parametrize("space, edit", sorted(DENSE_FAILURES))
+    def test_failures_match_dense_frame(self, space, edit):
+        n = 6 if space == "tensor" else 7
+        chains = build_tensor_basis(n) if space == "tensor" else build_sym_basis(n)
+        terminals = [build_z(c.s, n) for c in chains] if space == "tensor" else None
+        v = chains[0].vectors  # s = 1, a chain of length 8
+        assert len(v) == 8
+        if edit == "swapped":
+            chains[0] = JordanChain(1, v[:-2] + (v[-1], v[-2]))
+        elif edit == "dropped":
+            chains[0] = JordanChain(1, v[:1] + v[2:])
+        else:
+            chains.append(chains[0])
+            terminals = terminals and terminals + [terminals[0]]
+        report = verify_basis(chains, square_action("nilpotent", space, n), terminals)
+        assert report.failures == self.DENSE_FAILURES[space, edit]
+
+    def test_zero_vectors_match_dense_frame(self):
+        # a zero vector equals the zero image in any degree
+        n = 5
+        action = square_action("nilpotent", "tensor", n)
+        chains = build_tensor_basis(n)
+        terminals = [build_z(c.s, n) for c in chains]
+        c = chains[2]
+        chains[2] = JordanChain(c.s, c.vectors + (SparseVec("tensor", n, 2, 0),))
+        report = verify_basis(chains, action, terminals)
+        assert (report.vector_count, report.rank) == (26, 25)
+        assert report.failures == [
+            "chain 2 (s=3): vector 4 is zero",
+            "chain 2 (s=3): terminal differs from expected vector",
+            "chain vectors dependent: rank 25 < count 26",
+        ]
+        chains[2] = JordanChain(c.s, (SparseVec("tensor", n, 9, 0),) + c.vectors)
+        report = verify_basis(chains, action)
+        assert report.failures == [
+            "chain 2 (s=3): vector 0 is zero",
+            "chain 2 (s=3): link 0 -> 1 broken",
+            "chain vectors dependent: rank 25 < count 26",
+        ]
+
+
 class TestSymBasis:
     def test_n1(self):
         chains = build_sym_basis(1)

@@ -220,6 +220,20 @@ class TestExpr:
         expected = f"integer too long (4400 digits) (at position {text.index('1')})"
         assert err == f"error: parse error: {expected}\n"
 
+    @pytest.mark.parametrize("text", [
+        "9" * 4300 + "*W9",
+        "T(W" + "7" * 4300 + ", W" + "3" * 4300 + ")",
+    ], ids=["count", "tensor"])
+    def test_json_total_dim_too_long(self, text):
+        # total_dim has 4,301 digits or more, which Python will not print
+        code, out, err = run_cli("expr", text, "--format", "json")
+        assert (code, out) == (3, "")
+        assert err == "error: total_dim reaches 10^4300, too long for JSON output\n"
+
+    def test_text_prints_total_dim_too_long_for_json(self):
+        count = "9" * 4300
+        assert run_cli("expr", f"{count}*W9") == (0, f"9^{count}\n", "")
+
     def test_expr_json(self):
         code, out, _ = run_cli("expr", "E2(V9)", "--format", "json")
         assert code == 0

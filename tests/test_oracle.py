@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -112,6 +113,29 @@ class TestDerivationStructure:
                 rhs ^= {idx[(i, b + 1)]}
             assert lhs == rhs
 
+    @pytest.mark.parametrize("kind", ["nilpotent", "unipotent"])
+    @pytest.mark.parametrize("m, n", [(2, 5), (5, 2), (3, 7), (4, 4)])
+    def test_leibniz_on_mixed_tensors(self, kind, m, n):
+        # T(X_m, X_n): e acts as e (x) 1 + 1 (x) e and u as u (x) u
+        a, b = block_matrix(kind, m), block_matrix(kind, n)
+        act = tensor_action(kind, m, n)
+        idx = {k: i for i, k in enumerate(basis_keys("tensor", n, m))}
+        assert len(idx) == act.rows == m * n
+        for (i, j), col in idx.items():
+            ai = [k + 1 for k in apply_to_coords(a, {i - 1})]
+            bj = [l + 1 for l in apply_to_coords(b, {j - 1})]
+            rhs = set()
+            if kind == "nilpotent":
+                for k in ai:
+                    rhs ^= {idx[(k, j)]}
+                for l in bj:
+                    rhs ^= {idx[(i, l)]}
+            else:
+                for k in ai:
+                    for l in bj:
+                        rhs ^= {idx[(k, l)]}
+            assert apply_to_coords(act, {col}) == rhs
+
     @pytest.mark.parametrize("n", [3, 8, 16])
     def test_binomial_action_formula(self, n):
         act = tensor_action("nilpotent", n, n)
@@ -205,3 +229,44 @@ class TestExprOracle:
         ]:
             expr = parse_expr(text)
             assert oracle_expr_jordan_type(expr, kind) == decompose_expr(expr)
+
+
+def _digest(mats):
+    return hashlib.sha256(repr([(m.rows, m.data) for m in mats]).encode()).hexdigest()
+
+
+class TestPairLayout:
+    """The matrices expr_action builds are pinned bit for bit: row and column
+    order follow basis_keys, so a change of layout shows up here first."""
+
+    LETTER = {"unipotent": "V", "nilpotent": "W"}
+    PINNED = {
+        ("unipotent", "tensor"): "26844cb0727c7df16c829d98095df66a78afb67f6b0e63b150d1577e4c747642",
+        ("unipotent", "ext2"): "d1662460ae7e581a1d5c7d0648f432a9b30831e3d0eb6d08dfc4101e7c337cc8",
+        ("unipotent", "sym2"): "7f14041584a64d11b29076130194b0219c60c8795b82b9c4f74354a76389b7a9",
+        ("unipotent", "mixed"): "d1f69bc3bb9a61976bf795eb7e5eae883710a5ec9a7411b913e112eaf7026b7e",
+        ("unipotent", "S2(X3 + X2)"): "5676a5def71907a707ce4ec83c5ac66e5b0ce9f7808628d6afb8541464677ffd",
+        ("unipotent", "E2(S2(X3))"): "7902d0ed41445bc3d3221fbdfebb908599a20ec8712fd43f7ff4e02b9116488d",
+        ("unipotent", "T(E2(X4), X3)"): "7dba4641f65fddc4847a7810c8f66fa83b395ed2071173a9bf08e3c2dc47df6f",
+        ("unipotent", "2*S2(X2)"): "ce142e6b8194f5ec915420400a20db86adccd02f53ec3066fb6b952861fa7d90",
+        ("nilpotent", "tensor"): "1c3456471341a64390d11ac62204c274bf60d9f76980808ba23f5abf1b82a634",
+        ("nilpotent", "ext2"): "5a636fb4e3fe00a6096fe07637a49e4e3837752a5314f693ac5666dcb4deb2e9",
+        ("nilpotent", "sym2"): "7ef5a323fe8c60868bb8b5495d0b3a7054b88d48c9a5a6fdff16b2eeb17ea9e9",
+        ("nilpotent", "mixed"): "42fb7f3abd94a57aa7235a9d2f802253144762a436d0278ead40e955c8e3ad5a",
+        ("nilpotent", "S2(X3 + X2)"): "4b47a7ea2af3fd254df15f2683cab60eea5689b19687343cd1dc8980acfa0edd",
+        ("nilpotent", "E2(S2(X3))"): "9fc31fca2e9301aaa1bcdbc9d2c9dce00fc26c880f2fbffab03ea6686d5395c5",
+        ("nilpotent", "T(E2(X4), X3)"): "249acdb67acb257e24dc3940224f1db7337085c228e31590c9035cd606e634e9",
+        ("nilpotent", "2*S2(X2)"): "fb96c3463637c6f5002bdc9e2fde5bfe0b223f124bb88c9b67bb66254d2d1aee",
+    }
+
+    @pytest.mark.parametrize("kind, case", sorted(PINNED))
+    def test_matrices_pinned(self, kind, case):
+        from char2squares.parser import parse_expr
+
+        if case in ("tensor", "ext2", "sym2"):
+            mats = [square_action(kind, case, n) for n in range(1, 13)]
+        elif case == "mixed":  # T(X_m, X_n) with m < n
+            mats = [tensor_action(kind, m, n) for n in range(1, 10) for m in range(1, n)]
+        else:
+            mats = [expr_action(parse_expr(case.replace("X", self.LETTER[kind])), kind)]
+        assert _digest(mats) == self.PINNED[kind, case]
