@@ -123,7 +123,9 @@ def _decompose(expr, kind, input_desc: dict, args, out, err) -> int:
         else:
             print(format_jordan_type(result), file=out)
     if len(results) == 2 and results[0] != results[1]:
-        print("error: formula and oracle disagree", file=err)
+        formula, ground_truth = map(format_jordan_type, results)
+        print(f"error: formula and oracle disagree: formula {formula}, oracle {ground_truth}",
+              file=err)
         return EXIT_MISMATCH
     return EXIT_OK
 

@@ -8,6 +8,7 @@ elimination needs over GF(2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from operator import itemgetter, xor
 from typing import Iterable, Sequence
 
@@ -112,14 +113,15 @@ def mul(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
     return Gf2Matrix(a.rows, b.cols, tuple(out))
 
 
-def _independent_rows(rows: Sequence[int], indices: Iterable[int], cols: int) -> list[int]:
+def _independent_rows(rows: Sequence[int], indices: Iterable[int], pivots: list[int]) -> list[int]:
     """Indices i, in order, whose row rows[i] is independent of the rows kept before it.
 
-    The kept rows are a basis of the span of all the rows visited.
+    pivots[b] is 0 or the kept vector whose highest set bit is bit b - 1; it
+    needs one slot per column plus one and is filled in place, so that the
+    kept rows are a basis of the span of all the rows visited.
     """
     # Row reduction with the highest set bit as pivot; over GF(2) any
     # nonzero bit works and this keeps per-step cost at one bit_length call.
-    pivots = [0] * (cols + 1)
     kept = []
     for i in indices:
         x = rows[i]
@@ -136,18 +138,23 @@ def _independent_rows(rows: Sequence[int], indices: Iterable[int], cols: int) ->
 
 def rank(m: Gf2Matrix) -> int:
     """Rank over GF(2) by bit-parallel Gaussian elimination (input unchanged)."""
-    return len(_independent_rows(m.data, range(m.rows), m.cols))
+    return len(_independent_rows(m.data, range(m.rows), [0] * (m.cols + 1)))
 
 
-def _nilpotent_ranks(m: Gf2Matrix) -> list[int] | None:
-    """[rank(m^0), rank(m^1), ...] up to the first 0, or None if m is not nilpotent.
-
-    See jordan_type_of_nilpotent for why the loop is correct.
-    """
+def _square_supports(m: Gf2Matrix) -> list[list[int]]:
     if m.rows != m.cols:
         raise ValueError("matrix must be square")
-    n = m.rows
-    supports = [_support(row) for row in m.data]  # decoded once for all powers
+    return [_support(row) for row in m.data]
+
+
+def _nilpotent_ranks(supports: list[list[int]], power: Sequence[int]) -> list[int] | None:
+    """[rank(m^0), rank(m^1), ...] up to the first 0, or None if m is not nilpotent.
+
+    supports[i] lists the columns of row i of the square matrix m, and
+    power[i] is row i of m with its columns in any one order, which no rank
+    depends on.  See jordan_type_of_nilpotent for why the loop is correct.
+    """
+    n = len(supports)
     # Row i of m^(k+1) = m * m^k is the XOR of the rows of m^k in supports[i].
     # gathers[t] fetches, for every i, the row at the t-th bit of supports[i],
     # or the zero row kept at index n when supports[i] is shorter; the
@@ -157,11 +164,11 @@ def _nilpotent_ranks(m: Gf2Matrix) -> list[int] | None:
         itemgetter(*[bits[t] if t < len(bits) else n for bits in supports], n)
         for t in range(width)
     ]
-    power = [*m.data, 0]  # rows of m^k, starting at k = 1
+    power = [*power, 0]  # rows of m^k, starting at k = 1
     spanning: Iterable[int] = range(n)
     ranks = [n]
     while ranks[-1]:
-        spanning = _independent_rows(power, spanning, n)
+        spanning = _independent_rows(power, spanning, [0] * (n + 1))
         if len(spanning) == ranks[-1]:
             return None
         ranks.append(len(spanning))
@@ -174,10 +181,73 @@ def _nilpotent_ranks(m: Gf2Matrix) -> list[int] | None:
 
 def is_nilpotent(m: Gf2Matrix) -> bool:
     """Whether some power of the square matrix m is zero."""
-    return _nilpotent_ranks(m) is not None
+    return _nilpotent_ranks(_square_supports(m), m.data) is not None
 
 
-def jordan_type_of_nilpotent(m: Gf2Matrix) -> JordanType:
+def _lowers_by_one(supports: list[list[int]], degrees: Sequence[int]) -> bool:
+    """Whether every entry lowers the degree by exactly 1.
+
+    Entry (i, j) maps basis vector j into basis vector i; ValueError names
+    the first entry that does not lower the degree at all.
+    """
+    graded = True
+    for i, bits in enumerate(supports):
+        target = degrees[i]
+        for j in bits:
+            if degrees[j] != target + 1:
+                if degrees[j] <= target:
+                    raise ValueError(
+                        f"entry ({i}, {j}) does not lower the degree: it maps "
+                        f"degree {degrees[j]} to degree {target}"
+                    )
+                graded = False
+    return graded
+
+
+def _graded_sweep(supports: list[list[int]], degrees: Sequence[int]) -> JordanType:
+    """Jordan type of a matrix whose every entry lowers the degree by exactly 1.
+
+    A matrix and its transpose have the same Jordan type, and row i is the
+    image of basis vector i under the transpose, which raises the degree
+    by exactly 1.  The sweep goes up through the degrees keeping a basis
+    of the current one, oldest bar first: the images of the vectors kept
+    one degree lower, then the basis vectors at the positions where no
+    kept image has its highest bit, which complete them.  An image that
+    depends on older ones closes its vector's bar (the elder rule of
+    persistence: in a relation the youngest vector dies), and a bar born
+    at degree b and closed on the way up from degree d is a Jordan block
+    of size d + 1 - b.  Each vector is mapped once per degree it lives,
+    so the sweep does dim map steps, where ranks of powers eliminate
+    about sum(size^2) / 2 rows.
+    """
+    members: dict[int, list[int]] = {}  # degree -> basis vectors of that degree
+    for i, d in enumerate(degrees):
+        members.setdefault(d, []).append(i)
+    local = [0] * len(degrees)  # position of each basis vector within its degree
+    for indices in members.values():
+        for k, i in enumerate(indices):
+            local[i] = k
+    sizes: list[int] = []
+    births: list[int] = []  # births[t] is where the bar of alive[t] began
+    alive: list[int] = []  # masks over the local positions of degree prev
+    prev = None
+    for d in sorted(members):
+        # images of degree prev, all 0 if nothing lives in degree prev + 1 < d
+        image = [sum(1 << local[j] for j in supports[i]) for i in members.get(prev, ())]
+        alive = [reduce(xor, map(image.__getitem__, _support(v)), 0) for v in alive]
+        pivots = [0] * (len(members[d]) + 1)
+        kept = _independent_rows(alive, range(len(alive)), pivots)
+        survivors = set(kept)
+        sizes.extend(prev + 1 - b for t, b in enumerate(births) if t not in survivors)
+        fresh = [1 << k for k in range(len(members[d])) if not pivots[k + 1]]
+        births = [births[t] for t in kept] + [d] * len(fresh)
+        alive = [alive[t] for t in kept] + fresh
+        prev = d
+    sizes.extend(prev + 1 - b for b in births)
+    return JordanType.from_sizes(sizes)
+
+
+def jordan_type_of_nilpotent(m: Gf2Matrix, degrees: Sequence[int] | None = None) -> JordanType:
     """Jordan block sizes of a nilpotent matrix from its rank sequence.
 
     The number of blocks of size >= k equals rank(m^(k-1)) - rank(m^k), so
@@ -193,8 +263,30 @@ def jordan_type_of_nilpotent(m: Gf2Matrix) -> JordanType:
     rank: m is not nilpotent, and ValueError is raised.  Otherwise the rank
     falls at every step and reaches 0 within m.rows steps.  A non-square m
     also raises ValueError; a 0x0 matrix has the empty type.
+
+    degrees, if given, holds a degree for each basis vector, and every
+    nonzero entry (i, j) must lower it: degrees[i] < degrees[j], or
+    ValueError names the entry.  Such an m is nilpotent.  If every entry
+    lowers the degree by exactly 1, the type comes from _graded_sweep
+    instead of ranks.  Otherwise the rank loop runs with the basis listed
+    in descending degree: the highest-bit pivot of each row is then its
+    lowest-degree term, and rows are eliminated from the top degree down.
     """
-    ranks = _nilpotent_ranks(m)
+    supports = _square_supports(m)
+    power: Sequence[int] = m.data
+    if degrees is not None:
+        if len(degrees) != m.rows:
+            raise ValueError(f"{len(degrees)} degrees for a matrix of size {m.rows}")
+        if _lowers_by_one(supports, degrees):
+            return _graded_sweep(supports, degrees)
+        # conjugate by the permutation that lists the basis in descending degree
+        order = sorted(range(m.rows), key=degrees.__getitem__, reverse=True)
+        position = [0] * m.rows
+        for p, j in enumerate(order):
+            position[j] = p
+        supports = [[position[j] for j in supports[i]] for i in order]
+        power = [sum(1 << j for j in bits) for bits in supports]
+    ranks = _nilpotent_ranks(supports, power)
     if ranks is None:
         raise ValueError("matrix is not nilpotent")
     ranks.append(0)

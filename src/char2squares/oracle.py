@@ -3,7 +3,10 @@
 Builds the matrix of a unipotent operator u (acting diagonally) or a
 nilpotent operator e (acting as a derivation) on tensor products, exterior
 squares and symmetric squares, then extracts Jordan types with the exact
-linear algebra kernel.
+linear algebra kernel.  The kernel is also given the degree of each basis
+vector, read from the expression tree: e lowers it by exactly 1, so its
+type comes from a graded sweep, and u - 1 lowers it by at least 1, so
+its ranks of powers pivot on lowest-degree terms.
 """
 
 from __future__ import annotations
@@ -188,6 +191,32 @@ def expr_action(
     raise TypeError(f"not a module expression: {expr!r}")
 
 
+def expr_degrees(expr: ModuleExpr) -> list[int]:
+    """Degree of each basis vector of expr, in the order expr_action builds them.
+
+    v_i of an atom has degree i, and a pair of T, E2 or S2 has the sum of
+    its two factors' degrees.  e lowers every degree by exactly 1 and
+    u - 1 lowers it by at least 1.  Read from the tree alone.
+    """
+    if isinstance(expr, Atom):
+        return list(range(1, expr.dim + 1))
+    if isinstance(expr, Scaled):
+        inner = expr_degrees(expr.inner)
+        # any number of copies of a zero space is that space
+        return inner * expr.count if inner else inner
+    if isinstance(expr, Sum):
+        return [d for t in expr.terms for d in expr_degrees(t)]
+    if isinstance(expr, Tensor):
+        left, right = expr_degrees(expr.left), expr_degrees(expr.right)
+        keys = basis_keys("tensor", len(right), len(left))
+    elif isinstance(expr, (Ext2, Sym2)):
+        left = right = expr_degrees(expr.inner)
+        keys = basis_keys("ext2" if isinstance(expr, Ext2) else "sym2", len(left))
+    else:
+        raise TypeError(f"not a module expression: {expr!r}")
+    return [left[i - 1] + right[j - 1] for i, j in keys]
+
+
 def oracle_jordan_type(
     kind: Kind,
     functor: Functor,
@@ -196,7 +225,7 @@ def oracle_jordan_type(
     *,
     cap: int | None = DEFAULT_DIM_CAP,
 ) -> JordanType:
-    """Ground-truth Jordan type via explicit matrices and rank sequences."""
+    """Ground-truth Jordan type via explicit matrices and the GF(2) kernel."""
     return oracle_expr_jordan_type(square_expr(functor, kind, n, m), kind, cap=cap)
 
 
@@ -204,10 +233,7 @@ def oracle_expr_jordan_type(
     expr: ModuleExpr, kind: Kind, *, cap: int | None = DEFAULT_DIM_CAP
 ) -> JordanType:
     """Ground-truth Jordan type of the operator on a module expression."""
-    return _jordan_of_action(expr_action(expr, kind, cap=cap), kind)
-
-
-def _jordan_of_action(mat: Gf2Matrix, kind: Kind) -> JordanType:
+    mat = expr_action(expr, kind, cap=cap)
     if kind == "unipotent":
         mat = mat + identity(mat.rows)
-    return jordan_type_of_nilpotent(mat)
+    return jordan_type_of_nilpotent(mat, expr_degrees(expr))

@@ -286,6 +286,43 @@ class TestDecomposeIsExpr:
                 assert all(p["input"] == expected_input for p in dec_payloads)
 
 
+class TestMismatch:
+    """A wrong oracle result exits 2 and names both partitions on stderr;
+    stdout still holds one result per route."""
+
+    @pytest.fixture(autouse=True)
+    def wrong_oracle(self, monkeypatch):
+        from char2squares import oracle
+
+        monkeypatch.setattr(
+            oracle, "oracle_expr_jordan_type", lambda *args, **kwargs: parse_jordan_type("3^2")
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ("decompose", "--functor", "ext2", "--kind", "unipotent", "--n", "4", "--method", "both"),
+        ("expr", "E2(V4)", "--method", "both"),
+    ])
+    def test_exit_2_with_both_partitions(self, argv):
+        code, out, err = run_cli(*argv)
+        assert code == 2
+        assert out.splitlines() == ["4 2", "3^2"]
+        assert err == "error: formula and oracle disagree: formula 4 2, oracle 3^2\n"
+
+    def test_json_stdout_unchanged(self):
+        code, out, err = run_cli("expr", "E2(V4)", "--method", "both", "--format", "json")
+        assert code == 2
+        blocks = [json.loads(line)["blocks"] for line in out.splitlines()]
+        assert blocks == [
+            [{"size": 4, "multiplicity": 1}, {"size": 2, "multiplicity": 1}],
+            [{"size": 3, "multiplicity": 2}],
+        ]
+        assert "formula 4 2, oracle 3^2" in err
+
+    def test_oracle_alone_is_not_compared(self):
+        code, out, err = run_cli("expr", "E2(V4)", "--method", "oracle")
+        assert (code, out, err) == (0, "3^2\n", "")
+
+
 class TestTable:
     def test_reproduces_published_rows(self):
         code, out, _ = run_cli("table", "--max", "9")

@@ -1,9 +1,11 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from char2squares import gf2
 from char2squares.core import JordanType
 from char2squares.gf2 import (
     Gf2Matrix,
@@ -208,3 +210,89 @@ class TestJordanType:
         assert t.total_dim == n
         assert t.sizes() == sorted(t.sizes(), reverse=True)
         assert t == type_from_full_powers(m)
+
+
+@st.composite
+def degree_lowering(draw, graded):
+    """(m, degrees): a basis of random degrees, gaps allowed, in random order,
+    and entries (i, j) only where degrees[j] - degrees[i] is 1 (graded) or
+    at least 1 (filtered), each present with a drawn probability."""
+    degrees = draw(st.lists(st.integers(-2, 6), max_size=14))
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**30)))
+    n = len(degrees)
+    rows = []
+    for i in range(n):
+        row = 0
+        for j in range(n):
+            drop = degrees[j] - degrees[i]
+            if (drop == 1 if graded else drop >= 1) and rng.random() < density:
+                row |= 1 << j
+        rows.append(row)
+    return Gf2Matrix(n, n, tuple(rows)), degrees
+
+
+class TestDegrees:
+    """With degrees, the graded sweep and the degree-ordered rank loop must
+    give the type the plain rank loop gives."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(degree_lowering(graded=True))
+    def test_graded_sweep_equals_rank_loop(self, case):
+        m, degrees = case
+        expected = jordan_type_of_nilpotent(m)
+        # the sweep must not fall back on ranks of powers
+        with mock.patch.object(gf2, "_nilpotent_ranks", side_effect=AssertionError):
+            assert jordan_type_of_nilpotent(m, degrees) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(degree_lowering(graded=False))
+    def test_filtered_equals_rank_loop(self, case):
+        m, degrees = case
+        got = jordan_type_of_nilpotent(m, degrees)
+        assert got == jordan_type_of_nilpotent(m)
+        assert got == type_from_full_powers(m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(degree_lowering(graded=False), st.data())
+    def test_entry_that_does_not_lower_is_named(self, case, data):
+        m, degrees = case
+        pairs = [(i, j) for i in range(m.rows) for j in range(m.rows) if degrees[j] <= degrees[i]]
+        if not pairs:  # only when m is 0x0
+            return
+        i, j = data.draw(st.sampled_from(pairs))
+        rows = list(m.data)
+        rows[i] |= 1 << j
+        bad = Gf2Matrix(m.rows, m.cols, tuple(rows))
+        with pytest.raises(ValueError, match=rf"entry \({i}, {j}\) does not lower the degree"):
+            jordan_type_of_nilpotent(bad, degrees)
+
+    def test_empty(self):
+        assert jordan_type_of_nilpotent(Gf2Matrix.zero(0, 0), []).parts == ()
+
+    def test_zero_matrix(self):
+        t = jordan_type_of_nilpotent(Gf2Matrix.zero(4, 4), [3, 1, 3, 0])
+        assert t == JordanType.from_pairs([(1, 4)])
+
+    def test_degree_gap_ends_blocks(self):
+        # v0 -> v1 -> v2 in degrees 3, 2, 1 and v3 -> v4 in degrees 6, 5:
+        # nothing lives in degree 4, so every bar alive in degree 3 ends there
+        rows = [0] * 5
+        for source, target in [(0, 1), (1, 2), (3, 4)]:
+            rows[target] |= 1 << source
+        m = Gf2Matrix(5, 5, tuple(rows))
+        assert jordan_type_of_nilpotent(m, [3, 2, 1, 6, 5]) == JordanType.from_sizes([3, 2])
+        assert jordan_type_of_nilpotent(m, [9, 6, 1, 5, 4]).sizes() == [3, 2]  # filtered
+
+    def test_shift_block_graded_and_filtered(self):
+        m = shift_matrix(6)  # e v_(i+1) = v_i
+        assert jordan_type_of_nilpotent(m, list(range(6))) == JordanType.from_sizes([6])
+        assert jordan_type_of_nilpotent(m, [0, 1, 3, 4, 6, 10]) == JordanType.from_sizes([6])
+
+    def test_diagonal_entry_is_named(self):
+        with pytest.raises(ValueError, match=r"entry \(0, 0\)"):
+            jordan_type_of_nilpotent(identity(1), [0])
+
+    def test_degree_count_must_match(self):
+        with pytest.raises(ValueError):
+            jordan_type_of_nilpotent(shift_matrix(3), [0, 1])

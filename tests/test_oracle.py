@@ -3,25 +3,31 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from char2squares.core import Atom, Ext2, Sum, Sym2, parse_jordan_type
+from char2squares.basis import SparseVec
+from char2squares.core import Atom, Ext2, Sum, Sym2, expr_kind, parse_jordan_type
 from char2squares.formulas import (
     decompose_expr,
     ext2_block,
     sym2_block,
     tensor_decompose,
 )
-from char2squares.gf2 import Gf2Matrix, identity, mul, rank
+from char2squares.gf2 import Gf2Matrix, identity, jordan_type_of_nilpotent, mul, rank
 from char2squares.oracle import (
     OracleCapExceeded,
     basis_keys,
     block_matrix,
     expr_action,
+    expr_degrees,
     oracle_expr_jordan_type,
     oracle_jordan_type,
     square_action,
     tensor_action,
 )
+from char2squares.parser import parse_expr
+from test_formulas import module_text
 
 
 def jt(text):
@@ -270,3 +276,47 @@ class TestPairLayout:
         else:
             mats = [expr_action(parse_expr(case.replace("X", self.LETTER[kind])), kind)]
         assert _digest(mats) == self.PINNED[kind, case]
+
+
+@st.composite
+def oracle_expr(draw):
+    """A random expression of either kind, of dimension at most 120."""
+    text, _ = draw(module_text(draw(st.sampled_from("VW")), 120, 3))
+    return parse_expr(text)
+
+
+class TestExprDegrees:
+    """expr_degrees lists the degree of each basis vector in expr_action's
+    order; e must lower it by exactly 1 and u - 1 by at least 1."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(oracle_expr())
+    def test_builder_lowers_degrees(self, expr):
+        kind = expr_kind(expr)
+        degrees = expr_degrees(expr)
+        mat = expr_action(expr, kind)
+        assert len(degrees) == mat.rows
+        if kind == "unipotent":
+            mat = mat + identity(mat.rows)
+        for i, row in enumerate(mat.to_lists()):
+            for j, entry in enumerate(row):
+                if entry:
+                    drop = degrees[j] - degrees[i]
+                    assert drop == 1 if kind == "nilpotent" else drop >= 1, (i, j)
+        assert jordan_type_of_nilpotent(mat, degrees) == jordan_type_of_nilpotent(mat)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    @pytest.mark.parametrize("space, text", [("tensor", "T(W{n}, W{n})"), ("sym2", "S2(W{n})")])
+    def test_pair_degrees_match_basis_vectors(self, space, text, n):
+        # bit i of a SparseVec of degree d stands for the pair (i, d - i)
+        degrees = expr_degrees(parse_expr(text.format(n=n)))
+        keys = basis_keys(space, n)
+        assert len(degrees) == len(keys)
+        for (i, j), degree in zip(keys, degrees):
+            assert SparseVec(space, n, degree, 1 << i).terms == {(i, j)}
+
+    def test_atom_and_sum(self):
+        assert expr_degrees(parse_expr("W3 + 2*W2")) == [1, 2, 3, 1, 2, 1, 2]
+
+    def test_many_copies_of_a_zero_space(self):
+        assert expr_degrees(parse_expr("99999999999999999999*E2(W1)")) == []
