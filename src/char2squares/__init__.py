@@ -34,6 +34,7 @@ from .gf2 import Gf2Matrix, identity, jordan_type_of_nilpotent, mul, rank
 from .oracle import (
     OracleCapExceeded,
     block_matrix,
+    expr_images,
     oracle_expr_jordan_type,
     oracle_jordan_type,
     square_action,

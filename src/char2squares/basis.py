@@ -12,6 +12,9 @@ degree i + j, and the derivation lowers that degree by exactly 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import xor
+from typing import Sequence
 
 from .core import ConesExpansion, JordanType, cones_expansion
 from .gf2 import Gf2Matrix, _support, rank as gf2_rank
@@ -65,10 +68,18 @@ class SparseVec:
             mask &= ~(1 << self.degree // 2)
         degree = self.degree - 1
         mask = ((mask >> 1) ^ mask) & _valid_mask(self.space, self.n, degree)
-        return SparseVec(self.space, self.n, degree, mask)
+        return _trusted_vec(self.space, self.n, degree, mask)
 
     def to_bits(self, index: dict[tuple[int, int], int]) -> int:
         return sum(1 << index[key] for key in self.terms)
+
+
+def _trusted_vec(space: Space, n: int, degree: int, mask: int) -> SparseVec:
+    """A SparseVec whose mask is valid by construction, built without re-checking it."""
+    vec = object.__new__(SparseVec)
+    fields = vec.__dict__
+    fields["space"], fields["n"], fields["degree"], fields["mask"] = space, n, degree, mask
+    return vec
 
 
 @dataclass(frozen=True)
@@ -126,9 +137,9 @@ def find_j0(s: int, n: int, beta: int) -> int:
     raise ValueError(f"no valid j0 for s={s}, n={n}, beta={beta}")
 
 
-def build_w(s: int, n: int) -> SparseVec:
+def build_w(s: int, n: int, exp: ConesExpansion | None = None) -> SparseVec:
     """Chain top w_s; equals z_s in the beta = 0 band."""
-    exp = cones_expansion(n)
+    exp = exp or cones_expansion(n)
     beta = exp.betas[band_index(s, n, exp) - 1]
     if beta == 0:
         return build_z(s, n)
@@ -159,7 +170,8 @@ def build_tensor_basis(n: int) -> list[JordanChain]:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return [_chain_from_top(build_w(s, n), s) for s in range(1, n + 1)]
+    exp = cones_expansion(n)
+    return [_chain_from_top(build_w(s, n, exp), s) for s in range(1, n + 1)]
 
 
 def project_to_sym(vec: SparseVec) -> SparseVec:
@@ -180,16 +192,17 @@ def build_sym_basis(n: int) -> list[JordanChain]:
     """
     if n < 1:
         raise ValueError("n must be positive")
+    exp = cones_expansion(n)
     chains = []
     for s in range(1, n + 1):
-        top = project_to_sym(build_w(s, n))
+        top = project_to_sym(build_w(s, n, exp))
         chains.append(JordanChain(s, (top,)) if s % 2 == 0 else _chain_from_top(top, s))
     return chains
 
 
 @dataclass
 class VerificationReport:
-    """Outcome of checking chains against a dense action matrix."""
+    """Outcome of checking chains against the images of an action."""
 
     vector_count: int
     rank: int
@@ -202,16 +215,18 @@ class VerificationReport:
 
 def verify_basis(
     chains: list[JordanChain],
-    action: Gf2Matrix,
+    images: Sequence[Sequence[int]],
     expected_terminals: list[SparseVec] | None = None,
 ) -> VerificationReport:
     """Check chain links, terminal kill, full rank and optional terminal values.
 
-    Each chain must satisfy action.v_t = v_{t+1} with the last vector killed,
-    all vectors together must be linearly independent, and when terminals are
-    supplied the last vector of chain i must equal expected_terminals[i].
-    The action is read once into per-degree images, so it must lower the
-    degree of every monomial by exactly 1.
+    images is the action as the oracle builds it: images[c] lists the
+    positions, in basis_keys order, of the monomials that monomial c is
+    mapped to.  Each chain must satisfy action.v_t = v_{t+1} with the last
+    vector killed, all vectors together must be linearly independent, and
+    when terminals are supplied the last vector of chain i must equal
+    expected_terminals[i].  The images are read once into per-degree masks,
+    so the action must lower the degree of every monomial by exactly 1.
     """
     if not chains:
         return VerificationReport(0, 0)
@@ -219,17 +234,18 @@ def verify_basis(
     n = chains[0].top.n
     keys = basis_keys(space, n)
     dim = len(keys)
-    if action.rows != dim or action.cols != dim:
-        raise ValueError(f"action matrix is {action.rows}x{action.cols}, expected {dim}x{dim}")
-    image: dict[tuple[int, int], int] = {}  # (degree, i) -> mask in degree - 1
-    ungraded = []
-    for (k, l), row in zip(keys, action.data):
-        for col in _support(row):
-            i, j = keys[col]
+    if len(images) != dim:
+        raise ValueError(f"action has {len(images)} images, expected {dim}")
+    image = [[0] * (n + 1) for _ in range(2 * n + 1)]  # image[degree][i]: mask in degree - 1
+    ungraded = []  # (target, source) positions
+    for source, ((i, j), hits) in enumerate(zip(keys, images)):
+        row = image[i + j]
+        for target in hits:
+            k, l = keys[target]
             if k + l == i + j - 1:
-                image[i + j, i] = image.get((i + j, i), 0) ^ (1 << k)
+                row[i] ^= 1 << k
             else:
-                ungraded.append(f"v{i}*v{j} -> v{k}*v{l}")
+                ungraded.append((target, source))
 
     def same(v: SparseVec, degree: int, mask: int) -> bool:
         # a zero mask is the zero vector in every degree
@@ -237,20 +253,23 @@ def verify_basis(
 
     failures = []
     if ungraded:
+        target, source = min(ungraded)  # the first in row order
+        (i, j), (k, l) = keys[source], keys[target]
         failures.append(
-            f"action breaks the grading in {len(ungraded)} of its entries, first {ungraded[0]}"
+            f"action breaks the grading in {len(ungraded)} of its entries, "
+            f"first v{i}*v{j} -> v{k}*v{l}"
         )
     by_degree: dict[int, list[int]] = {}  # masks; rank adds up over degrees
     for ci, chain in enumerate(chains):
         where = f"chain {ci} (s={chain.s})"
         vectors = chain.vectors
         for pos, v in enumerate(vectors):
+            if v.space != space or v.n != n:
+                raise ValueError(f"{where}: vector {pos} is not in the {space} square for n={n}")
             by_degree.setdefault(v.degree, []).append(v.mask)
             if not v.mask:
                 failures.append(f"{where}: vector {pos} is zero")
-            mask = 0
-            for i in _support(v.mask):
-                mask ^= image.get((v.degree, i), 0)
+            mask = v.mask and reduce(xor, map(image[v.degree].__getitem__, _support(v.mask)))
             if pos + 1 < len(vectors):
                 if not same(vectors[pos + 1], v.degree - 1, mask):
                     failures.append(f"{where}: link {pos} -> {pos + 1} broken")

@@ -28,7 +28,7 @@ class _CliError(Exception):
 
 
 class _OutputLimitExceeded(Exception):
-    """An integer too long for Python to print in JSON (exit 3)."""
+    """A result too large to print (exit 3)."""
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -108,11 +108,13 @@ def _decompose(expr, kind, input_desc: dict, args, out, err) -> int:
             if args.method == "oracle":
                 raise
             print(f"warning: {exc}; falling back to formula only", file=err)
+    # total_dim bounds every size and multiplicity printed; from 10^4300 on,
+    # Python will not print it in JSON, and text runs to megabytes
+    if any(result.total_dim >= formulas.MULTIPLICITY_LIMIT for result in results):
+        form = "JSON" if args.format == "json" else "text"
+        raise _OutputLimitExceeded(f"total_dim reaches 10^4300, too long for {form} output")
     for result in results:
         if args.format == "json":
-            # total_dim bounds every size and multiplicity in the payload
-            if result.total_dim >= formulas.MULTIPLICITY_LIMIT:
-                raise _OutputLimitExceeded("total_dim reaches 10^4300, too long for JSON output")
             payload = {
                 "input": input_desc,
                 "method": args.method,
@@ -177,8 +179,9 @@ def _cmd_basis(args, out, err) -> int:
         for chain in chains:
             print(f"s={chain.s}: {basis_mod.format_chain(chain)}", file=out)
     if args.verify:
-        action = oracle.square_action("nilpotent", args.functor, args.n, cap=cap)
-        report = basis_mod.verify_basis(chains, action, terminals)
+        expr = square_expr(args.functor, "nilpotent", args.n)
+        images = oracle.expr_images(expr, "nilpotent", cap=cap)
+        report = basis_mod.verify_basis(chains, images, terminals)
         if report.ok:
             print(f"verification passed ({report.vector_count} vectors)", file=out)
         else:

@@ -1,8 +1,10 @@
-"""Dense exact linear algebra over GF(2) with bit-packed rows.
+"""Exact linear algebra over GF(2) with bit-packed rows.
 
 Each row of a matrix is a Python int: bit j holds the entry in column j.
 Row XOR is then a single word-parallel operation, which is all Gaussian
-elimination needs over GF(2).
+elimination needs over GF(2).  The Jordan-type kernel,
+jordan_type_of_supports, takes a square matrix as the column lists of its
+rows, so a sparse operator never has to be packed whole.
 """
 
 from __future__ import annotations
@@ -73,18 +75,6 @@ class Gf2Matrix:
     def to_lists(self) -> list[list[int]]:
         return [[(row >> j) & 1 for j in range(self.cols)] for row in self.data]
 
-    def transpose(self) -> "Gf2Matrix":
-        out = [0] * self.cols
-        for i, row in enumerate(self.data):
-            bit = 1 << i
-            for j in _support(row):
-                out[j] |= bit
-        return Gf2Matrix(self.cols, self.rows, tuple(out))
-
-    def columns(self) -> list[int]:
-        """Column bitmasks (bit i of column j = entry (i, j))."""
-        return list(self.transpose().data)
-
     def __add__(self, other: "Gf2Matrix") -> "Gf2Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch in addition")
@@ -147,12 +137,11 @@ def _square_supports(m: Gf2Matrix) -> list[list[int]]:
     return [_support(row) for row in m.data]
 
 
-def _nilpotent_ranks(supports: list[list[int]], power: Sequence[int]) -> list[int] | None:
+def _nilpotent_ranks(supports: Sequence[Sequence[int]]) -> list[int] | None:
     """[rank(m^0), rank(m^1), ...] up to the first 0, or None if m is not nilpotent.
 
-    supports[i] lists the columns of row i of the square matrix m, and
-    power[i] is row i of m with its columns in any one order, which no rank
-    depends on.  See jordan_type_of_nilpotent for why the loop is correct.
+    supports[i] lists the columns of row i of the square matrix m.  See
+    jordan_type_of_supports for why the loop is correct.
     """
     n = len(supports)
     # Row i of m^(k+1) = m * m^k is the XOR of the rows of m^k in supports[i].
@@ -164,7 +153,8 @@ def _nilpotent_ranks(supports: list[list[int]], power: Sequence[int]) -> list[in
         itemgetter(*[bits[t] if t < len(bits) else n for bits in supports], n)
         for t in range(width)
     ]
-    power = [*power, 0]  # rows of m^k, starting at k = 1
+    power = [sum(1 << j for j in bits) for bits in supports]  # rows of m^k, from k = 1
+    power.append(0)
     spanning: Iterable[int] = range(n)
     ranks = [n]
     while ranks[-1]:
@@ -181,10 +171,10 @@ def _nilpotent_ranks(supports: list[list[int]], power: Sequence[int]) -> list[in
 
 def is_nilpotent(m: Gf2Matrix) -> bool:
     """Whether some power of the square matrix m is zero."""
-    return _nilpotent_ranks(_square_supports(m), m.data) is not None
+    return _nilpotent_ranks(_square_supports(m)) is not None
 
 
-def _lowers_by_one(supports: list[list[int]], degrees: Sequence[int]) -> bool:
+def _lowers_by_one(supports: Sequence[Sequence[int]], degrees: Sequence[int]) -> bool:
     """Whether every entry lowers the degree by exactly 1.
 
     Entry (i, j) maps basis vector j into basis vector i; ValueError names
@@ -204,7 +194,7 @@ def _lowers_by_one(supports: list[list[int]], degrees: Sequence[int]) -> bool:
     return graded
 
 
-def _graded_sweep(supports: list[list[int]], degrees: Sequence[int]) -> JordanType:
+def _graded_sweep(supports: Sequence[Sequence[int]], degrees: Sequence[int]) -> JordanType:
     """Jordan type of a matrix whose every entry lowers the degree by exactly 1.
 
     A matrix and its transpose have the same Jordan type, and row i is the
@@ -248,7 +238,19 @@ def _graded_sweep(supports: list[list[int]], degrees: Sequence[int]) -> JordanTy
 
 
 def jordan_type_of_nilpotent(m: Gf2Matrix, degrees: Sequence[int] | None = None) -> JordanType:
-    """Jordan block sizes of a nilpotent matrix from its rank sequence.
+    """Jordan type of a nilpotent dense matrix: jordan_type_of_supports on its rows.
+
+    A non-square m raises ValueError; a 0x0 matrix has the empty type.
+    """
+    return jordan_type_of_supports(_square_supports(m), degrees)
+
+
+def jordan_type_of_supports(
+    supports: Sequence[Sequence[int]], degrees: Sequence[int] | None = None
+) -> JordanType:
+    """Jordan block sizes of a nilpotent square matrix from its rank sequence.
+
+    supports[i] lists the columns of the nonzero entries of row i, each once.
 
     The number of blocks of size >= k equals rank(m^(k-1)) - rank(m^k), so
     the multiplicity of size k is rank(m^(k-1)) - 2 rank(m^k) + rank(m^(k+1)).
@@ -261,8 +263,7 @@ def jordan_type_of_nilpotent(m: Gf2Matrix, degrees: Sequence[int] | None = None)
     The row space of m^k lies inside that of m^(k-1).  Equal ranks above 0
     make the two spaces equal, so every later power has the same nonzero
     rank: m is not nilpotent, and ValueError is raised.  Otherwise the rank
-    falls at every step and reaches 0 within m.rows steps.  A non-square m
-    also raises ValueError; a 0x0 matrix has the empty type.
+    falls at every step and reaches 0 within len(supports) steps.
 
     degrees, if given, holds a degree for each basis vector, and every
     nonzero entry (i, j) must lower it: degrees[i] < degrees[j], or
@@ -272,21 +273,19 @@ def jordan_type_of_nilpotent(m: Gf2Matrix, degrees: Sequence[int] | None = None)
     in descending degree: the highest-bit pivot of each row is then its
     lowest-degree term, and rows are eliminated from the top degree down.
     """
-    supports = _square_supports(m)
-    power: Sequence[int] = m.data
+    dim = len(supports)
     if degrees is not None:
-        if len(degrees) != m.rows:
-            raise ValueError(f"{len(degrees)} degrees for a matrix of size {m.rows}")
+        if len(degrees) != dim:
+            raise ValueError(f"{len(degrees)} degrees for a matrix of size {dim}")
         if _lowers_by_one(supports, degrees):
             return _graded_sweep(supports, degrees)
         # conjugate by the permutation that lists the basis in descending degree
-        order = sorted(range(m.rows), key=degrees.__getitem__, reverse=True)
-        position = [0] * m.rows
+        order = sorted(range(dim), key=degrees.__getitem__, reverse=True)
+        position = [0] * dim
         for p, j in enumerate(order):
             position[j] = p
         supports = [[position[j] for j in supports[i]] for i in order]
-        power = [sum(1 << j for j in bits) for bits in supports]
-    ranks = _nilpotent_ranks(supports, power)
+    ranks = _nilpotent_ranks(supports)
     if ranks is None:
         raise ValueError("matrix is not nilpotent")
     ranks.append(0)

@@ -1,12 +1,16 @@
-"""Brute-force ground truth: explicit GF(2) matrices for actions on squares.
+"""Brute-force ground truth: explicit GF(2) actions on squares.
 
-Builds the matrix of a unipotent operator u (acting diagonally) or a
+Builds the action of a unipotent operator u (acting diagonally) or a
 nilpotent operator e (acting as a derivation) on tensor products, exterior
-squares and symmetric squares, then extracts Jordan types with the exact
-linear algebra kernel.  The kernel is also given the degree of each basis
-vector, read from the expression tree: e lowers it by exactly 1, so its
-type comes from a graded sweep, and u - 1 lowers it by at least 1, so
-its ranks of powers pivot on lowest-degree terms.
+squares and symmetric squares, once, from the expression tree, as the
+images of the basis vectors: sparse position lists, built in time and
+memory proportional to the number of nonzero entries.  The exact linear
+algebra kernel reads their transpose to extract Jordan types.  It is also
+given the degree of each basis vector, read from the tree: e lowers it by
+exactly 1, so its type comes from a graded sweep, and u - 1 lowers it by
+at least 1, so its ranks of powers pivot on lowest-degree terms.
+expr_action, square_action and tensor_action are dense views of the same
+images, as bit-packed matrices.
 """
 
 from __future__ import annotations
@@ -14,9 +18,12 @@ from __future__ import annotations
 import os
 
 from .core import Atom, Ext2, JordanType, Kind, ModuleExpr, Scaled, Sum, Sym2, Tensor, square_expr
-from .gf2 import Gf2Matrix, _support, identity, jordan_type_of_nilpotent
+from .gf2 import Gf2Matrix, jordan_type_of_supports
+# the dense reference kernel; bench/tracing.py wraps it in this namespace
+from .gf2 import jordan_type_of_nilpotent  # noqa: F401
 
 Functor = str  # one of core.FUNCTORS
+Images = list[list[int]]  # images[c]: positions hit by basis vector c
 
 DEFAULT_DIM_CAP = 20_000
 CAP_ENV_VAR = "CHAR2SQUARES_ORACLE_CAP"
@@ -52,16 +59,19 @@ def _check_kind(kind: Kind) -> None:
         raise ValueError(f"unknown kind {kind!r}")
 
 
-def block_matrix(kind: Kind, n: int) -> Gf2Matrix:
-    """Single Jordan block in upper-shift convention: e v_1 = 0, e v_i = v_{i-1}."""
+def _block_images(kind: Kind, n: int) -> Images:
+    """Images of v_1, ..., v_n under a single block, as block_matrix lays it out."""
     if n < 1:
         raise ValueError("n must be positive")
     _check_kind(kind)
-    shift = tuple((1 << (i + 1)) if i + 1 < n else 0 for i in range(n))
-    mat = Gf2Matrix(n, n, shift)
-    if kind == "unipotent":
-        mat = mat + identity(n)
-    return mat
+    if kind == "nilpotent":
+        return [[]] + [[c - 1] for c in range(1, n)]
+    return [[0]] + [[c - 1, c] for c in range(1, n)]
+
+
+def block_matrix(kind: Kind, n: int) -> Gf2Matrix:
+    """Single Jordan block in upper-shift convention: e v_1 = 0, e v_i = v_{i-1}."""
+    return _dense(_block_images(kind, n))
 
 
 def basis_keys(functor: Functor, n: int, m: int | None = None) -> list[tuple[int, int]]:
@@ -80,61 +90,134 @@ def basis_keys(functor: Functor, n: int, m: int | None = None) -> list[tuple[int
     raise ValueError(f"unknown functor {functor!r}")
 
 
-# --- generic functor actions ---------------------------------------------
+# --- the one action builder ----------------------------------------------
 #
-# Builders below take the matrix of the operator on the base space(s); the
-# basis of a product space is ordered as basis_keys lists it.
+# An action is held as the images of its basis vectors: images[c] lists, in
+# increasing order, the positions of the basis vectors that basis vector c
+# is mapped to, each once.  The basis of a product space is ordered as
+# basis_keys lists it.
 
 
-def _pair_action(a: Gf2Matrix, b: Gf2Matrix, kind: Kind, functor: Functor) -> Gf2Matrix:
+def _cancel(hits: list[int], spare: int) -> list[int]:
+    """hits in increasing order, each position kept once if it occurs an odd
+    number of times (GF(2) sums), and the spare position dropped."""
+    hits.sort()
+    out: list[int] = []
+    for p in hits:
+        if out and out[-1] == p:
+            out.pop()
+        else:
+            out.append(p)
+    if out and out[-1] == spare:
+        out.pop()
+    return out
+
+
+def _pair_images(a: Images, b: Images, kind: Kind, functor: Functor) -> Images:
     """Action on the pairs v_i (x) v_j of a and b, reduced to the functor's quotient.
 
     u acts as u (x) u and e as the derivation e (x) 1 + 1 (x) e.  ext2 and
     sym2 take b = a and identify (k, l) with (l, k); the pairs (k, k), which
-    ext2 alone leaves out, go to a spare row that is dropped.
+    ext2 alone leaves out, go to a spare position that is dropped.
     """
     _check_kind(kind)
-    keys = basis_keys(functor, b.rows, a.rows)
-    spare = len(keys)
-    # 1-based like keys; index 0 is padding
-    row_of = [[spare] * (b.rows + 1) for _ in range(a.rows + 1)]
-    for pos, (i, j) in enumerate(keys):
+    pairs = [(i - 1, j - 1) for i, j in basis_keys(functor, len(b), len(a))]
+    spare = len(pairs)
+    row_of = [[spare] * len(b) for _ in a]
+    for pos, (i, j) in enumerate(pairs):
         row_of[i][j] = pos
         if functor != "tensor":
             row_of[j][i] = pos
-    down_a, down_b = ([()] + [[k + 1 for k in _support(c)] for c in m.columns()] for m in (a, b))
-    rows = [0] * (spare + 1)
-    nilpotent = kind == "nilpotent"
-    for col, (i, j) in enumerate(keys):
-        bit = 1 << col
-        if nilpotent:
-            for k in down_a[i]:
-                rows[row_of[k][j]] ^= bit
-            for l in down_b[j]:
-                rows[row_of[i][l]] ^= bit
-        else:
-            for k in down_a[i]:
-                for l in down_b[j]:
-                    rows[row_of[k][l]] ^= bit
-    return Gf2Matrix(spare, spare, tuple(rows[:-1]))
+    images = []
+    if kind == "nilpotent":
+        # e moves every basis vector (it lowers the degree), so the halves
+        # e(v_i) v_j and v_i e(v_j) share no pair, except on a pair (i, i) of
+        # sym2, where they are equal and cancel
+        in_row = [row.__getitem__ for row in row_of]  # in_row[k](l) = row_of[k][l]
+        in_col = [col.__getitem__ for col in zip(*row_of)]  # in_col[l](k) = row_of[k][l]
+        diagonal = functor == "sym2"
+        for i, j in pairs:
+            if i == j and diagonal:
+                images.append([])
+                continue
+            hits = [*map(in_col[j], a[i]), *map(in_row[i], b[j])]
+            hits.sort()
+            while hits and hits[-1] == spare:
+                hits.pop()
+            images.append(hits)
+    elif functor == "tensor":
+        # pairs of distinct (k, l) in lex order, at distinct increasing positions
+        for i, j in pairs:
+            down_b = b[j]
+            images.append([row_of[k][l] for k in a[i] for l in down_b])
+    else:
+        for i, j in pairs:
+            down_b = b[j]
+            images.append(_cancel([row_of[k][l] for k in a[i] for l in down_b], spare))
+    return images
 
 
-def ext2_of(a: Gf2Matrix, kind: Kind) -> Gf2Matrix:
-    return _pair_action(a, a, kind, "ext2")
-
-
-def sym2_of(a: Gf2Matrix, kind: Kind) -> Gf2Matrix:
-    return _pair_action(a, a, kind, "sym2")
-
-
-def direct_sum(mats: list[Gf2Matrix]) -> Gf2Matrix:
-    dim = sum(m.rows for m in mats)
-    rows = []
+def _direct_sum(parts: list[Images]) -> Images:
+    images: Images = []
     offset = 0
-    for m in mats:
-        rows.extend(row << offset for row in m.data)
-        offset += m.cols
-    return Gf2Matrix(dim, dim, tuple(rows))
+    for part in parts:
+        images.extend([p + offset for p in hits] for hits in part)
+        offset += len(part)
+    return images
+
+
+def expr_images(
+    expr: ModuleExpr, kind: Kind, *, cap: int | None = DEFAULT_DIM_CAP
+) -> Images:
+    """Images of the basis vectors under the operator (u or e) on a module expression.
+
+    Every space is checked against the cap as it is built: k*X after X is
+    built once and before it is copied, and a sum after each term.
+    """
+    if isinstance(expr, Atom):
+        if expr.kind != kind:
+            raise ValueError("expression kind mismatch")
+        _check_cap(expr.dim, cap)
+        return _block_images(kind, expr.dim)
+    if isinstance(expr, Scaled):
+        inner = expr_images(expr.inner, kind, cap=cap)
+        _check_cap(expr.count * len(inner), cap)
+        # any number of copies of a zero space is that space
+        return _direct_sum([inner] * expr.count) if inner else inner
+    if isinstance(expr, Sum):
+        parts, total = [], 0
+        for t in expr.terms:
+            parts.append(expr_images(t, kind, cap=cap))
+            total += len(parts[-1])
+            _check_cap(total, cap)
+        return _direct_sum(parts)
+    if isinstance(expr, Tensor):
+        left = expr_images(expr.left, kind, cap=cap)
+        right = expr_images(expr.right, kind, cap=cap)
+        _check_cap(len(left) * len(right), cap)
+        return _pair_images(left, right, kind, "tensor")
+    if isinstance(expr, (Ext2, Sym2)):
+        inner = expr_images(expr.inner, kind, cap=cap)
+        d = len(inner)
+        if isinstance(expr, Ext2):
+            _check_cap(d * (d - 1) // 2, cap)
+            return _pair_images(inner, inner, kind, "ext2")
+        _check_cap(d * (d + 1) // 2, cap)
+        return _pair_images(inner, inner, kind, "sym2")
+    raise TypeError(f"not a module expression: {expr!r}")
+
+
+# --- dense views ---------------------------------------------------------
+
+
+def _dense(images: Images) -> Gf2Matrix:
+    """The matrix whose column c has its ones in the rows images[c]."""
+    rows = [0] * len(images)
+    for c, hits in enumerate(images):
+        bit = 1 << c
+        for i in hits:
+            rows[i] ^= bit
+    return Gf2Matrix(len(images), len(images), tuple(rows))
 
 
 # --- concrete oracle entry points ----------------------------------------
@@ -158,41 +241,11 @@ def expr_action(
     expr: ModuleExpr, kind: Kind, *, cap: int | None = DEFAULT_DIM_CAP
 ) -> Gf2Matrix:
     """Matrix of the operator on an arbitrary module expression."""
-    if isinstance(expr, Atom):
-        if expr.kind != kind:
-            raise ValueError("expression kind mismatch")
-        _check_cap(expr.dim, cap)
-        return block_matrix(kind, expr.dim)
-    if isinstance(expr, Scaled):
-        inner = expr_action(expr.inner, kind, cap=cap)
-        _check_cap(expr.count * inner.rows, cap)
-        # any number of copies of a zero space is that space
-        return direct_sum([inner] * expr.count) if inner.rows else inner
-    if isinstance(expr, Sum):
-        mats, total = [], 0
-        for t in expr.terms:
-            mats.append(expr_action(t, kind, cap=cap))
-            total += mats[-1].rows
-            _check_cap(total, cap)
-        return direct_sum(mats)
-    if isinstance(expr, Tensor):
-        left = expr_action(expr.left, kind, cap=cap)
-        right = expr_action(expr.right, kind, cap=cap)
-        _check_cap(left.rows * right.rows, cap)
-        return _pair_action(left, right, kind, "tensor")
-    if isinstance(expr, (Ext2, Sym2)):
-        inner = expr_action(expr.inner, kind, cap=cap)
-        d = inner.rows
-        if isinstance(expr, Ext2):
-            _check_cap(d * (d - 1) // 2, cap)
-            return ext2_of(inner, kind)
-        _check_cap(d * (d + 1) // 2, cap)
-        return sym2_of(inner, kind)
-    raise TypeError(f"not a module expression: {expr!r}")
+    return _dense(expr_images(expr, kind, cap=cap))
 
 
 def expr_degrees(expr: ModuleExpr) -> list[int]:
-    """Degree of each basis vector of expr, in the order expr_action builds them.
+    """Degree of each basis vector of expr, in the order expr_images builds them.
 
     v_i of an atom has degree i, and a pair of T, E2 or S2 has the sum of
     its two factors' degrees.  e lowers every degree by exactly 1 and
@@ -233,7 +286,13 @@ def oracle_expr_jordan_type(
     expr: ModuleExpr, kind: Kind, *, cap: int | None = DEFAULT_DIM_CAP
 ) -> JordanType:
     """Ground-truth Jordan type of the operator on a module expression."""
-    mat = expr_action(expr, kind, cap=cap)
+    images = expr_images(expr, kind, cap=cap)
+    supports: list[list[int]] = [[] for _ in images]  # the kernel reads rows
+    for c, hits in enumerate(images):
+        for i in hits:
+            supports[i].append(c)
     if kind == "unipotent":
-        mat = mat + identity(mat.rows)
-    return jordan_type_of_nilpotent(mat, expr_degrees(expr))
+        # u fixes the top-degree term of every vector: u - 1 is u off the diagonal
+        for c, row in enumerate(supports):
+            row.remove(c)
+    return jordan_type_of_supports(supports, expr_degrees(expr))

@@ -16,7 +16,8 @@ from char2squares.formulas import (
     sym2_unipotent,
     tensor_decompose,
 )
-from char2squares.oracle import oracle_jordan_type, square_action
+from char2squares.oracle import oracle_jordan_type
+from test_basis import action_images
 
 TABLE_1 = {
     1: ("0", "1", "0", "1"),
@@ -79,14 +80,14 @@ def test_criterion_4_basis_verification(capsys):
     start = time.monotonic()
     for n in range(1, 65):
         chains = build_tensor_basis(n)
-        action = square_action("nilpotent", "tensor", n)
+        action = action_images("tensor", n)
         terminals = [build_z(c.s, n) for c in chains]
         rep = verify_basis(chains, action, terminals)
         assert rep.ok, (n, rep.failures)
         assert chain_type(chains) == tensor_decompose(n, n), n
 
         sym_chains = build_sym_basis(n)
-        sym_action = square_action("nilpotent", "sym2", n)
+        sym_action = action_images("sym2", n)
         sym_rep = verify_basis(sym_chains, sym_action)
         assert sym_rep.ok, (n, sym_rep.failures)
         assert chain_type(sym_chains) == sym2_nilpotent(n), n

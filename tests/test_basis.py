@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from char2squares.basis import (
     JordanChain,
@@ -14,14 +16,28 @@ from char2squares.basis import (
     project_to_sym,
     verify_basis,
 )
-from char2squares.core import parse_jordan_type
+from char2squares.core import parse_jordan_type, square_expr
 from char2squares.formulas import sym2_nilpotent, tensor_decompose
 from char2squares.gf2 import Gf2Matrix, mul, rank
-from char2squares.oracle import basis_keys, square_action
+from char2squares.oracle import basis_keys, expr_images, square_action
 
 
 def jt(text):
     return parse_jordan_type(text)
+
+
+def action_images(space, n, *edits):
+    """The oracle's images of e on the square of W_n, the form verify_basis reads.
+
+    Each edit (source, target) toggles the entry target <- source: the image
+    of monomial source gains target, or loses it.
+    """
+    images = expr_images(square_expr(space, "nilpotent", n), "nilpotent")
+    index = {k: i for i, k in enumerate(basis_keys(space, n))}
+    for source, target in edits:
+        hits = set(images[index[source]]) ^ {index[target]}
+        images[index[source]] = sorted(hits)
+    return images
 
 
 def tensor_terms(*pairs):
@@ -125,7 +141,7 @@ class TestTensorBasis:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 9, 13, 21])
     def test_verified_against_dense_action(self, n):
         chains = build_tensor_basis(n)
-        action = square_action("nilpotent", "tensor", n)
+        action = action_images("tensor", n)
         terminals = [build_z(c.s, n) for c in chains]
         report = verify_basis(chains, action, terminals)
         assert report.ok, report.failures
@@ -136,7 +152,7 @@ class TestTensorBasis:
         bad = chains[0]
         swapped = JordanChain(bad.s, (bad.vectors[1],) + (bad.vectors[0],) + bad.vectors[2:])
         chains[0] = swapped
-        report = verify_basis(chains, square_action("nilpotent", "tensor", 6))
+        report = verify_basis(chains, action_images("tensor", 6))
         assert not report.ok
         assert any("chain 0" in f and "link" in f for f in report.failures)
 
@@ -145,7 +161,7 @@ class TestTensorBasis:
     )
     def test_repeated_chain_dependent(self, build, space):
         chains = build(7)
-        action = square_action("nilpotent", space, 7)
+        action = action_images(space, 7)
         full = verify_basis(chains, action)
         report = verify_basis(chains + [chains[0]], action)
         assert report.vector_count == full.vector_count + chains[0].length
@@ -158,23 +174,15 @@ class TestTensorBasis:
 class TestVerifyFrame:
     """verify_basis reads the action per degree; its verdicts match the dense frame."""
 
-    @staticmethod
-    def corrupt(action, space, n, source, target):
-        # add the entry target <- source: the image of monomial source gains target
-        index = {k: i for i, k in enumerate(basis_keys(space, n))}
-        rows = list(action.data)
-        rows[index[target]] ^= 1 << index[source]
-        return Gf2Matrix(action.rows, action.cols, tuple(rows))
-
     @pytest.mark.parametrize("target", [(1, 4), (1, 2), (4, 1)])
     def test_grading_checked(self, target):
         # v2*v3 has degree 5; its image must lie in degree 4 only
         n = 5
         chains = build_tensor_basis(n)
         terminals = [build_z(c.s, n) for c in chains]
-        action = square_action("nilpotent", "tensor", n)
+        action = action_images("tensor", n)
         assert verify_basis(chains, action, terminals).ok
-        bad = self.corrupt(action, "tensor", n, (2, 3), target)
+        bad = action_images("tensor", n, ((2, 3), target))
         report = verify_basis(chains, bad, terminals)
         k, l = target
         assert report.failures == [
@@ -182,11 +190,20 @@ class TestVerifyFrame:
         ]
         assert (report.vector_count, report.rank) == (25, 25)
 
+    def test_first_ungraded_entry_in_row_order(self):
+        # the dense frame met entries row by row: by target, then by source
+        n = 5
+        bad = action_images("tensor", n, ((2, 3), (1, 4)), ((3, 3), (1, 1)))
+        report = verify_basis(build_tensor_basis(n), bad)
+        assert report.failures == [
+            "action breaks the grading in 2 of its entries, first v3*v3 -> v1*v1"
+        ]
+
     def test_graded_corruption_breaks_a_link(self):
         # an entry that keeps the grading is read like any other
         n = 5
         chains = build_tensor_basis(n)
-        action = self.corrupt(square_action("nilpotent", "tensor", n), "tensor", n, (5, 5), (5, 4))
+        action = action_images("tensor", n, ((5, 5), (5, 4)))
         report = verify_basis(chains, action)
         assert report.failures and not any("grading" in f for f in report.failures)
 
@@ -223,13 +240,23 @@ class TestVerifyFrame:
         else:
             chains.append(chains[0])
             terminals = terminals and terminals + [terminals[0]]
-        report = verify_basis(chains, square_action("nilpotent", space, n), terminals)
+        report = verify_basis(chains, action_images(space, n), terminals)
         assert report.failures == self.DENSE_FAILURES[space, edit]
+
+    def test_images_must_cover_the_space(self):
+        chains = build_tensor_basis(4)
+        with pytest.raises(ValueError, match="action has 15 images, expected 16"):
+            verify_basis(chains, action_images("tensor", 4)[:-1])
+
+    def test_vectors_must_share_the_square(self):
+        chains = build_tensor_basis(5) + build_tensor_basis(4)[:1]
+        with pytest.raises(ValueError, match="chain 5 .* not in the tensor square for n=5"):
+            verify_basis(chains, action_images("tensor", 5))
 
     def test_zero_vectors_match_dense_frame(self):
         # a zero vector equals the zero image in any degree
         n = 5
-        action = square_action("nilpotent", "tensor", n)
+        action = action_images("tensor", n)
         chains = build_tensor_basis(n)
         terminals = [build_z(c.s, n) for c in chains]
         c = chains[2]
@@ -268,7 +295,7 @@ class TestSymBasis:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 9, 13, 21])
     def test_verified_against_dense_action(self, n):
         chains = build_sym_basis(n)
-        action = square_action("nilpotent", "sym2", n)
+        action = action_images("sym2", n)
         report = verify_basis(chains, action)
         assert report.ok, report.failures
         assert chain_type(chains) == sym2_nilpotent(n)
@@ -317,14 +344,13 @@ class TestSparseVec:
 
     @staticmethod
     def check_apply_e_against_oracle(space, n):
-        # e of every monomial equals its column of the oracle's dense action
-        action = square_action("nilpotent", space, n)
+        # e of every monomial equals its image under the oracle's action
+        images = action_images(space, n)
         index = {k: i for i, k in enumerate(basis_keys(space, n))}
-        cols = action.columns()
         for (i, j), pos in index.items():
             monomial = SparseVec(space, n, i + j, 1 << i)
             assert monomial.terms == frozenset({(i, j)})
-            assert monomial.apply_e().to_bits(index) == cols[pos]
+            assert monomial.apply_e().to_bits(index) == sum(1 << t for t in images[pos])
 
     def test_apply_e_matches_matrix(self):
         self.check_apply_e_against_oracle("sym2", 5)
@@ -332,6 +358,26 @@ class TestSparseVec:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_apply_e_matches_matrix_tensor(self, n):
         self.check_apply_e_against_oracle("tensor", n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["tensor", "sym2"]), st.integers(1, 12), st.data())
+    def test_apply_e_equals_validated_construction(self, space, n, data):
+        # apply_e skips the constructor's check; its result must pass it, and
+        # must be the sum of e(v_i v_j) = v_(i-1) v_j + v_i v_(j-1) over the terms
+        degree = data.draw(st.integers(2, 2 * n))
+        lo, hi = max(1, degree - n), min(n, degree - 1)
+        if space == "sym2":
+            hi = min(hi, degree // 2)
+        mask = sum(1 << i for i in data.draw(st.sets(st.integers(lo, hi))))
+        image = SparseVec(space, n, degree, mask).apply_e()
+        terms = set()
+        for i, j in SparseVec(space, n, degree, mask).terms:
+            for a, b in ((i - 1, j), (i, j - 1)):
+                if a >= 1 and b >= 1:
+                    terms ^= {(min(a, b), max(a, b)) if space == "sym2" else (a, b)}
+        expected = sum(1 << a for a, _ in terms)
+        assert image == SparseVec(space, n, degree - 1, expected)
+        assert image.terms == terms
 
     def test_format_chain(self):
         chain = build_tensor_basis(2)[1]

@@ -1,6 +1,7 @@
 import io
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -230,9 +231,17 @@ class TestExpr:
         assert (code, out) == (3, "")
         assert err == "error: total_dim reaches 10^4300, too long for JSON output\n"
 
-    def test_text_prints_total_dim_too_long_for_json(self):
-        count = "9" * 4300
-        assert run_cli("expr", f"{count}*W9") == (0, f"9^{count}\n", "")
+    @pytest.mark.parametrize("text", [
+        "9" * 4300 + "*W9",
+        "T(W" + "9" * 2200 + ", W" + "9" * 2200 + ")",
+    ], ids=["count", "tensor"])
+    def test_text_total_dim_too_long(self, text):
+        # the JSON bound holds for text too, which would otherwise print megabytes
+        start = time.perf_counter()
+        code, out, err = run_cli("expr", text)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == "error: total_dim reaches 10^4300, too long for text output\n"
 
     def test_expr_json(self):
         code, out, _ = run_cli("expr", "E2(V9)", "--format", "json")
@@ -395,3 +404,15 @@ class TestBasis:
         assert code == 3
         assert "16 8^3 1^5" in out
         assert err == "error: oracle space has dimension 45, above the cap 40\n"
+
+    def test_verify_memory_is_sparse(self):
+        # the oracle hands over sparse images, not 16,384 rows of 16,384 bits
+        # (the dense layout peaked at 23.6 MB here, the sparse one near 8 MB)
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli("basis", "--n", "128", "--functor", "tensor", "--verify")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and "verification passed (16384 vectors)" in out
+        assert peak < 12e6

@@ -14,13 +14,21 @@ from char2squares.formulas import (
     sym2_block,
     tensor_decompose,
 )
-from char2squares.gf2 import Gf2Matrix, identity, jordan_type_of_nilpotent, mul, rank
+from char2squares.gf2 import (
+    Gf2Matrix,
+    _square_supports,
+    identity,
+    jordan_type_of_nilpotent,
+    mul,
+    rank,
+)
 from char2squares.oracle import (
     OracleCapExceeded,
     basis_keys,
     block_matrix,
     expr_action,
     expr_degrees,
+    expr_images,
     oracle_expr_jordan_type,
     oracle_jordan_type,
     square_action,
@@ -201,8 +209,8 @@ class TestExprOracle:
         from char2squares.parser import parse_expr
 
         calls = []
-        sym2_of = oracle.sym2_of
-        monkeypatch.setattr(oracle, "sym2_of", lambda *a: calls.append(a) or sym2_of(*a))
+        pair_images = oracle._pair_images
+        monkeypatch.setattr(oracle, "_pair_images", lambda *a: calls.append(a) or pair_images(*a))
         expr = parse_expr("4*S2(W6)")
         assert expr_action(expr, "nilpotent").rows == 4 * 21
         assert len(calls) == 1
@@ -213,9 +221,9 @@ class TestExprOracle:
         from char2squares.parser import parse_expr
 
         built = []
-        block_matrix_ = oracle.block_matrix
+        block_images = oracle._block_images
         monkeypatch.setattr(
-            oracle, "block_matrix", lambda kind, n: built.append(n) or block_matrix_(kind, n)
+            oracle, "_block_images", lambda kind, n: built.append(n) or block_images(kind, n)
         )
         expr = parse_expr("W15000 + W15000 + W15000 + W15000")
         with pytest.raises(OracleCapExceeded) as exc:
@@ -320,3 +328,37 @@ class TestExprDegrees:
 
     def test_many_copies_of_a_zero_space(self):
         assert expr_degrees(parse_expr("99999999999999999999*E2(W1)")) == []
+
+
+class TestImages:
+    """expr_images is the one builder: the kernel reads its transpose, and
+    expr_action is its dense view."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(oracle_expr())
+    def test_sparse_type_equals_dense_reference(self, expr):
+        kind = expr_kind(expr)
+        mat = expr_action(expr, kind)
+        if kind == "unipotent":
+            mat = mat + identity(mat.rows)
+        assert oracle_expr_jordan_type(expr, kind) == jordan_type_of_nilpotent(mat)
+
+    @settings(max_examples=150, deadline=None)
+    @given(oracle_expr())
+    def test_transpose_is_dense_rows(self, expr):
+        kind = expr_kind(expr)
+        images = expr_images(expr, kind)
+        assert all(hits == sorted(set(hits)) for hits in images)
+        rows = [[] for _ in images]
+        for c, hits in enumerate(images):
+            for i in hits:
+                rows[i].append(c)
+        assert rows == _square_supports(expr_action(expr, kind))
+
+    def test_many_copies_of_a_zero_space_build_nothing(self, monkeypatch):
+        from char2squares import oracle
+
+        monkeypatch.setattr(oracle, "_direct_sum", None)  # a copy would call it
+        expr = parse_expr("99999999999999999999*E2(W1)")
+        assert expr_images(expr, "nilpotent") == []
+        assert oracle_expr_jordan_type(expr, "nilpotent").parts == ()
