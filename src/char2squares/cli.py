@@ -22,13 +22,19 @@ EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 EXIT_CAP = 3
 
+# Bounds on what a command may print or build, whatever the oracle cap:
+# the decimal digits of every size and multiplicity printed, summed, and
+# the chain vectors of a basis, which its memory grows with.
+OUTPUT_DIGIT_LIMIT = 10**6
+BASIS_VECTOR_LIMIT = 2**20
+
 
 class _CliError(Exception):
     """A usage error (exit 1)."""
 
 
-class _OutputLimitExceeded(Exception):
-    """A result too large to print (exit 3)."""
+class _LimitExceeded(Exception):
+    """A result too large to build or print (exit 3)."""
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -108,11 +114,16 @@ def _decompose(expr, kind, input_desc: dict, args, out, err) -> int:
             if args.method == "oracle":
                 raise
             print(f"warning: {exc}; falling back to formula only", file=err)
-    # total_dim bounds every size and multiplicity printed; from 10^4300 on,
-    # Python will not print it in JSON, and text runs to megabytes
-    if any(result.total_dim >= formulas.MULTIPLICITY_LIMIT for result in results):
+    # total_dim bounds every size and multiplicity printed: from 10^4300 on,
+    # Python will not print it in JSON.  Below that their digits, bounded
+    # from bit_length() without printing them, may still run to megabytes.
+    huge = any(result.total_dim >= formulas.MULTIPLICITY_LIMIT for result in results)
+    digits = sum(x.bit_length() * 30103 // 100000 + 1
+                 for result in results for part in result.parts for x in part)
+    if huge or digits >= OUTPUT_DIGIT_LIMIT:
         form = "JSON" if args.format == "json" else "text"
-        raise _OutputLimitExceeded(f"total_dim reaches 10^4300, too long for {form} output")
+        what = "total_dim reaches 10^4300" if huge else "sizes and multiplicities reach 10^6 digits"
+        raise _LimitExceeded(f"{what}, too long for {form} output")
     for result in results:
         if args.format == "json":
             payload = {
@@ -163,6 +174,10 @@ def _cmd_table(args, out, err) -> int:
 def _cmd_basis(args, out, err) -> int:
     if args.n < 1:
         raise _CliError("--n must be positive")
+    vectors = args.n * args.n if args.functor == "tensor" else args.n * (args.n + 1) // 2
+    if vectors > BASIS_VECTOR_LIMIT:
+        raise _LimitExceeded(
+            f"basis has {vectors} chain vectors, above the limit {BASIS_VECTOR_LIMIT}")
     cap = oracle.dim_cap() if args.verify else None  # before any output
     if args.functor == "tensor":
         chains = basis_mod.build_tensor_basis(args.n)
@@ -180,7 +195,7 @@ def _cmd_basis(args, out, err) -> int:
             print(f"s={chain.s}: {basis_mod.format_chain(chain)}", file=out)
     if args.verify:
         expr = square_expr(args.functor, "nilpotent", args.n)
-        images = oracle.expr_images(expr, "nilpotent", cap=cap)
+        images, _ = oracle.expr_images(expr, "nilpotent", cap=cap)
         report = basis_mod.verify_basis(chains, images, terminals)
         if report.ok:
             print(f"verification passed ({report.vector_count} vectors)", file=out)
@@ -205,7 +220,7 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
             return _cmd_table(args, out, err)
         return _cmd_basis(args, out, err)
     except (oracle.OracleCapExceeded, formulas.MultiplicityCapExceeded,
-            _OutputLimitExceeded) as exc:
+            _LimitExceeded) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_CAP
     except (_CliError, ValueError) as exc:

@@ -3,8 +3,9 @@
 Each row of a matrix is a Python int: bit j holds the entry in column j.
 Row XOR is then a single word-parallel operation, which is all Gaussian
 elimination needs over GF(2).  The Jordan-type kernel,
-jordan_type_of_supports, takes a square matrix as the column lists of its
-rows, so a sparse operator never has to be packed whole.
+jordan_type_of_images, takes a square matrix as the row lists of its
+columns, the images of the basis vectors as the oracle builds them, so a
+sparse operator never has to be packed whole.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ def _nilpotent_ranks(supports: Sequence[Sequence[int]]) -> list[int] | None:
     """[rank(m^0), rank(m^1), ...] up to the first 0, or None if m is not nilpotent.
 
     supports[i] lists the columns of row i of the square matrix m.  See
-    jordan_type_of_supports for why the loop is correct.
+    jordan_type_of_images for why the loop is correct.
     """
     n = len(supports)
     # Row i of m^(k+1) = m * m^k is the XOR of the rows of m^k in supports[i].
@@ -174,118 +175,123 @@ def is_nilpotent(m: Gf2Matrix) -> bool:
     return _nilpotent_ranks(_square_supports(m)) is not None
 
 
-def _lowers_by_one(supports: Sequence[Sequence[int]], degrees: Sequence[int]) -> bool:
+def _lowers_by_one(images: Sequence[Sequence[int]], degrees: Sequence[int]) -> bool:
     """Whether every entry lowers the degree by exactly 1.
 
-    Entry (i, j) maps basis vector j into basis vector i; ValueError names
-    the first entry that does not lower the degree at all.
+    Entry (i, c) maps basis vector c into basis vector i; ValueError names
+    the first entry, column by column, that does not lower the degree at all.
     """
     graded = True
-    for i, bits in enumerate(supports):
-        target = degrees[i]
-        for j in bits:
-            if degrees[j] != target + 1:
-                if degrees[j] <= target:
+    for c, hits in enumerate(images):
+        source = degrees[c]
+        for i in hits:
+            if degrees[i] != source - 1:
+                if degrees[i] >= source:
                     raise ValueError(
-                        f"entry ({i}, {j}) does not lower the degree: it maps "
-                        f"degree {degrees[j]} to degree {target}"
+                        f"entry ({i}, {c}) does not lower the degree: it maps "
+                        f"degree {source} to degree {degrees[i]}"
                     )
                 graded = False
     return graded
 
 
-def _graded_sweep(supports: Sequence[Sequence[int]], degrees: Sequence[int]) -> JordanType:
+def _graded_sweep(images: Sequence[Sequence[int]], degrees: Sequence[int]) -> JordanType:
     """Jordan type of a matrix whose every entry lowers the degree by exactly 1.
 
-    A matrix and its transpose have the same Jordan type, and row i is the
-    image of basis vector i under the transpose, which raises the degree
-    by exactly 1.  The sweep goes up through the degrees keeping a basis
-    of the current one, oldest bar first: the images of the vectors kept
-    one degree lower, then the basis vectors at the positions where no
-    kept image has its highest bit, which complete them.  An image that
-    depends on older ones closes its vector's bar (the elder rule of
-    persistence: in a relation the youngest vector dies), and a bar born
-    at degree b and closed on the way up from degree d is a Jordan block
-    of size d + 1 - b.  Each vector is mapped once per degree it lives,
-    so the sweep does dim map steps, where ranks of powers eliminate
-    about sum(size^2) / 2 rows.
+    images[c] lists the basis vectors that basis vector c is mapped to, all
+    of degree degrees[c] - 1.  The sweep goes down through the degrees
+    keeping a basis of the current one, oldest bar first: the images of the
+    vectors kept one degree higher, then the basis vectors at the positions
+    where no kept image has its highest bit, which complete them.  An image
+    that depends on older ones closes its vector's bar (the elder rule of
+    persistence: in a relation the youngest vector dies), and a bar born at
+    degree b and closed on the way down from degree d is a Jordan block of
+    size b + 1 - d.  Each vector is mapped once per degree it lives, so the
+    sweep does dim map steps, where ranks of powers eliminate about
+    sum(size^2) / 2 rows.
     """
     members: dict[int, list[int]] = {}  # degree -> basis vectors of that degree
-    for i, d in enumerate(degrees):
-        members.setdefault(d, []).append(i)
+    for c, d in enumerate(degrees):
+        members.setdefault(d, []).append(c)
     local = [0] * len(degrees)  # position of each basis vector within its degree
     for indices in members.values():
-        for k, i in enumerate(indices):
-            local[i] = k
+        for k, c in enumerate(indices):
+            local[c] = k
     sizes: list[int] = []
     births: list[int] = []  # births[t] is where the bar of alive[t] began
     alive: list[int] = []  # masks over the local positions of degree prev
     prev = None
-    for d in sorted(members):
-        # images of degree prev, all 0 if nothing lives in degree prev + 1 < d
-        image = [sum(1 << local[j] for j in supports[i]) for i in members.get(prev, ())]
+    for d in sorted(members, reverse=True):
+        # images of degree prev, all 0 if nothing lives in degree prev - 1 > d
+        image = [sum(1 << local[i] for i in images[c]) for c in members.get(prev, ())]
         alive = [reduce(xor, map(image.__getitem__, _support(v)), 0) for v in alive]
         pivots = [0] * (len(members[d]) + 1)
         kept = _independent_rows(alive, range(len(alive)), pivots)
         survivors = set(kept)
-        sizes.extend(prev + 1 - b for t, b in enumerate(births) if t not in survivors)
+        sizes.extend(b + 1 - prev for t, b in enumerate(births) if t not in survivors)
         fresh = [1 << k for k in range(len(members[d])) if not pivots[k + 1]]
         births = [births[t] for t in kept] + [d] * len(fresh)
         alive = [alive[t] for t in kept] + fresh
         prev = d
-    sizes.extend(prev + 1 - b for b in births)
+    sizes.extend(b + 1 - prev for b in births)
     return JordanType.from_sizes(sizes)
 
 
 def jordan_type_of_nilpotent(m: Gf2Matrix, degrees: Sequence[int] | None = None) -> JordanType:
-    """Jordan type of a nilpotent dense matrix: jordan_type_of_supports on its rows.
+    """Jordan type of a nilpotent dense matrix: jordan_type_of_images on its columns.
 
     A non-square m raises ValueError; a 0x0 matrix has the empty type.
     """
-    return jordan_type_of_supports(_square_supports(m), degrees)
+    images: list[list[int]] = [[] for _ in range(m.cols)]
+    for i, bits in enumerate(_square_supports(m)):
+        for c in bits:
+            images[c].append(i)
+    return jordan_type_of_images(images, degrees)
 
 
-def jordan_type_of_supports(
-    supports: Sequence[Sequence[int]], degrees: Sequence[int] | None = None
+def jordan_type_of_images(
+    images: Sequence[Sequence[int]], degrees: Sequence[int] | None = None
 ) -> JordanType:
-    """Jordan block sizes of a nilpotent square matrix from its rank sequence.
+    """Jordan block sizes of a nilpotent square matrix m from its rank sequence.
 
-    supports[i] lists the columns of the nonzero entries of row i, each once.
+    images[c] lists the rows of the nonzero entries of column c, each once:
+    where basis vector c goes.  The rank loop reads them as the rows of the
+    transpose t, which has the ranks of powers of m.
 
-    The number of blocks of size >= k equals rank(m^(k-1)) - rank(m^k), so
-    the multiplicity of size k is rank(m^(k-1)) - 2 rank(m^k) + rank(m^(k+1)).
+    The number of blocks of size >= k equals rank(t^(k-1)) - rank(t^k), so
+    the multiplicity of size k is rank(t^(k-1)) - 2 rank(t^k) + rank(t^(k+1)).
 
-    Row i of m^k is row i of m^(k-1) times m.  So the rows of m^k at the
-    indices whose rows of m^(k-1) span the row space of m^(k-1) span the
-    row space of m^k, and each power eliminates only those rank(m^(k-1))
+    Row c of t^k is row c of t^(k-1) times t.  So the rows of t^k at the
+    indices whose rows of t^(k-1) span the row space of t^(k-1) span the
+    row space of t^k, and each power eliminates only those rank(t^(k-1))
     rows; the indices that give pivots are kept for the next power.
 
-    The row space of m^k lies inside that of m^(k-1).  Equal ranks above 0
+    The row space of t^k lies inside that of t^(k-1).  Equal ranks above 0
     make the two spaces equal, so every later power has the same nonzero
     rank: m is not nilpotent, and ValueError is raised.  Otherwise the rank
-    falls at every step and reaches 0 within len(supports) steps.
+    falls at every step and reaches 0 within len(images) steps.
 
     degrees, if given, holds a degree for each basis vector, and every
-    nonzero entry (i, j) must lower it: degrees[i] < degrees[j], or
+    nonzero entry (i, c) must lower it: degrees[i] < degrees[c], or
     ValueError names the entry.  Such an m is nilpotent.  If every entry
     lowers the degree by exactly 1, the type comes from _graded_sweep
     instead of ranks.  Otherwise the rank loop runs with the basis listed
-    in descending degree: the highest-bit pivot of each row is then its
-    lowest-degree term, and rows are eliminated from the top degree down.
+    in ascending degree: the highest-bit pivot of each image is then its
+    highest-degree target.
     """
-    dim = len(supports)
+    dim = len(images)
     if degrees is not None:
         if len(degrees) != dim:
             raise ValueError(f"{len(degrees)} degrees for a matrix of size {dim}")
-        if _lowers_by_one(supports, degrees):
-            return _graded_sweep(supports, degrees)
-        # conjugate by the permutation that lists the basis in descending degree
-        order = sorted(range(dim), key=degrees.__getitem__, reverse=True)
+        if _lowers_by_one(images, degrees):
+            return _graded_sweep(images, degrees)
+        # conjugate by the permutation that lists the basis in ascending degree
+        order = sorted(range(dim), key=degrees.__getitem__)
         position = [0] * dim
-        for p, j in enumerate(order):
-            position[j] = p
-        supports = [[position[j] for j in supports[i]] for i in order]
-    ranks = _nilpotent_ranks(supports)
+        for p, c in enumerate(order):
+            position[c] = p
+        images = [[position[i] for i in images[c]] for c in order]
+    ranks = _nilpotent_ranks(images)
     if ranks is None:
         raise ValueError("matrix is not nilpotent")
     ranks.append(0)

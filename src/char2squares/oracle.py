@@ -4,11 +4,12 @@ Builds the action of a unipotent operator u (acting diagonally) or a
 nilpotent operator e (acting as a derivation) on tensor products, exterior
 squares and symmetric squares, once, from the expression tree, as the
 images of the basis vectors: sparse position lists, built in time and
-memory proportional to the number of nonzero entries.  The exact linear
-algebra kernel reads their transpose to extract Jordan types.  It is also
-given the degree of each basis vector, read from the tree: e lowers it by
-exactly 1, so its type comes from a graded sweep, and u - 1 lowers it by
-at least 1, so its ranks of powers pivot on lowest-degree terms.
+memory proportional to the number of nonzero entries.  The same walk
+reads the degree of each basis vector off the tree, and the exact linear
+algebra kernel takes the images as built, with their degrees, to extract
+Jordan types: e lowers every degree by exactly 1, so its type comes from a
+graded sweep, and u - 1 lowers it by at least 1, so its ranks of powers
+pivot on each image's highest-degree target.
 expr_action, square_action and tensor_action are dense views of the same
 images, as bit-packed matrices.
 """
@@ -18,12 +19,13 @@ from __future__ import annotations
 import os
 
 from .core import Atom, Ext2, JordanType, Kind, ModuleExpr, Scaled, Sum, Sym2, Tensor, square_expr
-from .gf2 import Gf2Matrix, jordan_type_of_supports
+from .gf2 import Gf2Matrix, jordan_type_of_images
 # the dense reference kernel; bench/tracing.py wraps it in this namespace
 from .gf2 import jordan_type_of_nilpotent  # noqa: F401
 
 Functor = str  # one of core.FUNCTORS
 Images = list[list[int]]  # images[c]: positions hit by basis vector c
+Degrees = list[int]  # degrees[c]: the degree of basis vector c
 
 DEFAULT_DIM_CAP = 20_000
 CAP_ENV_VAR = "CHAR2SQUARES_ORACLE_CAP"
@@ -113,15 +115,20 @@ def _cancel(hits: list[int], spare: int) -> list[int]:
     return out
 
 
-def _pair_images(a: Images, b: Images, kind: Kind, functor: Functor) -> Images:
-    """Action on the pairs v_i (x) v_j of a and b, reduced to the functor's quotient.
+def _pair_images(
+    left: tuple[Images, Degrees], right: tuple[Images, Degrees], kind: Kind, functor: Functor
+) -> tuple[Images, Degrees]:
+    """Action on the pairs v_i (x) v_j of left and right, reduced to the
+    functor's quotient, and the degree of each pair: the sum of its factors'.
 
     u acts as u (x) u and e as the derivation e (x) 1 + 1 (x) e.  ext2 and
-    sym2 take b = a and identify (k, l) with (l, k); the pairs (k, k), which
-    ext2 alone leaves out, go to a spare position that is dropped.
+    sym2 take right = left and identify (k, l) with (l, k); the pairs (k, k),
+    which ext2 alone leaves out, go to a spare position that is dropped.
     """
     _check_kind(kind)
+    (a, a_degrees), (b, b_degrees) = left, right
     pairs = [(i - 1, j - 1) for i, j in basis_keys(functor, len(b), len(a))]
+    degrees = [a_degrees[i] + b_degrees[j] for i, j in pairs]
     spare = len(pairs)
     row_of = [[spare] * len(b) for _ in a]
     for pos, (i, j) in enumerate(pairs):
@@ -154,7 +161,7 @@ def _pair_images(a: Images, b: Images, kind: Kind, functor: Functor) -> Images:
         for i, j in pairs:
             down_b = b[j]
             images.append(_cancel([row_of[k][l] for k in a[i] for l in down_b], spare))
-    return images
+    return images, degrees
 
 
 def _direct_sum(parts: list[Images]) -> Images:
@@ -168,37 +175,43 @@ def _direct_sum(parts: list[Images]) -> Images:
 
 def expr_images(
     expr: ModuleExpr, kind: Kind, *, cap: int | None = DEFAULT_DIM_CAP
-) -> Images:
-    """Images of the basis vectors under the operator (u or e) on a module expression.
+) -> tuple[Images, Degrees]:
+    """Images of the basis vectors under the operator (u or e) on a module
+    expression, and the degree of each basis vector.
 
-    Every space is checked against the cap as it is built: k*X after X is
-    built once and before it is copied, and a sum after each term.
+    v_i of an atom has degree i, and a pair of T, E2 or S2 has the sum of
+    its two factors' degrees: e lowers every degree by exactly 1 and u - 1
+    lowers it by at least 1.  Every space is checked against the cap as it
+    is built: k*X after X is built once and before it is copied, and a sum
+    after each term.
     """
     if isinstance(expr, Atom):
         if expr.kind != kind:
             raise ValueError("expression kind mismatch")
         _check_cap(expr.dim, cap)
-        return _block_images(kind, expr.dim)
+        return _block_images(kind, expr.dim), list(range(1, expr.dim + 1))
     if isinstance(expr, Scaled):
-        inner = expr_images(expr.inner, kind, cap=cap)
-        _check_cap(expr.count * len(inner), cap)
-        # any number of copies of a zero space is that space
-        return _direct_sum([inner] * expr.count) if inner else inner
+        images, degrees = expr_images(expr.inner, kind, cap=cap)
+        _check_cap(expr.count * len(images), cap)
+        if not images:  # any number of copies of a zero space is that space
+            return images, degrees
+        return _direct_sum([images] * expr.count), degrees * expr.count
     if isinstance(expr, Sum):
-        parts, total = [], 0
+        parts, degrees = [], []
         for t in expr.terms:
-            parts.append(expr_images(t, kind, cap=cap))
-            total += len(parts[-1])
-            _check_cap(total, cap)
-        return _direct_sum(parts)
+            images, term_degrees = expr_images(t, kind, cap=cap)
+            parts.append(images)
+            degrees += term_degrees
+            _check_cap(len(degrees), cap)
+        return _direct_sum(parts), degrees
     if isinstance(expr, Tensor):
         left = expr_images(expr.left, kind, cap=cap)
         right = expr_images(expr.right, kind, cap=cap)
-        _check_cap(len(left) * len(right), cap)
+        _check_cap(len(left[1]) * len(right[1]), cap)
         return _pair_images(left, right, kind, "tensor")
     if isinstance(expr, (Ext2, Sym2)):
         inner = expr_images(expr.inner, kind, cap=cap)
-        d = len(inner)
+        d = len(inner[1])
         if isinstance(expr, Ext2):
             _check_cap(d * (d - 1) // 2, cap)
             return _pair_images(inner, inner, kind, "ext2")
@@ -241,33 +254,8 @@ def expr_action(
     expr: ModuleExpr, kind: Kind, *, cap: int | None = DEFAULT_DIM_CAP
 ) -> Gf2Matrix:
     """Matrix of the operator on an arbitrary module expression."""
-    return _dense(expr_images(expr, kind, cap=cap))
-
-
-def expr_degrees(expr: ModuleExpr) -> list[int]:
-    """Degree of each basis vector of expr, in the order expr_images builds them.
-
-    v_i of an atom has degree i, and a pair of T, E2 or S2 has the sum of
-    its two factors' degrees.  e lowers every degree by exactly 1 and
-    u - 1 lowers it by at least 1.  Read from the tree alone.
-    """
-    if isinstance(expr, Atom):
-        return list(range(1, expr.dim + 1))
-    if isinstance(expr, Scaled):
-        inner = expr_degrees(expr.inner)
-        # any number of copies of a zero space is that space
-        return inner * expr.count if inner else inner
-    if isinstance(expr, Sum):
-        return [d for t in expr.terms for d in expr_degrees(t)]
-    if isinstance(expr, Tensor):
-        left, right = expr_degrees(expr.left), expr_degrees(expr.right)
-        keys = basis_keys("tensor", len(right), len(left))
-    elif isinstance(expr, (Ext2, Sym2)):
-        left = right = expr_degrees(expr.inner)
-        keys = basis_keys("ext2" if isinstance(expr, Ext2) else "sym2", len(left))
-    else:
-        raise TypeError(f"not a module expression: {expr!r}")
-    return [left[i - 1] + right[j - 1] for i, j in keys]
+    images, _ = expr_images(expr, kind, cap=cap)
+    return _dense(images)
 
 
 def oracle_jordan_type(
@@ -286,13 +274,9 @@ def oracle_expr_jordan_type(
     expr: ModuleExpr, kind: Kind, *, cap: int | None = DEFAULT_DIM_CAP
 ) -> JordanType:
     """Ground-truth Jordan type of the operator on a module expression."""
-    images = expr_images(expr, kind, cap=cap)
-    supports: list[list[int]] = [[] for _ in images]  # the kernel reads rows
-    for c, hits in enumerate(images):
-        for i in hits:
-            supports[i].append(c)
+    images, degrees = expr_images(expr, kind, cap=cap)
     if kind == "unipotent":
         # u fixes the top-degree term of every vector: u - 1 is u off the diagonal
-        for c, row in enumerate(supports):
-            row.remove(c)
-    return jordan_type_of_supports(supports, expr_degrees(expr))
+        for c, hits in enumerate(images):
+            hits.remove(c)
+    return jordan_type_of_images(images, degrees)

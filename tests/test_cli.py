@@ -243,6 +243,17 @@ class TestExpr:
         assert (code, out) == (3, "")
         assert err == "error: total_dim reaches 10^4300, too long for text output\n"
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_output_digits_too_long(self, fmt):
+        # total_dim is below 10^4300, but the parts would print 6.8 MB
+        nines = "9" * 2100
+        start = time.perf_counter()
+        code, out, err = run_cli("expr", f"T(W{nines}, W{nines})", "--format", fmt)
+        assert time.perf_counter() - start < 2.0
+        assert (code, out) == (3, "")
+        form = "JSON" if fmt == "json" else "text"
+        assert err == f"error: sizes and multiplicities reach 10^6 digits, too long for {form} output\n"
+
     def test_expr_json(self):
         code, out, _ = run_cli("expr", "E2(V9)", "--format", "json")
         assert code == 0
@@ -404,6 +415,15 @@ class TestBasis:
         assert code == 3
         assert "16 8^3 1^5" in out
         assert err == "error: oracle space has dimension 45, above the cap 40\n"
+
+    @pytest.mark.parametrize("functor, vectors", [("tensor", 25_000_000), ("sym2", 12_502_500)])
+    @pytest.mark.parametrize("verify", [[], ["--verify"]])
+    def test_vector_limit(self, functor, vectors, verify):
+        start = time.perf_counter()
+        code, out, err = run_cli("basis", "--n", "5000", "--functor", functor, *verify)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == f"error: basis has {vectors} chain vectors, above the limit 1048576\n"
 
     def test_verify_memory_is_sparse(self):
         # the oracle hands over sparse images, not 16,384 rows of 16,384 bits

@@ -11,6 +11,7 @@ from char2squares.gf2 import (
     Gf2Matrix,
     identity,
     is_nilpotent,
+    jordan_type_of_images,
     jordan_type_of_nilpotent,
     mul,
     rank,
@@ -288,6 +289,15 @@ class TestDegrees:
         m = shift_matrix(6)  # e v_(i+1) = v_i
         assert jordan_type_of_nilpotent(m, list(range(6))) == JordanType.from_sizes([6])
         assert jordan_type_of_nilpotent(m, [0, 1, 3, 4, 6, 10]) == JordanType.from_sizes([6])
+
+    def test_images_entry_that_does_not_lower_is_named(self):
+        # column lists: v2 -> v1 -> v0 in degrees 2, 1, 0, and v0 -> v2 raises
+        images = [[2], [0], [1]]
+        with pytest.raises(ValueError, match=r"entry \(2, 0\) does not lower the degree: "
+                                             r"it maps degree 0 to degree 2"):
+            jordan_type_of_images(images, [0, 1, 2])
+        images[0] = []
+        assert jordan_type_of_images(images, [0, 1, 2]) == JordanType.from_sizes([3])
 
     def test_diagonal_entry_is_named(self):
         with pytest.raises(ValueError, match=r"entry \(0, 0\)"):

@@ -27,7 +27,6 @@ from char2squares.oracle import (
     basis_keys,
     block_matrix,
     expr_action,
-    expr_degrees,
     expr_images,
     oracle_expr_jordan_type,
     oracle_jordan_type,
@@ -294,14 +293,14 @@ def oracle_expr(draw):
 
 
 class TestExprDegrees:
-    """expr_degrees lists the degree of each basis vector in expr_action's
-    order; e must lower it by exactly 1 and u - 1 by at least 1."""
+    """expr_images lists, second, the degree of each basis vector in
+    expr_action's order; e must lower it by exactly 1 and u - 1 by at least 1."""
 
     @settings(max_examples=150, deadline=None)
     @given(oracle_expr())
     def test_builder_lowers_degrees(self, expr):
         kind = expr_kind(expr)
-        degrees = expr_degrees(expr)
+        _, degrees = expr_images(expr, kind)
         mat = expr_action(expr, kind)
         assert len(degrees) == mat.rows
         if kind == "unipotent":
@@ -317,22 +316,22 @@ class TestExprDegrees:
     @pytest.mark.parametrize("space, text", [("tensor", "T(W{n}, W{n})"), ("sym2", "S2(W{n})")])
     def test_pair_degrees_match_basis_vectors(self, space, text, n):
         # bit i of a SparseVec of degree d stands for the pair (i, d - i)
-        degrees = expr_degrees(parse_expr(text.format(n=n)))
+        _, degrees = expr_images(parse_expr(text.format(n=n)), "nilpotent")
         keys = basis_keys(space, n)
         assert len(degrees) == len(keys)
         for (i, j), degree in zip(keys, degrees):
             assert SparseVec(space, n, degree, 1 << i).terms == {(i, j)}
 
     def test_atom_and_sum(self):
-        assert expr_degrees(parse_expr("W3 + 2*W2")) == [1, 2, 3, 1, 2, 1, 2]
+        assert expr_images(parse_expr("W3 + 2*W2"), "nilpotent")[1] == [1, 2, 3, 1, 2, 1, 2]
 
     def test_many_copies_of_a_zero_space(self):
-        assert expr_degrees(parse_expr("99999999999999999999*E2(W1)")) == []
+        assert expr_images(parse_expr("99999999999999999999*E2(W1)"), "nilpotent")[1] == []
 
 
 class TestImages:
-    """expr_images is the one builder: the kernel reads its transpose, and
-    expr_action is its dense view."""
+    """expr_images is the one builder: the kernel reads the images as built,
+    and they are the columns of expr_action, its dense view."""
 
     @settings(max_examples=150, deadline=None)
     @given(oracle_expr())
@@ -345,9 +344,9 @@ class TestImages:
 
     @settings(max_examples=150, deadline=None)
     @given(oracle_expr())
-    def test_transpose_is_dense_rows(self, expr):
+    def test_images_are_dense_columns(self, expr):
         kind = expr_kind(expr)
-        images = expr_images(expr, kind)
+        images, _ = expr_images(expr, kind)
         assert all(hits == sorted(set(hits)) for hits in images)
         rows = [[] for _ in images]
         for c, hits in enumerate(images):
@@ -360,5 +359,20 @@ class TestImages:
 
         monkeypatch.setattr(oracle, "_direct_sum", None)  # a copy would call it
         expr = parse_expr("99999999999999999999*E2(W1)")
-        assert expr_images(expr, "nilpotent") == []
+        assert expr_images(expr, "nilpotent") == ([], [])
         assert oracle_expr_jordan_type(expr, "nilpotent").parts == ()
+
+    def test_one_walk_builds_images_and_degrees(self, monkeypatch):
+        # each pair node lays out its basis once, for the images and the degrees
+        from char2squares import oracle
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return basis_keys(*args)
+
+        monkeypatch.setattr(oracle, "basis_keys", counted)
+        expr = parse_expr("S2(W6)")
+        assert oracle_expr_jordan_type(expr, "nilpotent") == decompose_expr(expr)
+        assert len(calls) == 1
