@@ -3,12 +3,18 @@
 Subcommands: decompose (a square of a single block, shorthand for expr on
 E2(Xn), S2(Xn) or T(Xm, Xn)), expr (symbolic expression), table
 (overview of small squares), basis (explicit Jordan chains).  Exit codes:
-0 success, 1 usage or parse error, 2 verification mismatch, 3 resource cap.
+0 success, 1 usage or parse error, 2 verification mismatch, 3 resource cap
+or output limit.
+
+main() may be called any number of times in one process: the argument
+parser is built on the first call and reused, and nothing else is kept
+between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -23,10 +29,12 @@ EXIT_MISMATCH = 2
 EXIT_CAP = 3
 
 # Bounds on what a command may print or build, whatever the oracle cap:
-# the decimal digits of every size and multiplicity printed, summed, and
-# the chain vectors of a basis, which its memory grows with.
+# the decimal digits of every size and multiplicity printed, summed, the
+# chain vectors of a basis, which its memory grows with, and the monomials
+# of a basis --dump, which its output grows with.
 OUTPUT_DIGIT_LIMIT = 10**6
 BASIS_VECTOR_LIMIT = 2**20
+DUMP_MONOMIAL_LIMIT = 2**22
 
 
 class _CliError(Exception):
@@ -43,6 +51,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
+# Built on first use and reused: parse_args keeps no state in the parser, and
+# building it costs several times what a formula command does.
+@functools.cache
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(
         prog="char2squares",
@@ -185,6 +196,11 @@ def _cmd_basis(args, out, err) -> int:
     else:
         chains = basis_mod.build_sym_basis(args.n)
         terminals = None
+    if args.dump:
+        monomials = sum(v.mask.bit_count() for chain in chains for v in chain.vectors)
+        if monomials > DUMP_MONOMIAL_LIMIT:
+            raise _LimitExceeded(
+                f"dump has {monomials} monomials, above the limit {DUMP_MONOMIAL_LIMIT}")
     print(
         f"{args.functor} square of W_{args.n}: {len(chains)} chains, "
         f"type {basis_mod.chain_type(chains)}",

@@ -58,9 +58,17 @@ class JordanType:
             if size < 1:
                 raise ValueError(f"non-positive block size {size}")
             acc[size] = acc.get(size, 0) + mult
-        # sorted, distinct sizes, positive entries: what __post_init__ checks
+        return cls._trusted(tuple(sorted(acc.items(), reverse=True)))
+
+    @classmethod
+    def _trusted(cls, parts: tuple[tuple[int, int], ...]) -> "JordanType":
+        """Wrap parts that are valid by construction, without re-running __post_init__.
+
+        The caller guarantees what __post_init__ checks: sizes strictly
+        decreasing, sizes and multiplicities positive.
+        """
         out = object.__new__(cls)
-        object.__setattr__(out, "parts", tuple(sorted(acc.items(), reverse=True)))
+        out.__dict__["parts"] = parts
         return out
 
     @classmethod
@@ -185,7 +193,11 @@ def cones_expansion(n: int) -> ConesExpansion:
         b = (m - 1).bit_length()
         betas.append(b)
         m = (1 << b) - m
-    return ConesExpansion(n, tuple(betas))
+    # valid by construction, so built without re-running __post_init__
+    out = object.__new__(ConesExpansion)
+    fields = out.__dict__
+    fields["n"], fields["betas"] = n, tuple(betas)
+    return out
 
 
 # --- symbolic module expressions -----------------------------------------

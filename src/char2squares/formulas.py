@@ -109,13 +109,7 @@ def ext2_nilpotent(n: int) -> JordanType:
     contributes blocks of size 2^b_k - 1 with multiplicity
     2^(b_k - 1) - n_{k+1}.
     """
-    exp = cones_expansion(n)
-    nk = exp.suffix_values()
-    return JordanType.from_pairs(
-        ((1 << b) - 1, (1 << (b - 1)) - nk[k + 1])
-        for k, b in enumerate(exp.betas)
-        if b > 0
-    )
+    return JordanType._trusted(tuple(((1 << b) - 1, m) for b, m in _nilpotent_bands(n)))
 
 
 def sym2_nilpotent(n: int) -> JordanType:
@@ -124,15 +118,25 @@ def sym2_nilpotent(n: int) -> JordanType:
     Same multiplicities as the exterior square but with block sizes 2^b_k,
     plus ceil(n/2) blocks of size one.
     """
+    pairs = [(1 << b, m) for b, m in _nilpotent_bands(n)]
+    pairs.append((1, (n + 1) // 2))
+    return JordanType._trusted(tuple(pairs))
+
+
+# Small on purpose: callers ask for both squares of one n close together
+# (table rows, the acceptance criteria), and a large cache shows in peak RSS.
+@lru_cache(maxsize=256)
+def _nilpotent_bands(n: int) -> tuple[tuple[int, int], ...]:
+    """(b_k, 2^(b_k - 1) - n_{k+1}) for each exponent b_k > 0 of the expansion of n.
+
+    The bands that ext2(W_n) and sym2(W_n) share, computed once per n.  The
+    exponents strictly decrease and 2^(b_k - 1) - n_{k+1} > 0, since
+    n_{k+1} = 2^b_k - n_k < 2^(b_k - 1): so the parts built from them are
+    sorted and positive by construction.
+    """
     exp = cones_expansion(n)
-    nk = exp.suffix_values()
-    pairs = [(1, (n + 1) // 2)]
-    pairs.extend(
-        (1 << b, (1 << (b - 1)) - nk[k + 1])
-        for k, b in enumerate(exp.betas)
-        if b > 0
-    )
-    return JordanType.from_pairs(pairs)
+    return tuple([(b, (1 << (b - 1)) - below)
+                  for b, below in zip(exp.betas, exp.suffix_values()[1:]) if b > 0])
 
 
 def ext2_nilpotent_rec(n: int) -> JordanType:

@@ -1,10 +1,15 @@
+import inspect
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
 import pytest
 
+from char2squares import basis, cli
 from char2squares.cli import main
 from char2squares.core import parse_jordan_type
 
@@ -95,6 +100,66 @@ class TestDecompose:
         assert code == 1
         assert out == ""
         assert err == "error: CHAR2SQUARES_ORACLE_CAP must be an integer, not '12k'\n"
+
+
+_TENSOR_3_5 = ("decompose", "--functor", "tensor", "--kind", "nilpotent", "--n", "5", "--m", "3")
+_EXPR = ("expr", "S2(W5 + 2*W3)")
+
+
+class TestParserReuse:
+    CALLS = [
+        _TENSOR_3_5,
+        _TENSOR_3_5[:-2],
+        ("decompose", "--functor", "ext2", "--kind", "unipotent", "--n", "6", "--method", "both"),
+        ("decompose", "--functor", "sym2", "--kind", "nilpotent", "--n", "9", "--format", "json"),
+        ("decompose", "--functor", "sym2", "--n", "3"),  # usage error: --kind missing
+        _EXPR,
+        (*_EXPR, "--format", "json"),
+        (*_EXPR, "--method", "oracle"),
+        ("expr", "W3 +"),  # parse error
+        ("expr", "W30000", "--method", "oracle"),  # over the oracle cap
+        ("table",),
+        ("table", "--max", "4"),
+        ("table", "--max", "0"),
+        ("basis", "--n", "4", "--dump"),
+        ("basis", "--n", "5", "--functor", "sym2", "--verify"),
+        ("basis", "--n", "5000"),  # over the chain-vector limit
+        ("bogus",),
+        (),
+        _TENSOR_3_5,
+        _EXPR,
+    ]
+
+    def test_parser_built_once(self):
+        cli._build_parser.cache_clear()
+        codes = [run_cli(*argv)[0] for argv in self.CALLS]
+        assert cli._build_parser.cache_info().misses == 1
+        assert codes.count(0) == 13 and codes.count(1) == 5 and codes.count(3) == 2
+
+    def test_no_parser_built_at_import(self):
+        probe = "import char2squares.cli as c; print(c._build_parser.cache_info().currsize)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              check=True, env=env)
+        assert done.stdout == "0\n"
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (_TENSOR_3_5, _TENSOR_3_5[:-2]),
+            (("decompose", "--functor", "sym2", "--n", "3"), _TENSOR_3_5[:-2]),
+            (("expr", "W3 +"), _EXPR),
+            (("expr", "W30000", "--method", "oracle"), _EXPR),
+            ((*_EXPR, "--format", "json"), _EXPR),
+            (("basis", "--n", "4", "--verify", "--dump"), ("basis", "--n", "4")),
+        ],
+    )
+    def test_no_state_between_calls(self, first, second, monkeypatch):
+        run_cli(*first)
+        reused = run_cli(*second)
+        # the builder itself, uncached: every call gets a new parser
+        monkeypatch.setattr(cli, "_build_parser", inspect.unwrap(cli._build_parser))
+        assert run_cli(*second) == reused
 
 
 class TestCapReadOnlyForOracle:
@@ -424,6 +489,22 @@ class TestBasis:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (3, "")
         assert err == f"error: basis has {vectors} chain vectors, above the limit 1048576\n"
+
+    def test_dump_limit(self):
+        start = time.perf_counter()
+        basis.build_tensor_basis(512)
+        build = time.perf_counter() - start
+        start = time.perf_counter()
+        code, out, err = run_cli("basis", "--n", "512", "--functor", "tensor", "--dump")
+        assert time.perf_counter() - start < build + 1.0
+        assert (code, out) == (3, "")
+        assert err == "error: dump has 7840395 monomials, above the limit 4194304\n"
+
+    @pytest.mark.parametrize("argv", [("--functor", "sym2", "--dump"), ("--functor", "tensor")])
+    def test_under_dump_limit(self, argv):
+        code, out, err = run_cli("basis", "--n", "512", *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith(f"{argv[1]} square of W_512: 512 chains, type ")
 
     def test_verify_memory_is_sparse(self):
         # the oracle hands over sparse images, not 16,384 rows of 16,384 bits

@@ -49,10 +49,22 @@ class TestConesExpansion:
             cones_expansion(0)
 
     def test_invalid_expansion_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="does not sum to 5"):
             ConesExpansion(5, (3, 1))  # sums to 6, not 5
         with pytest.raises(ValueError):
             ConesExpansion(0, (0,))
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            ConesExpansion(5, (2, 3, 0))
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            ConesExpansion(5, (3, 3, 0))
+        with pytest.raises(ValueError, match="nonempty"):
+            ConesExpansion(5, ())
+
+    def test_trusted_expansions_pass_validation(self):
+        # cones_expansion skips __post_init__; the public constructor re-checks
+        for n in range(1, (1 << 12) + 1):
+            exp = cones_expansion(n)
+            assert exp == ConesExpansion(n, exp.betas), n
 
     @given(st.integers(1, 1 << 20))
     def test_reconstruction(self, n):

@@ -129,6 +129,13 @@ class TestSquares:
         with pytest.raises(ValueError):
             fn(0)
 
+    @pytest.mark.parametrize("fn", [ext2_nilpotent, sym2_nilpotent])
+    def test_closed_forms_pass_validation(self, fn):
+        # the closed forms build their parts without re-running __post_init__
+        for n in range(1, (1 << 12) + 1):
+            got = fn(n)
+            assert got == JordanType(got.parts), n
+
     @given(st.integers(1, 2000))
     def test_dimensions(self, n):
         assert ext2_unipotent(n).total_dim == n * (n - 1) // 2
