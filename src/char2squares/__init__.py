@@ -30,15 +30,11 @@ from .formulas import (
     sym2_unipotent,
     tensor_decompose,
 )
-from .gf2 import Gf2Matrix, identity, jordan_type_of_nilpotent, mul, rank
 from .oracle import (
     OracleCapExceeded,
-    block_matrix,
     expr_images,
     oracle_expr_jordan_type,
     oracle_jordan_type,
-    square_action,
-    tensor_action,
 )
 from .basis import (
     JordanChain,

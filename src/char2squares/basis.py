@@ -70,9 +70,6 @@ class SparseVec:
         mask = ((mask >> 1) ^ mask) & _valid_mask(self.space, self.n, degree)
         return _trusted_vec(self.space, self.n, degree, mask)
 
-    def to_bits(self, index: dict[tuple[int, int], int]) -> int:
-        return sum(1 << index[key] for key in self.terms)
-
 
 def _trusted_vec(space: Space, n: int, degree: int, mask: int) -> SparseVec:
     """A SparseVec whose mask is valid by construction, built without re-checking it."""

@@ -201,6 +201,9 @@ def _cmd_basis(args, out, err) -> int:
         if monomials > DUMP_MONOMIAL_LIMIT:
             raise _LimitExceeded(
                 f"dump has {monomials} monomials, above the limit {DUMP_MONOMIAL_LIMIT}")
+    if args.verify:  # built before any output: a space over the cap prints nothing
+        expr = square_expr(args.functor, "nilpotent", args.n)
+        images, _ = oracle.expr_images(expr, "nilpotent", cap=cap)
     print(
         f"{args.functor} square of W_{args.n}: {len(chains)} chains, "
         f"type {basis_mod.chain_type(chains)}",
@@ -210,8 +213,6 @@ def _cmd_basis(args, out, err) -> int:
         for chain in chains:
             print(f"s={chain.s}: {basis_mod.format_chain(chain)}", file=out)
     if args.verify:
-        expr = square_expr(args.functor, "nilpotent", args.n)
-        images, _ = oracle.expr_images(expr, "nilpotent", cap=cap)
         report = basis_mod.verify_basis(chains, images, terminals)
         if report.ok:
             print(f"verification passed ({report.vector_count} vectors)", file=out)

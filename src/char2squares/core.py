@@ -90,15 +90,6 @@ class JordanType:
             out.extend([size] * mult)
         return out
 
-    def __add__(self, other: "JordanType") -> "JordanType":
-        return JordanType.from_pairs(self.parts + other.parts)
-
-    def scaled(self, c: int) -> "JordanType":
-        """Direct sum of c copies."""
-        if c < 0:
-            raise ValueError("negative multiplicity")
-        return JordanType.from_pairs((s, m * c) for s, m in self.parts)
-
     def decremented(self) -> "JordanType":
         """Every block size reduced by one, size-0 blocks discarded."""
         return JordanType.from_pairs((s - 1, m) for s, m in self.parts if s > 1)

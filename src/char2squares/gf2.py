@@ -5,7 +5,9 @@ Row XOR is then a single word-parallel operation, which is all Gaussian
 elimination needs over GF(2).  The Jordan-type kernel,
 jordan_type_of_images, takes a square matrix as the row lists of its
 columns, the images of the basis vectors as the oracle builds them, so a
-sparse operator never has to be packed whole.
+sparse operator never has to be packed whole.  Gf2Matrix is the packed
+dense form that rank reads (verify_basis hands it each degree's masks)
+and that jordan_type_of_nilpotent, the dense reference, reads.
 """
 
 from __future__ import annotations
@@ -46,63 +48,6 @@ class Gf2Matrix:
             if row < 0 or row & ~mask:
                 raise ValueError("row has bits outside the column range")
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "Gf2Matrix":
-        return cls(rows, cols, (0,) * rows)
-
-    @classmethod
-    def from_rows(cls, entries: Sequence[Sequence[int]], cols: int | None = None) -> "Gf2Matrix":
-        """Build from nested 0/1 lists; `cols` only needed when there are no rows."""
-        if not entries:
-            return cls(0, cols or 0, ())
-        width = len(entries[0])
-        data = []
-        for row in entries:
-            if len(row) != width:
-                raise ValueError("ragged rows")
-            packed = 0
-            for j, v in enumerate(row):
-                if v not in (0, 1):
-                    raise ValueError(f"entry {v!r} not in GF(2)")
-                packed |= v << j
-            data.append(packed)
-        return cls(len(entries), width, tuple(data))
-
-    def entry(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError((i, j))
-        return (self.data[i] >> j) & 1
-
-    def to_lists(self) -> list[list[int]]:
-        return [[(row >> j) & 1 for j in range(self.cols)] for row in self.data]
-
-    def __add__(self, other: "Gf2Matrix") -> "Gf2Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch in addition")
-        return Gf2Matrix(
-            self.rows, self.cols, tuple(a ^ b for a, b in zip(self.data, other.data))
-        )
-
-
-def identity(n: int) -> Gf2Matrix:
-    if n < 0:
-        raise ValueError("negative dimension")
-    return Gf2Matrix(n, n, tuple(1 << i for i in range(n)))
-
-
-def mul(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
-    """Matrix product over GF(2); cost scales with the number of ones in a."""
-    if a.cols != b.rows:
-        raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    bdata = b.data
-    out = []
-    for row in a.data:
-        acc = 0
-        for j in _support(row):
-            acc ^= bdata[j]
-        out.append(acc)
-    return Gf2Matrix(a.rows, b.cols, tuple(out))
-
 
 def _independent_rows(rows: Sequence[int], indices: Iterable[int], pivots: list[int]) -> list[int]:
     """Indices i, in order, whose row rows[i] is independent of the rows kept before it.
@@ -130,12 +75,6 @@ def _independent_rows(rows: Sequence[int], indices: Iterable[int], pivots: list[
 def rank(m: Gf2Matrix) -> int:
     """Rank over GF(2) by bit-parallel Gaussian elimination (input unchanged)."""
     return len(_independent_rows(m.data, range(m.rows), [0] * (m.cols + 1)))
-
-
-def _square_supports(m: Gf2Matrix) -> list[list[int]]:
-    if m.rows != m.cols:
-        raise ValueError("matrix must be square")
-    return [_support(row) for row in m.data]
 
 
 def _nilpotent_ranks(supports: Sequence[Sequence[int]]) -> list[int] | None:
@@ -168,11 +107,6 @@ def _nilpotent_ranks(supports: Sequence[Sequence[int]]) -> list[int] | None:
             acc = map(xor, acc, gather(power))
         power = list(acc)
     return ranks
-
-
-def is_nilpotent(m: Gf2Matrix) -> bool:
-    """Whether some power of the square matrix m is zero."""
-    return _nilpotent_ranks(_square_supports(m)) is not None
 
 
 def _lowers_by_one(images: Sequence[Sequence[int]], degrees: Sequence[int]) -> bool:
@@ -242,9 +176,11 @@ def jordan_type_of_nilpotent(m: Gf2Matrix, degrees: Sequence[int] | None = None)
 
     A non-square m raises ValueError; a 0x0 matrix has the empty type.
     """
+    if m.rows != m.cols:
+        raise ValueError("matrix must be square")
     images: list[list[int]] = [[] for _ in range(m.cols)]
-    for i, bits in enumerate(_square_supports(m)):
-        for c in bits:
+    for i, row in enumerate(m.data):
+        for c in _support(row):
             images[c].append(i)
     return jordan_type_of_images(images, degrees)
 

@@ -11,7 +11,7 @@ Jordan types: e lowers every degree by exactly 1, so its type comes from a
 graded sweep, and u - 1 lowers it by at least 1, so its ranks of powers
 pivot on each image's highest-degree target.
 expr_action, square_action and tensor_action are dense views of the same
-images, as bit-packed matrices.
+images, as bit-packed matrices; no command builds them.
 """
 
 from __future__ import annotations
@@ -19,9 +19,7 @@ from __future__ import annotations
 import os
 
 from .core import Atom, Ext2, JordanType, Kind, ModuleExpr, Scaled, Sum, Sym2, Tensor, square_expr
-from .gf2 import Gf2Matrix, jordan_type_of_images
-# the dense reference kernel; bench/tracing.py wraps it in this namespace
-from .gf2 import jordan_type_of_nilpotent  # noqa: F401
+from .gf2 import Gf2Matrix, jordan_type_of_images, jordan_type_of_nilpotent  # noqa: F401
 
 Functor = str  # one of core.FUNCTORS
 Images = list[list[int]]  # images[c]: positions hit by basis vector c
@@ -56,24 +54,12 @@ def _check_cap(dim: int, cap: int | None) -> None:
         raise OracleCapExceeded(dim, cap)
 
 
-def _check_kind(kind: Kind) -> None:
-    if kind not in ("unipotent", "nilpotent"):
-        raise ValueError(f"unknown kind {kind!r}")
-
-
 def _block_images(kind: Kind, n: int) -> Images:
-    """Images of v_1, ..., v_n under a single block, as block_matrix lays it out."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    _check_kind(kind)
+    """Images of v_1, ..., v_n under a single block, in upper-shift convention:
+    e v_1 = 0 and e v_i = v_{i-1}; u v_1 = v_1 and u v_i = v_{i-1} + v_i."""
     if kind == "nilpotent":
         return [[]] + [[c - 1] for c in range(1, n)]
     return [[0]] + [[c - 1, c] for c in range(1, n)]
-
-
-def block_matrix(kind: Kind, n: int) -> Gf2Matrix:
-    """Single Jordan block in upper-shift convention: e v_1 = 0, e v_i = v_{i-1}."""
-    return _dense(_block_images(kind, n))
 
 
 def basis_keys(functor: Functor, n: int, m: int | None = None) -> list[tuple[int, int]]:
@@ -125,7 +111,6 @@ def _pair_images(
     sym2 take right = left and identify (k, l) with (l, k); the pairs (k, k),
     which ext2 alone leaves out, go to a spare position that is dropped.
     """
-    _check_kind(kind)
     (a, a_degrees), (b, b_degrees) = left, right
     pairs = [(i - 1, j - 1) for i, j in basis_keys(functor, len(b), len(a))]
     degrees = [a_degrees[i] + b_degrees[j] for i, j in pairs]
@@ -173,6 +158,28 @@ def _direct_sum(parts: list[Images]) -> Images:
     return images
 
 
+def _dim_up_to_3(expr: ModuleExpr, kind: Kind) -> int:
+    """min(dim expr, 3) off the tree, building nothing; atom kinds are checked.
+
+    At 3 E2 and S2 stay exact: a space of dimension 0, 1, 2 or at least 3
+    has an E2 of 0, 0, 1 or at least 3 dimensions and an S2 of 0, 1, 3 or 6+.
+    """
+    if isinstance(expr, Atom):
+        if expr.kind != kind:
+            raise ValueError("expression kind mismatch")
+        return min(expr.dim, 3)
+    if isinstance(expr, Scaled):
+        return min(expr.count * _dim_up_to_3(expr.inner, kind), 3)
+    if isinstance(expr, Sum):
+        return min(sum(_dim_up_to_3(t, kind) for t in expr.terms), 3)
+    if isinstance(expr, Tensor):
+        return min(_dim_up_to_3(expr.left, kind) * _dim_up_to_3(expr.right, kind), 3)
+    if isinstance(expr, (Ext2, Sym2)):
+        d = _dim_up_to_3(expr.inner, kind)
+        return min(d * (d - 1) // 2 if isinstance(expr, Ext2) else d * (d + 1) // 2, 3)
+    raise TypeError(f"not a module expression: {expr!r}")
+
+
 def expr_images(
     expr: ModuleExpr, kind: Kind, *, cap: int | None = DEFAULT_DIM_CAP
 ) -> tuple[Images, Degrees]:
@@ -183,7 +190,8 @@ def expr_images(
     its two factors' degrees: e lowers every degree by exactly 1 and u - 1
     lowers it by at least 1.  Every space is checked against the cap as it
     is built: k*X after X is built once and before it is copied, and a sum
-    after each term.
+    after each term.  A tensor with a zero-dimensional factor is zero, and
+    neither factor is built.
     """
     if isinstance(expr, Atom):
         if expr.kind != kind:
@@ -205,6 +213,8 @@ def expr_images(
             _check_cap(len(degrees), cap)
         return _direct_sum(parts), degrees
     if isinstance(expr, Tensor):
+        if not _dim_up_to_3(expr.left, kind) * _dim_up_to_3(expr.right, kind):
+            return [], []
         left = expr_images(expr.left, kind, cap=cap)
         right = expr_images(expr.right, kind, cap=cap)
         _check_cap(len(left[1]) * len(right[1]), cap)
@@ -221,6 +231,11 @@ def expr_images(
 
 
 # --- dense views ---------------------------------------------------------
+# Kept in the package only because bench/tracing.py wraps them by name:
+# expr_action, square_action and tensor_action here, jordan_type_of_nilpotent
+# imported into this namespace, and basis.gf2_rank, which is why
+# verify_basis hands its masks over as a Gf2Matrix.  No command calls the
+# first four; the tests read them as the dense reference.
 
 
 def _dense(images: Images) -> Gf2Matrix:

@@ -273,6 +273,20 @@ class TestExpr:
         assert time.perf_counter() - start < 1.0
         assert (code, out, err) == (0, "0\n", "")
 
+    @pytest.mark.parametrize("text", [
+        "T(E2(2*E2(3*W5)), E2(S2(S2(W1))))",
+        "T(E2(S2(S2(W1))), E2(2*E2(3*W5)))",
+    ])
+    def test_zero_factor_tensor_builds_neither_factor(self, text):
+        # the other factor alone has 21,945 dimensions, over the default cap
+        assert run_cli("expr", text, "--method", "oracle") == (0, "0\n", "")
+        assert run_cli("expr", text, "--method", "both") == (0, "0\n0\n", "")
+
+    def test_nonzero_factor_tensor_still_capped(self):
+        code, out, err = run_cli("expr", "T(W1, W20001)", "--method", "oracle")
+        assert (code, out) == (3, "")
+        assert err == "error: oracle space has dimension 20001, above the cap 20000\n"
+
     def test_largest_printable_multiplicity(self):
         count = "9" * 4300
         assert run_cli("expr", f"{count}*W1") == (0, f"1^{count}\n", "")
@@ -477,8 +491,7 @@ class TestBasis:
             "basis", "--n", "9", "--functor", "sym2", "--verify",
             env_cap=40, monkeypatch=monkeypatch,
         )
-        assert code == 3
-        assert "16 8^3 1^5" in out
+        assert (code, out) == (3, "")
         assert err == "error: oracle space has dimension 45, above the cap 40\n"
 
     @pytest.mark.parametrize("functor, vectors", [("tensor", 25_000_000), ("sym2", 12_502_500)])

@@ -133,12 +133,6 @@ class TestJordanType:
         with pytest.raises(ValueError):
             JordanType.from_pairs([(3, -1)])
 
-    def test_add_and_scale(self):
-        a = JordanType.from_sizes([4, 2])
-        b = JordanType.from_sizes([4, 1])
-        assert (a + b).parts == ((4, 2), (2, 1), (1, 1))
-        assert a.scaled(3).total_dim == 18
-
     def test_decremented(self):
         t = JordanType.from_pairs([(4, 2), (1, 3)])
         assert t.decremented() == JordanType.from_pairs([(3, 2)])

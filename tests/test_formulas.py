@@ -184,7 +184,9 @@ class TestDecomposeExpr:
     def test_multiplicity_expansion(self):
         # E2(V_3^2) = E2(V_3)^2 + V_3 x V_3
         direct = decompose_expr(Ext2(Scaled(2, Atom("unipotent", 3))))
-        expected = decompose_expr(Ext2(Atom("unipotent", 3))).scaled(2) + tensor_decompose(3, 3)
+        ext2 = decompose_expr(Ext2(Atom("unipotent", 3)))
+        expected = JordanType.from_pairs(
+            [(s, 2 * m) for s, m in ext2.parts] + list(tensor_decompose(3, 3).parts))
         assert direct == expected
 
     def test_dimension_consistency(self):

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from char2squares.basis import SparseVec
@@ -14,18 +14,10 @@ from char2squares.formulas import (
     sym2_block,
     tensor_decompose,
 )
-from char2squares.gf2 import (
-    Gf2Matrix,
-    _square_supports,
-    identity,
-    jordan_type_of_nilpotent,
-    mul,
-    rank,
-)
+from char2squares.gf2 import _support, jordan_type_of_nilpotent, rank
 from char2squares.oracle import (
     OracleCapExceeded,
     basis_keys,
-    block_matrix,
     expr_action,
     expr_images,
     oracle_expr_jordan_type,
@@ -34,6 +26,7 @@ from char2squares.oracle import (
     tensor_action,
 )
 from char2squares.parser import parse_expr
+from gf2_dense import add, identity, mul
 from test_formulas import module_text
 
 
@@ -43,20 +36,21 @@ def jt(text):
 
 def apply_to_coords(mat, coords):
     """Image of a coordinate vector (set of positions) under mat."""
-    out = set()
-    for i in range(mat.rows):
-        bit = sum(mat.entry(i, c) for c in coords) % 2
-        if bit:
-            out.add(i)
-    return out
+    vec = sum(1 << c for c in coords)
+    return {i for i, row in enumerate(mat.data) if (row & vec).bit_count() % 2}
+
+
+def block_matrix(kind, n):
+    """The single Jordan block of size n, as the oracle builds it."""
+    return expr_action(Atom(kind, n), kind)
 
 
 class TestBlockMatrix:
     def test_nilpotent_1(self):
-        assert block_matrix("nilpotent", 1).to_lists() == [[0]]
+        assert block_matrix("nilpotent", 1).data == (0,)
 
     def test_unipotent_2(self):
-        assert block_matrix("unipotent", 2).to_lists() == [[1, 1], [0, 1]]
+        assert block_matrix("unipotent", 2).data == (0b11, 0b10)
 
     def test_upper_shift_convention(self):
         # e v_3 = v_2
@@ -65,10 +59,11 @@ class TestBlockMatrix:
         assert apply_to_coords(m, {0}) == set()
 
     def test_rejects_nonpositive(self):
+        # checked at the boundary: Atom checks the size, expr_images the kind
         with pytest.raises(ValueError):
             block_matrix("nilpotent", 0)
         with pytest.raises(ValueError):
-            block_matrix("weird", 3)
+            expr_images(Atom("nilpotent", 3), "weird")
 
 
 class TestSquareAction:
@@ -304,12 +299,11 @@ class TestExprDegrees:
         mat = expr_action(expr, kind)
         assert len(degrees) == mat.rows
         if kind == "unipotent":
-            mat = mat + identity(mat.rows)
-        for i, row in enumerate(mat.to_lists()):
-            for j, entry in enumerate(row):
-                if entry:
-                    drop = degrees[j] - degrees[i]
-                    assert drop == 1 if kind == "nilpotent" else drop >= 1, (i, j)
+            mat = add(mat, identity(mat.rows))
+        for i, row in enumerate(mat.data):
+            for j in _support(row):
+                drop = degrees[j] - degrees[i]
+                assert drop == 1 if kind == "nilpotent" else drop >= 1, (i, j)
         assert jordan_type_of_nilpotent(mat, degrees) == jordan_type_of_nilpotent(mat)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
@@ -339,7 +333,7 @@ class TestImages:
         kind = expr_kind(expr)
         mat = expr_action(expr, kind)
         if kind == "unipotent":
-            mat = mat + identity(mat.rows)
+            mat = add(mat, identity(mat.rows))
         assert oracle_expr_jordan_type(expr, kind) == jordan_type_of_nilpotent(mat)
 
     @settings(max_examples=150, deadline=None)
@@ -352,7 +346,7 @@ class TestImages:
         for c, hits in enumerate(images):
             for i in hits:
                 rows[i].append(c)
-        assert rows == _square_supports(expr_action(expr, kind))
+        assert rows == [_support(row) for row in expr_action(expr, kind).data]
 
     def test_many_copies_of_a_zero_space_build_nothing(self, monkeypatch):
         from char2squares import oracle
@@ -361,6 +355,29 @@ class TestImages:
         expr = parse_expr("99999999999999999999*E2(W1)")
         assert expr_images(expr, "nilpotent") == ([], [])
         assert oracle_expr_jordan_type(expr, "nilpotent").parts == ()
+
+    @settings(max_examples=150, deadline=None)
+    @given(oracle_expr())
+    @example(parse_expr("E2(W1) + T(W9, E2(S2(E2(W2))))"))  # dimension 0 + 9 * 0
+    @example(parse_expr("E2(W2 + E2(W2))"))  # E2 of dimension 3
+    def test_dim_up_to_3_is_saturated_dimension(self, expr):
+        from char2squares import oracle
+
+        kind = expr_kind(expr)
+        assert oracle._dim_up_to_3(expr, kind) == min(len(expr_images(expr, kind)[1]), 3)
+
+    @pytest.mark.parametrize("text, mixed", [
+        ("T(E2(W1), W30000)", "T(E2(W1), V30000)"),
+        ("T(S2(W30000), E2(S2(E2(W2))))", "T(S2(W30000), E2(S2(E2(V2))))"),
+    ])
+    def test_zero_factor_tensor_builds_nothing(self, monkeypatch, text, mixed):
+        # and still checks the kind of every atom
+        from char2squares import oracle
+
+        monkeypatch.setattr(oracle, "_block_images", None)  # building an atom would call it
+        assert expr_images(parse_expr(text), "nilpotent") == ([], [])
+        with pytest.raises(ValueError, match="kind mismatch"):
+            expr_images(parse_expr(mixed), "nilpotent")
 
     def test_one_walk_builds_images_and_degrees(self, monkeypatch):
         # each pair node lays out its basis once, for the images and the degrees
