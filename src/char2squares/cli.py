@@ -30,10 +30,12 @@ EXIT_CAP = 3
 
 # Bounds on what a command may print or build, whatever the oracle cap:
 # the decimal digits of every size and multiplicity printed, summed, the
-# chain vectors of a basis, which its memory grows with, and the monomials
-# of a basis --dump, which its output grows with.
+# chain vectors of a basis, which its memory grows with, the rows of a
+# table, which its time, memory and output grow with, and the monomials of
+# a basis --dump, which its output grows with.
 OUTPUT_DIGIT_LIMIT = 10**6
 BASIS_VECTOR_LIMIT = 2**20
+TABLE_ROW_LIMIT = 2**16
 DUMP_MONOMIAL_LIMIT = 2**22
 
 
@@ -172,6 +174,8 @@ def table_rows(max_n: int) -> list[tuple[int, str, str, str, str]]:
 def _cmd_table(args, out, err) -> int:
     if args.max_n < 1:
         raise _CliError("--max must be positive")
+    if args.max_n > TABLE_ROW_LIMIT:
+        raise _LimitExceeded(f"table has {args.max_n} rows, above the limit {TABLE_ROW_LIMIT}")
     rows = table_rows(args.max_n)
     headers = ("n", "ext2(V_n)", "sym2(V_n)", "ext2(W_n)", "sym2(W_n)")
     table = [tuple(str(c) for c in row) for row in rows]

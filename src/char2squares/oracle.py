@@ -1,7 +1,7 @@
 """Brute-force ground truth: explicit GF(2) actions on squares.
 
-Builds the action of a unipotent operator u (acting diagonally) or a
-nilpotent operator e (acting as a derivation) on tensor products, exterior
+Builds the nilpotent part N (u - 1 for a unipotent u acting diagonally, e
+for a nilpotent e acting as a derivation) on tensor products, exterior
 squares and symmetric squares, once, from the expression tree, as the
 images of the basis vectors: sparse position lists, built in time and
 memory proportional to the number of nonzero entries.  The same walk
@@ -9,9 +9,9 @@ reads the degree of each basis vector off the tree, and the exact linear
 algebra kernel takes the images as built, with their degrees, to extract
 Jordan types: e lowers every degree by exactly 1, so its type comes from a
 graded sweep, and u - 1 lowers it by at least 1, so its ranks of powers
-pivot on each image's highest-degree target.
-expr_action, square_action and tensor_action are dense views of the same
-images, as bit-packed matrices; no command builds them.
+pivot on each image's highest-degree target.  expr_action, square_action
+and tensor_action are dense views of the same images, as bit-packed
+matrices, and _dense adds u's identity back; no command builds them.
 """
 
 from __future__ import annotations
@@ -44,9 +44,12 @@ def dim_cap() -> int:
     if not value:
         return DEFAULT_DIM_CAP
     try:
-        return int(value)
+        cap = int(value)
     except ValueError:
         raise ValueError(f"{CAP_ENV_VAR} must be an integer, not {value!r}") from None
+    if cap < 0:
+        raise ValueError(f"{CAP_ENV_VAR} must not be negative, not {value!r}")
+    return cap
 
 
 def _check_cap(dim: int, cap: int | None) -> None:
@@ -54,12 +57,10 @@ def _check_cap(dim: int, cap: int | None) -> None:
         raise OracleCapExceeded(dim, cap)
 
 
-def _block_images(kind: Kind, n: int) -> Images:
-    """Images of v_1, ..., v_n under a single block, in upper-shift convention:
-    e v_1 = 0 and e v_i = v_{i-1}; u v_1 = v_1 and u v_i = v_{i-1} + v_i."""
-    if kind == "nilpotent":
-        return [[]] + [[c - 1] for c in range(1, n)]
-    return [[0]] + [[c - 1, c] for c in range(1, n)]
+def _block_images(n: int) -> Images:
+    """Images of v_1, ..., v_n under the nilpotent part N of a single block,
+    in upper-shift convention: N v_1 = 0 and N v_i = v_{i-1}."""
+    return [[]] + [[c - 1] for c in range(1, n)]
 
 
 def basis_keys(functor: Functor, n: int, m: int | None = None) -> list[tuple[int, int]]:
@@ -80,36 +81,22 @@ def basis_keys(functor: Functor, n: int, m: int | None = None) -> list[tuple[int
 
 # --- the one action builder ----------------------------------------------
 #
-# An action is held as the images of its basis vectors: images[c] lists, in
-# increasing order, the positions of the basis vectors that basis vector c
-# is mapped to, each once.  The basis of a product space is ordered as
-# basis_keys lists it.
-
-
-def _cancel(hits: list[int], spare: int) -> list[int]:
-    """hits in increasing order, each position kept once if it occurs an odd
-    number of times (GF(2) sums), and the spare position dropped."""
-    hits.sort()
-    out: list[int] = []
-    for p in hits:
-        if out and out[-1] == p:
-            out.pop()
-        else:
-            out.append(p)
-    if out and out[-1] == spare:
-        out.pop()
-    return out
+# An action is held as the images of its basis vectors under its nilpotent
+# part N: images[c] lists, in increasing order, the positions of the basis
+# vectors that basis vector c is mapped to, each once, all below c.  The
+# basis of a product space is ordered as basis_keys lists it.
 
 
 def _pair_images(
     left: tuple[Images, Degrees], right: tuple[Images, Degrees], kind: Kind, functor: Functor
 ) -> tuple[Images, Degrees]:
-    """Action on the pairs v_i (x) v_j of left and right, reduced to the
+    """Images of N on the pairs v_i (x) v_j of left and right, reduced to the
     functor's quotient, and the degree of each pair: the sum of its factors'.
 
-    u acts as u (x) u and e as the derivation e (x) 1 + 1 (x) e.  ext2 and
-    sym2 take right = left and identify (k, l) with (l, k); the pairs (k, k),
-    which ext2 alone leaves out, go to a spare position that is dropped.
+    left and right hold images of N.  e acts as N (x) 1 + 1 (x) N, and
+    u - 1 as that plus N (x) N: (1 + N) (x) (1 + N) - 1.  ext2 and sym2 take
+    right = left and identify (k, l) with (l, k); the pairs (k, k), which
+    ext2 alone leaves out, go to a spare position that is dropped.
     """
     (a, a_degrees), (b, b_degrees) = left, right
     pairs = [(i - 1, j - 1) for i, j in basis_keys(functor, len(b), len(a))]
@@ -120,32 +107,32 @@ def _pair_images(
         row_of[i][j] = pos
         if functor != "tensor":
             row_of[j][i] = pos
+    in_row = [row.__getitem__ for row in row_of]  # in_row[k](l) = row_of[k][l]
+    in_col = [col.__getitem__ for col in zip(*row_of)]  # in_col[l](k) = row_of[k][l]
+    # N maps every basis vector below itself, so N(v_i) v_j and v_i N(v_j)
+    # share no pair, except on a pair (i, i) of sym2, where they are equal;
+    # for u, transposed terms of N (x) N on ext2 and sym2 share pairs too
+    unipotent = kind == "unipotent"
+    cancels = unipotent and functor != "tensor"
+    diagonal = functor == "sym2"
     images = []
-    if kind == "nilpotent":
-        # e moves every basis vector (it lowers the degree), so the halves
-        # e(v_i) v_j and v_i e(v_j) share no pair, except on a pair (i, i) of
-        # sym2, where they are equal and cancel
-        in_row = [row.__getitem__ for row in row_of]  # in_row[k](l) = row_of[k][l]
-        in_col = [col.__getitem__ for col in zip(*row_of)]  # in_col[l](k) = row_of[k][l]
-        diagonal = functor == "sym2"
-        for i, j in pairs:
-            if i == j and diagonal:
-                images.append([])
-                continue
-            hits = [*map(in_col[j], a[i]), *map(in_row[i], b[j])]
-            hits.sort()
-            while hits and hits[-1] == spare:
-                hits.pop()
-            images.append(hits)
-    elif functor == "tensor":
-        # pairs of distinct (k, l) in lex order, at distinct increasing positions
-        for i, j in pairs:
-            down_b = b[j]
-            images.append([row_of[k][l] for k in a[i] for l in down_b])
-    else:
-        for i, j in pairs:
-            down_b = b[j]
-            images.append(_cancel([row_of[k][l] for k in a[i] for l in down_b], spare))
+    for i, j in pairs:
+        hits = [*map(in_col[j], a[i]), *map(in_row[i], b[j])]
+        if unipotent:
+            for k in a[i]:
+                hits += map(in_row[k], b[j])
+        hits.sort()
+        if cancels or (i == j and diagonal):
+            odd: list[int] = []  # GF(2) sums: the positions hit an odd number of times
+            for p in hits:
+                if odd and odd[-1] == p:
+                    odd.pop()
+                else:
+                    odd.append(p)
+            hits = odd
+        if hits and hits[-1] == spare:
+            hits.pop()
+        images.append(hits)
     return images, degrees
 
 
@@ -183,21 +170,23 @@ def _dim_up_to_3(expr: ModuleExpr, kind: Kind) -> int:
 def expr_images(
     expr: ModuleExpr, kind: Kind, *, cap: int | None = DEFAULT_DIM_CAP
 ) -> tuple[Images, Degrees]:
-    """Images of the basis vectors under the operator (u or e) on a module
-    expression, and the degree of each basis vector.
+    """Images of the basis vectors under the nilpotent part N of the
+    operator on a module expression, and the degree of each basis vector.
 
-    v_i of an atom has degree i, and a pair of T, E2 or S2 has the sum of
-    its two factors' degrees: e lowers every degree by exactly 1 and u - 1
-    lowers it by at least 1.  Every space is checked against the cap as it
-    is built: k*X after X is built once and before it is copied, and a sum
-    after each term.  A tensor with a zero-dimensional factor is zero, and
-    neither factor is built.
+    N is e for the nilpotent kind and u - 1 for the unipotent kind; only
+    the dense views (_dense) add u's identity.  v_i of an atom has degree
+    i, and a pair of T, E2 or S2 has the sum of its two factors' degrees:
+    e lowers every degree by exactly 1 and u - 1 lowers it by at least 1.
+    Every space is checked against the cap as it is built: k*X after X is
+    built once and before it is copied, and a sum after each term.  A
+    tensor with a zero-dimensional factor is zero, and neither factor is
+    built.
     """
     if isinstance(expr, Atom):
         if expr.kind != kind:
             raise ValueError("expression kind mismatch")
         _check_cap(expr.dim, cap)
-        return _block_images(kind, expr.dim), list(range(1, expr.dim + 1))
+        return _block_images(expr.dim), list(range(1, expr.dim + 1))
     if isinstance(expr, Scaled):
         images, degrees = expr_images(expr.inner, kind, cap=cap)
         _check_cap(expr.count * len(images), cap)
@@ -238,13 +227,16 @@ def expr_images(
 # first four; the tests read them as the dense reference.
 
 
-def _dense(images: Images) -> Gf2Matrix:
-    """The matrix whose column c has its ones in the rows images[c]."""
+def _dense(images: Images, kind: Kind) -> Gf2Matrix:
+    """The matrix of the operator whose nilpotent part N has column c's ones
+    in the rows images[c]: N itself for e, and u = 1 + N."""
     rows = [0] * len(images)
     for c, hits in enumerate(images):
         bit = 1 << c
         for i in hits:
             rows[i] ^= bit
+        if kind == "unipotent":
+            rows[c] ^= bit
     return Gf2Matrix(len(images), len(images), tuple(rows))
 
 
@@ -270,7 +262,7 @@ def expr_action(
 ) -> Gf2Matrix:
     """Matrix of the operator on an arbitrary module expression."""
     images, _ = expr_images(expr, kind, cap=cap)
-    return _dense(images)
+    return _dense(images, kind)
 
 
 def oracle_jordan_type(
@@ -289,9 +281,4 @@ def oracle_expr_jordan_type(
     expr: ModuleExpr, kind: Kind, *, cap: int | None = DEFAULT_DIM_CAP
 ) -> JordanType:
     """Ground-truth Jordan type of the operator on a module expression."""
-    images, degrees = expr_images(expr, kind, cap=cap)
-    if kind == "unipotent":
-        # u fixes the top-degree term of every vector: u - 1 is u off the diagonal
-        for c, hits in enumerate(images):
-            hits.remove(c)
-    return jordan_type_of_images(images, degrees)
+    return jordan_type_of_images(*expr_images(expr, kind, cap=cap))

@@ -53,7 +53,7 @@ class _Parser:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise self.error("expected an integer")
@@ -79,7 +79,7 @@ class _Parser:
         # stack frames (expr, factor) rather than three
         terms = []
         while True:
-            count = self.integer() if self.peek().isdigit() else None
+            count = self.integer() if self.peek().isdecimal() else None
             if count is not None:
                 self.expect("*")
             terms.append(self.repeat(count, self.factor()))

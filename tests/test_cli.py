@@ -101,6 +101,16 @@ class TestDecompose:
         assert out == ""
         assert err == "error: CHAR2SQUARES_ORACLE_CAP must be an integer, not '12k'\n"
 
+    def test_negative_cap(self, monkeypatch):
+        argv = ("expr", "E2(W1)", "--method", "oracle")
+        code, out, err = run_cli(*argv, env_cap=-5, monkeypatch=monkeypatch)
+        assert (code, out) == (1, "")
+        assert err == "error: CHAR2SQUARES_ORACLE_CAP must not be negative, not '-5'\n"
+        # a cap of 0 is a cap: every nonzero space is over it
+        code, out, err = run_cli(*argv, env_cap=0, monkeypatch=monkeypatch)
+        assert (code, out) == (3, "")
+        assert err == "error: oracle space has dimension 1, above the cap 0\n"
+
 
 _TENSOR_3_5 = ("decompose", "--functor", "tensor", "--kind", "nilpotent", "--n", "5", "--m", "3")
 _EXPR = ("expr", "S2(W5 + 2*W3)")
@@ -435,6 +445,13 @@ class TestTable:
     def test_rejects_bad_max(self):
         code, _, _ = run_cli("table", "--max", "0")
         assert code == 1
+
+    def test_row_limit_before_computing(self, monkeypatch):
+        monkeypatch.setattr(cli, "table_rows", None)  # computing a row would call it
+        assert cli.TABLE_ROW_LIMIT == 65536
+        code, out, err = run_cli("table", "--max", "65537")
+        assert (code, out) == (3, "")
+        assert err == "error: table has 65537 rows, above the limit 65536\n"
 
 
 class TestBasis:

@@ -217,7 +217,7 @@ class TestExprOracle:
         built = []
         block_images = oracle._block_images
         monkeypatch.setattr(
-            oracle, "_block_images", lambda kind, n: built.append(n) or block_images(kind, n)
+            oracle, "_block_images", lambda n: built.append(n) or block_images(n)
         )
         expr = parse_expr("W15000 + W15000 + W15000 + W15000")
         with pytest.raises(OracleCapExceeded) as exc:
@@ -346,7 +346,19 @@ class TestImages:
         for c, hits in enumerate(images):
             for i in hits:
                 rows[i].append(c)
-        assert rows == [_support(row) for row in expr_action(expr, kind).data]
+        mat = expr_action(expr, kind)
+        if kind == "unipotent":
+            mat = add(mat, identity(mat.rows))
+        assert rows == [_support(row) for row in mat.data]
+
+    @settings(max_examples=150, deadline=None)
+    @given(oracle_expr())
+    @example(parse_expr("S2(E2(V4))"))  # transposed terms of N (x) N cancel
+    def test_images_are_strictly_lower(self, expr):
+        # N = e or u - 1 maps every basis vector below itself in basis order
+        kind = expr_kind(expr)
+        images, _ = expr_images(expr, kind)
+        assert all(i < c for c, hits in enumerate(images) for i in hits)
 
     def test_many_copies_of_a_zero_space_build_nothing(self, monkeypatch):
         from char2squares import oracle

@@ -45,6 +45,18 @@ class TestErrors:
         assert exc.value.position == 5
         assert "position" in str(exc.value)
 
+    @pytest.mark.parametrize("text, message, position", [
+        ("W\u00b2", "expected an integer", 1),  # superscript two: a digit, not decimal
+        ("\u00b2*W3", "expected an atom", 0),
+    ])
+    def test_only_decimal_digits_are_integers(self, text, message, position):
+        with pytest.raises(ExprSyntaxError, match=message) as exc:
+            parse_expr(text)
+        assert exc.value.position == position
+
+    def test_non_ascii_decimal_digits_parse(self):
+        assert parse_expr("W\u0663") == parse_expr("W3")  # Arabic-Indic three
+
     @pytest.mark.parametrize("opener", ["(", "S2(", "T(V1, "])
     def test_nesting_limit(self, opener):
         depth = MAX_DEPTH
