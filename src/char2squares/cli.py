@@ -20,7 +20,7 @@ import sys
 
 from . import basis as basis_mod
 from . import formulas, oracle
-from .core import FUNCTORS, KINDS, MixedKindError, expr_kind, format_jordan_type, square_expr
+from .core import FUNCTORS, KINDS, format_jordan_type, square_expr
 from .parser import ExprSyntaxError, parse_expr
 
 EXIT_OK = 0
@@ -100,7 +100,7 @@ def _cmd_decompose(args, out, err) -> int:
         **({"m": args.m} if args.m is not None else {}),
     }
     expr = square_expr(args.functor, args.kind, args.n, args.m)
-    return _decompose(expr, args.kind, input_desc, args, out, err)
+    return _decompose(expr, input_desc, args, out, err)
 
 
 def _cmd_expr(args, out, err) -> int:
@@ -108,21 +108,18 @@ def _cmd_expr(args, out, err) -> int:
         expr = parse_expr(args.text)
     except ExprSyntaxError as exc:
         raise _CliError(f"parse error: {exc}") from exc
-    try:
-        kind = expr_kind(expr)
-    except MixedKindError as exc:
-        raise _CliError(str(exc)) from exc
-    return _decompose(expr, kind, {"expr": args.text}, args, out, err)
+    return _decompose(expr, {"expr": args.text}, args, out, err)
 
 
-def _decompose(expr, kind, input_desc: dict, args, out, err) -> int:
-    """Evaluate expr by args.method, print each result, and report a mismatch."""
+def _decompose(expr, input_desc: dict, args, out, err) -> int:
+    """Evaluate expr by args.method, print each result, and report a mismatch;
+    either route raises MixedKindError, a ValueError, on mixed V and W atoms."""
     results = []
     if args.method in ("formula", "both"):
         results.append(formulas.decompose_expr(expr))
     if args.method in ("oracle", "both"):
         try:
-            results.append(oracle.oracle_expr_jordan_type(expr, kind, cap=oracle.dim_cap()))
+            results.append(oracle.oracle_expr_jordan_type(expr, cap=oracle.dim_cap()))
         except oracle.OracleCapExceeded as exc:
             if args.method == "oracle":
                 raise
@@ -193,7 +190,9 @@ def _cmd_basis(args, out, err) -> int:
     if vectors > BASIS_VECTOR_LIMIT:
         raise _LimitExceeded(
             f"basis has {vectors} chain vectors, above the limit {BASIS_VECTOR_LIMIT}")
-    cap = oracle.dim_cap() if args.verify else None  # before any output
+    if args.verify:  # before any chain or output: a space over the cap builds nothing
+        expr = square_expr(args.functor, "nilpotent", args.n)
+        images, _ = oracle.expr_images(expr, cap=oracle.dim_cap())
     if args.functor == "tensor":
         chains = basis_mod.build_tensor_basis(args.n)
         terminals = [basis_mod.build_z(c.s, args.n) for c in chains]
@@ -205,9 +204,6 @@ def _cmd_basis(args, out, err) -> int:
         if monomials > DUMP_MONOMIAL_LIMIT:
             raise _LimitExceeded(
                 f"dump has {monomials} monomials, above the limit {DUMP_MONOMIAL_LIMIT}")
-    if args.verify:  # built before any output: a space over the cap prints nothing
-        expr = square_expr(args.functor, "nilpotent", args.n)
-        images, _ = oracle.expr_images(expr, "nilpotent", cap=cap)
     print(
         f"{args.functor} square of W_{args.n}: {len(chains)} chains, "
         f"type {basis_mod.chain_type(chains)}",

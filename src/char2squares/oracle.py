@@ -9,16 +9,21 @@ reads the degree of each basis vector off the tree, and the exact linear
 algebra kernel takes the images as built, with their degrees, to extract
 Jordan types: e lowers every degree by exactly 1, so its type comes from a
 graded sweep, and u - 1 lowers it by at least 1, so its ranks of powers
-pivot on each image's highest-degree target.  expr_action, square_action
-and tensor_action are dense views of the same images, as bit-packed
-matrices, and _dense adds u's identity back; no command builds them.
+pivot on each image's highest-degree target.  The kind and the dimension
+are read off the expression before anything is built, and one check of
+that dimension against the cap bounds every space built on the way.
+expr_action, square_action and tensor_action are dense views of the same
+images, as bit-packed matrices, and _dense adds u's identity back; no
+command builds them.
 """
 
 from __future__ import annotations
 
 import os
 
-from .core import Atom, Ext2, JordanType, Kind, ModuleExpr, Scaled, Sum, Sym2, Tensor, square_expr
+from .core import (
+    Atom, Ext2, JordanType, Kind, ModuleExpr, Scaled, Sum, Sym2, Tensor, expr_kind, square_expr,
+)
 from .gf2 import Gf2Matrix, jordan_type_of_images, jordan_type_of_nilpotent  # noqa: F401
 
 Functor = str  # one of core.FUNCTORS
@@ -27,13 +32,16 @@ Degrees = list[int]  # degrees[c]: the degree of basis vector c
 
 DEFAULT_DIM_CAP = 20_000
 CAP_ENV_VAR = "CHAR2SQUARES_ORACLE_CAP"
+# Dimensions saturate here, the first with more digits than Python prints.
+_DIM_LIMIT = 10**4300
 
 
 class OracleCapExceeded(RuntimeError):
     """The requested functor space is larger than the configured cap."""
 
     def __init__(self, dim: int, cap: int):
-        super().__init__(f"oracle space has dimension {dim}, above the cap {cap}")
+        shown = "at least 10^4300" if dim >= _DIM_LIMIT else dim
+        super().__init__(f"oracle space has dimension {shown}, above the cap {cap}")
         self.dim = dim
         self.cap = cap
 
@@ -50,11 +58,6 @@ def dim_cap() -> int:
     if cap < 0:
         raise ValueError(f"{CAP_ENV_VAR} must not be negative, not {value!r}")
     return cap
-
-
-def _check_cap(dim: int, cap: int | None) -> None:
-    if cap is not None and dim > cap:
-        raise OracleCapExceeded(dim, cap)
 
 
 def _block_images(n: int) -> Images:
@@ -88,7 +91,7 @@ def basis_keys(functor: Functor, n: int, m: int | None = None) -> list[tuple[int
 
 
 def _pair_images(
-    left: tuple[Images, Degrees], right: tuple[Images, Degrees], kind: Kind, functor: Functor
+    left: tuple[Images, Degrees], right: tuple[Images, Degrees], unipotent: bool, functor: Functor
 ) -> tuple[Images, Degrees]:
     """Images of N on the pairs v_i (x) v_j of left and right, reduced to the
     functor's quotient, and the degree of each pair: the sum of its factors'.
@@ -112,7 +115,6 @@ def _pair_images(
     # N maps every basis vector below itself, so N(v_i) v_j and v_i N(v_j)
     # share no pair, except on a pair (i, i) of sym2, where they are equal;
     # for u, transposed terms of N (x) N on ext2 and sym2 share pairs too
-    unipotent = kind == "unipotent"
     cancels = unipotent and functor != "tensor"
     diagonal = functor == "sym2"
     images = []
@@ -145,77 +147,73 @@ def _direct_sum(parts: list[Images]) -> Images:
     return images
 
 
-def _dim_up_to_3(expr: ModuleExpr, kind: Kind) -> int:
-    """min(dim expr, 3) off the tree, building nothing; atom kinds are checked.
+def _dim(expr: ModuleExpr, limit: int) -> int:
+    """min(dim expr, limit) off the tree, building nothing; exact for limit >= 3.
 
-    At 3 E2 and S2 stay exact: a space of dimension 0, 1, 2 or at least 3
-    has an E2 of 0, 0, 1 or at least 3 dimensions and an S2 of 0, 1, 3 or 6+.
+    Each node saturates what it returns at limit, and the saturation is
+    exact: a space of dimension at least limit >= 3 has an E2, an S2, sums
+    with others and tensors with nonzero spaces of at least limit dimensions.
     """
     if isinstance(expr, Atom):
-        if expr.kind != kind:
-            raise ValueError("expression kind mismatch")
-        return min(expr.dim, 3)
-    if isinstance(expr, Scaled):
-        return min(expr.count * _dim_up_to_3(expr.inner, kind), 3)
-    if isinstance(expr, Sum):
-        return min(sum(_dim_up_to_3(t, kind) for t in expr.terms), 3)
-    if isinstance(expr, Tensor):
-        return min(_dim_up_to_3(expr.left, kind) * _dim_up_to_3(expr.right, kind), 3)
-    if isinstance(expr, (Ext2, Sym2)):
-        d = _dim_up_to_3(expr.inner, kind)
-        return min(d * (d - 1) // 2 if isinstance(expr, Ext2) else d * (d + 1) // 2, 3)
-    raise TypeError(f"not a module expression: {expr!r}")
+        d = expr.dim
+    elif isinstance(expr, Scaled):
+        d = expr.count * _dim(expr.inner, limit)
+    elif isinstance(expr, Sum):
+        d = sum(_dim(t, limit) for t in expr.terms)
+    elif isinstance(expr, Tensor):
+        d = _dim(expr.left, limit) * _dim(expr.right, limit)
+    elif isinstance(expr, (Ext2, Sym2)):
+        d = _dim(expr.inner, limit)
+        d = d * (d - 1 if isinstance(expr, Ext2) else d + 1) // 2
+    else:
+        raise TypeError(f"not a module expression: {expr!r}")
+    return min(d, limit)
 
 
-def expr_images(
-    expr: ModuleExpr, kind: Kind, *, cap: int | None = DEFAULT_DIM_CAP
-) -> tuple[Images, Degrees]:
+def expr_images(expr: ModuleExpr, *, cap: int | None = DEFAULT_DIM_CAP) -> tuple[Images, Degrees]:
     """Images of the basis vectors under the nilpotent part N of the
     operator on a module expression, and the degree of each basis vector.
 
-    N is e for the nilpotent kind and u - 1 for the unipotent kind; only
-    the dense views (_dense) add u's identity.  v_i of an atom has degree
-    i, and a pair of T, E2 or S2 has the sum of its two factors' degrees:
-    e lowers every degree by exactly 1 and u - 1 lowers it by at least 1.
-    Every space is checked against the cap as it is built: k*X after X is
-    built once and before it is copied, and a sum after each term.  A
-    tensor with a zero-dimensional factor is zero, and neither factor is
-    built.
+    N is e on W expressions and u - 1 on V expressions; only the dense views
+    (_dense) add u's identity.  v_i of an atom has degree i, and a pair of
+    T, E2 or S2 has the sum of its two factors' degrees: e lowers every
+    degree by exactly 1 and u - 1 lowers it by at least 1.  The kind is read
+    off the atoms (MixedKindError if they mix), and the dimension checked
+    against the cap, before anything is built.  That bounds every space
+    built on the way: only E2 of a space of dimension 2 or less is smaller
+    than its input, and a tensor with a zero factor builds neither factor.
     """
+    unipotent = expr_kind(expr) == "unipotent"
+    if cap is not None:
+        dim = _dim(expr, _DIM_LIMIT)
+        if dim > cap:
+            raise OracleCapExceeded(dim, cap)
+    return _images(expr, unipotent)
+
+
+def _images(expr: ModuleExpr, unipotent: bool) -> tuple[Images, Degrees]:
     if isinstance(expr, Atom):
-        if expr.kind != kind:
-            raise ValueError("expression kind mismatch")
-        _check_cap(expr.dim, cap)
         return _block_images(expr.dim), list(range(1, expr.dim + 1))
     if isinstance(expr, Scaled):
-        images, degrees = expr_images(expr.inner, kind, cap=cap)
-        _check_cap(expr.count * len(images), cap)
+        images, degrees = _images(expr.inner, unipotent)
         if not images:  # any number of copies of a zero space is that space
             return images, degrees
         return _direct_sum([images] * expr.count), degrees * expr.count
     if isinstance(expr, Sum):
         parts, degrees = [], []
         for t in expr.terms:
-            images, term_degrees = expr_images(t, kind, cap=cap)
+            images, term_degrees = _images(t, unipotent)
             parts.append(images)
             degrees += term_degrees
-            _check_cap(len(degrees), cap)
         return _direct_sum(parts), degrees
     if isinstance(expr, Tensor):
-        if not _dim_up_to_3(expr.left, kind) * _dim_up_to_3(expr.right, kind):
+        if not _dim(expr.left, 3) * _dim(expr.right, 3):
             return [], []
-        left = expr_images(expr.left, kind, cap=cap)
-        right = expr_images(expr.right, kind, cap=cap)
-        _check_cap(len(left[1]) * len(right[1]), cap)
-        return _pair_images(left, right, kind, "tensor")
+        left, right = _images(expr.left, unipotent), _images(expr.right, unipotent)
+        return _pair_images(left, right, unipotent, "tensor")
     if isinstance(expr, (Ext2, Sym2)):
-        inner = expr_images(expr.inner, kind, cap=cap)
-        d = len(inner[1])
-        if isinstance(expr, Ext2):
-            _check_cap(d * (d - 1) // 2, cap)
-            return _pair_images(inner, inner, kind, "ext2")
-        _check_cap(d * (d + 1) // 2, cap)
-        return _pair_images(inner, inner, kind, "sym2")
+        inner = _images(expr.inner, unipotent)
+        return _pair_images(inner, inner, unipotent, "ext2" if isinstance(expr, Ext2) else "sym2")
     raise TypeError(f"not a module expression: {expr!r}")
 
 
@@ -227,7 +225,7 @@ def expr_images(
 # first four; the tests read them as the dense reference.
 
 
-def _dense(images: Images, kind: Kind) -> Gf2Matrix:
+def _dense(images: Images, unipotent: bool) -> Gf2Matrix:
     """The matrix of the operator whose nilpotent part N has column c's ones
     in the rows images[c]: N itself for e, and u = 1 + N."""
     rows = [0] * len(images)
@@ -235,7 +233,7 @@ def _dense(images: Images, kind: Kind) -> Gf2Matrix:
         bit = 1 << c
         for i in hits:
             rows[i] ^= bit
-        if kind == "unipotent":
+        if unipotent:
             rows[c] ^= bit
     return Gf2Matrix(len(images), len(images), tuple(rows))
 
@@ -247,22 +245,20 @@ def square_action(
     kind: Kind, functor: Functor, n: int, *, cap: int | None = DEFAULT_DIM_CAP
 ) -> Gf2Matrix:
     """Matrix of u or e on the chosen square of the size-n block."""
-    return expr_action(square_expr(functor, kind, n), kind, cap=cap)
+    return expr_action(square_expr(functor, kind, n), cap=cap)
 
 
 def tensor_action(
     kind: Kind, m: int, n: int, *, cap: int | None = DEFAULT_DIM_CAP
 ) -> Gf2Matrix:
     """Matrix of u or e on the mixed tensor product of blocks of sizes m, n."""
-    return expr_action(square_expr("tensor", kind, n, m), kind, cap=cap)
+    return expr_action(square_expr("tensor", kind, n, m), cap=cap)
 
 
-def expr_action(
-    expr: ModuleExpr, kind: Kind, *, cap: int | None = DEFAULT_DIM_CAP
-) -> Gf2Matrix:
+def expr_action(expr: ModuleExpr, *, cap: int | None = DEFAULT_DIM_CAP) -> Gf2Matrix:
     """Matrix of the operator on an arbitrary module expression."""
-    images, _ = expr_images(expr, kind, cap=cap)
-    return _dense(images, kind)
+    images, _ = expr_images(expr, cap=cap)
+    return _dense(images, expr_kind(expr) == "unipotent")
 
 
 def oracle_jordan_type(
@@ -274,11 +270,9 @@ def oracle_jordan_type(
     cap: int | None = DEFAULT_DIM_CAP,
 ) -> JordanType:
     """Ground-truth Jordan type via explicit matrices and the GF(2) kernel."""
-    return oracle_expr_jordan_type(square_expr(functor, kind, n, m), kind, cap=cap)
+    return oracle_expr_jordan_type(square_expr(functor, kind, n, m), cap=cap)
 
 
-def oracle_expr_jordan_type(
-    expr: ModuleExpr, kind: Kind, *, cap: int | None = DEFAULT_DIM_CAP
-) -> JordanType:
+def oracle_expr_jordan_type(expr: ModuleExpr, *, cap: int | None = DEFAULT_DIM_CAP) -> JordanType:
     """Ground-truth Jordan type of the operator on a module expression."""
-    return jordan_type_of_images(*expr_images(expr, kind, cap=cap))
+    return jordan_type_of_images(*expr_images(expr, cap=cap))

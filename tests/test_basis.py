@@ -32,7 +32,7 @@ def action_images(space, n, *edits):
     Each edit (source, target) toggles the entry target <- source: the image
     of monomial source gains target, or loses it.
     """
-    images, _ = expr_images(square_expr(space, "nilpotent", n), "nilpotent")
+    images, _ = expr_images(square_expr(space, "nilpotent", n))
     index = {k: i for i, k in enumerate(basis_keys(space, n))}
     for source, target in edits:
         hits = set(images[index[source]]) ^ {index[target]}

@@ -107,9 +107,12 @@ class TestDecompose:
         assert (code, out) == (1, "")
         assert err == "error: CHAR2SQUARES_ORACLE_CAP must not be negative, not '-5'\n"
         # a cap of 0 is a cap: every nonzero space is over it
-        code, out, err = run_cli(*argv, env_cap=0, monkeypatch=monkeypatch)
+        code, out, err = run_cli("expr", "W1", "--method", "oracle", env_cap=0,
+                                 monkeypatch=monkeypatch)
         assert (code, out) == (3, "")
         assert err == "error: oracle space has dimension 1, above the cap 0\n"
+        # the cap bounds the space asked for, and E2(W1) has dimension 0
+        assert run_cli(*argv, env_cap=0, monkeypatch=monkeypatch) == (0, "0\n", "")
 
 
 _TENSOR_3_5 = ("decompose", "--functor", "tensor", "--kind", "nilpotent", "--n", "5", "--m", "3")
@@ -296,6 +299,18 @@ class TestExpr:
         code, out, err = run_cli("expr", "T(W1, W20001)", "--method", "oracle")
         assert (code, out) == (3, "")
         assert err == "error: oracle space has dimension 20001, above the cap 20000\n"
+
+    def test_cap_message_saturates(self):
+        # a dimension of 4,301 digits or more is not printed, but named as saturated
+        text = "9" * 4300 + "*W2"
+        code, out, err = run_cli("expr", text, "--method", "oracle")
+        assert (code, out) == (3, "")
+        over = "oracle space has dimension at least 10^4300, above the cap 20000"
+        assert err == f"error: {over}\n"
+        code, out, err = run_cli("expr", text, "--method", "both")
+        assert (code, out) == (3, "")
+        assert err == (f"warning: {over}; falling back to formula only\n"
+                       "error: total_dim reaches 10^4300, too long for text output\n")
 
     def test_largest_printable_multiplicity(self):
         count = "9" * 4300
@@ -510,6 +525,18 @@ class TestBasis:
         )
         assert (code, out) == (3, "")
         assert err == "error: oracle space has dimension 45, above the cap 40\n"
+
+    def test_cap_before_any_chain(self, monkeypatch):
+        # over the cap, basis --verify builds no chain before it exits
+        def refuse(n):
+            raise AssertionError("a chain was built")
+
+        monkeypatch.setattr(basis, "build_tensor_basis", refuse)
+        monkeypatch.setattr(basis, "build_sym_basis", refuse)
+        for n, functor, dim in [(1000, "tensor", 1_000_000), (200, "sym2", 20_100)]:
+            code, out, err = run_cli("basis", "--n", str(n), "--functor", functor, "--verify")
+            assert (code, out) == (3, "")
+            assert err == f"error: oracle space has dimension {dim}, above the cap 20000\n"
 
     @pytest.mark.parametrize("functor, vectors", [("tensor", 25_000_000), ("sym2", 12_502_500)])
     @pytest.mark.parametrize("verify", [[], ["--verify"]])

@@ -12,7 +12,6 @@ from char2squares.core import (
     Sum,
     Sym2,
     Tensor,
-    expr_kind,
     parse_jordan_type,
 )
 from char2squares.formulas import (
@@ -262,8 +261,7 @@ class TestDecomposeAgainstOracle:
     @example("E2(S2(W2) + 2*(W1 + W2))")
     def test_formula_equals_oracle(self, text):
         expr = parse_expr(text)
-        kind = expr_kind(expr)
-        expected = oracle_expr_jordan_type(expr, kind)
+        expected = oracle_expr_jordan_type(expr)
         assert expected.total_dim <= MAX_ORACLE_DIM
         assert decompose_expr(expr) == expected, text
 

@@ -1,13 +1,14 @@
 import hashlib
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from char2squares.basis import SparseVec
-from char2squares.core import Atom, Ext2, Sum, Sym2, expr_kind, parse_jordan_type
+from char2squares.core import Atom, Ext2, MixedKindError, Sum, Sym2, expr_kind, parse_jordan_type
 from char2squares.formulas import (
     decompose_expr,
     ext2_block,
@@ -42,7 +43,7 @@ def apply_to_coords(mat, coords):
 
 def block_matrix(kind, n):
     """The single Jordan block of size n, as the oracle builds it."""
-    return expr_action(Atom(kind, n), kind)
+    return expr_action(Atom(kind, n))
 
 
 class TestBlockMatrix:
@@ -59,11 +60,9 @@ class TestBlockMatrix:
         assert apply_to_coords(m, {0}) == set()
 
     def test_rejects_nonpositive(self):
-        # checked at the boundary: Atom checks the size, expr_images the kind
+        # checked at the boundary: Atom checks the size
         with pytest.raises(ValueError):
             block_matrix("nilpotent", 0)
-        with pytest.raises(ValueError):
-            expr_images(Atom("nilpotent", 3), "weird")
 
 
 class TestSquareAction:
@@ -183,7 +182,7 @@ class TestAgainstFormulas:
 class TestExprOracle:
     def test_direct_sum_action(self):
         e = Sum((Atom("nilpotent", 3), Atom("nilpotent", 2)))
-        mat = expr_action(e, "nilpotent")
+        mat = expr_action(e)
         assert mat.rows == 5
         from char2squares.gf2 import jordan_type_of_nilpotent
 
@@ -191,12 +190,12 @@ class TestExprOracle:
 
     def test_cap_uses_each_square_dimension(self):
         w5 = Atom("nilpotent", 5)
-        assert expr_action(Ext2(w5), "nilpotent", cap=10).rows == 10
+        assert expr_action(Ext2(w5), cap=10).rows == 10
         with pytest.raises(OracleCapExceeded):
-            expr_action(Ext2(w5), "nilpotent", cap=9)
-        assert expr_action(Sym2(w5), "nilpotent", cap=15).rows == 15
+            expr_action(Ext2(w5), cap=9)
+        assert expr_action(Sym2(w5), cap=15).rows == 15
         with pytest.raises(OracleCapExceeded):
-            expr_action(Sym2(w5), "nilpotent", cap=14)
+            expr_action(Sym2(w5), cap=14)
 
     def test_repeated_factor_built_once(self, monkeypatch):
         from char2squares import oracle
@@ -206,37 +205,26 @@ class TestExprOracle:
         pair_images = oracle._pair_images
         monkeypatch.setattr(oracle, "_pair_images", lambda *a: calls.append(a) or pair_images(*a))
         expr = parse_expr("4*S2(W6)")
-        assert expr_action(expr, "nilpotent").rows == 4 * 21
+        assert expr_action(expr).rows == 4 * 21
         assert len(calls) == 1
-        assert oracle_expr_jordan_type(expr, "nilpotent") == jt("8^8 2^4 1^12")
+        assert oracle_expr_jordan_type(expr) == jt("8^8 2^4 1^12")
 
-    def test_sum_stops_at_first_term_over_cap(self, monkeypatch):
+    def test_sum_over_cap_builds_nothing(self, monkeypatch):
+        # the whole expression is checked against the cap before any term is built
         from char2squares import oracle
         from char2squares.parser import parse_expr
 
-        built = []
-        block_images = oracle._block_images
-        monkeypatch.setattr(
-            oracle, "_block_images", lambda n: built.append(n) or block_images(n)
-        )
+        monkeypatch.setattr(oracle, "_block_images", None)  # building an atom would call it
         expr = parse_expr("W15000 + W15000 + W15000 + W15000")
-        with pytest.raises(OracleCapExceeded) as exc:
-            expr_action(expr, "nilpotent", cap=20_000)
-        assert built == [15_000, 15_000]
-        assert exc.value.dim == 30_000
+        with pytest.raises(OracleCapExceeded, match="dimension 60000, above the cap 20000"):
+            expr_action(expr, cap=20_000)
 
     def test_expr_oracle_matches_formula(self):
         from char2squares.parser import parse_expr
 
-        for text, kind in [
-            ("E2(V9)", "unipotent"),
-            ("S2(W5 + 2*W3)", "nilpotent"),
-            ("T(V2, V3)", "unipotent"),
-            ("E2(S2(W4))", "nilpotent"),
-            ("T(W2 + W3, W4)", "nilpotent"),
-        ]:
+        for text in ["E2(V9)", "S2(W5 + 2*W3)", "T(V2, V3)", "E2(S2(W4))", "T(W2 + W3, W4)"]:
             expr = parse_expr(text)
-            assert oracle_expr_jordan_type(expr, kind) == decompose_expr(expr)
+            assert oracle_expr_jordan_type(expr) == decompose_expr(expr)
 
 
 def _digest(mats):
@@ -276,7 +264,7 @@ class TestPairLayout:
         elif case == "mixed":  # T(X_m, X_n) with m < n
             mats = [tensor_action(kind, m, n) for n in range(1, 10) for m in range(1, n)]
         else:
-            mats = [expr_action(parse_expr(case.replace("X", self.LETTER[kind])), kind)]
+            mats = [expr_action(parse_expr(case.replace("X", self.LETTER[kind])))]
         assert _digest(mats) == self.PINNED[kind, case]
 
 
@@ -295,8 +283,8 @@ class TestExprDegrees:
     @given(oracle_expr())
     def test_builder_lowers_degrees(self, expr):
         kind = expr_kind(expr)
-        _, degrees = expr_images(expr, kind)
-        mat = expr_action(expr, kind)
+        _, degrees = expr_images(expr)
+        mat = expr_action(expr)
         assert len(degrees) == mat.rows
         if kind == "unipotent":
             mat = add(mat, identity(mat.rows))
@@ -310,17 +298,17 @@ class TestExprDegrees:
     @pytest.mark.parametrize("space, text", [("tensor", "T(W{n}, W{n})"), ("sym2", "S2(W{n})")])
     def test_pair_degrees_match_basis_vectors(self, space, text, n):
         # bit i of a SparseVec of degree d stands for the pair (i, d - i)
-        _, degrees = expr_images(parse_expr(text.format(n=n)), "nilpotent")
+        _, degrees = expr_images(parse_expr(text.format(n=n)))
         keys = basis_keys(space, n)
         assert len(degrees) == len(keys)
         for (i, j), degree in zip(keys, degrees):
             assert SparseVec(space, n, degree, 1 << i).terms == {(i, j)}
 
     def test_atom_and_sum(self):
-        assert expr_images(parse_expr("W3 + 2*W2"), "nilpotent")[1] == [1, 2, 3, 1, 2, 1, 2]
+        assert expr_images(parse_expr("W3 + 2*W2"))[1] == [1, 2, 3, 1, 2, 1, 2]
 
     def test_many_copies_of_a_zero_space(self):
-        assert expr_images(parse_expr("99999999999999999999*E2(W1)"), "nilpotent")[1] == []
+        assert expr_images(parse_expr("99999999999999999999*E2(W1)"))[1] == []
 
 
 class TestImages:
@@ -331,23 +319,22 @@ class TestImages:
     @given(oracle_expr())
     def test_sparse_type_equals_dense_reference(self, expr):
         kind = expr_kind(expr)
-        mat = expr_action(expr, kind)
+        mat = expr_action(expr)
         if kind == "unipotent":
             mat = add(mat, identity(mat.rows))
-        assert oracle_expr_jordan_type(expr, kind) == jordan_type_of_nilpotent(mat)
+        assert oracle_expr_jordan_type(expr) == jordan_type_of_nilpotent(mat)
 
     @settings(max_examples=150, deadline=None)
     @given(oracle_expr())
     def test_images_are_dense_columns(self, expr):
-        kind = expr_kind(expr)
-        images, _ = expr_images(expr, kind)
+        images, _ = expr_images(expr)
         assert all(hits == sorted(set(hits)) for hits in images)
         rows = [[] for _ in images]
         for c, hits in enumerate(images):
             for i in hits:
                 rows[i].append(c)
-        mat = expr_action(expr, kind)
-        if kind == "unipotent":
+        mat = expr_action(expr)
+        if expr_kind(expr) == "unipotent":
             mat = add(mat, identity(mat.rows))
         assert rows == [_support(row) for row in mat.data]
 
@@ -356,8 +343,7 @@ class TestImages:
     @example(parse_expr("S2(E2(V4))"))  # transposed terms of N (x) N cancel
     def test_images_are_strictly_lower(self, expr):
         # N = e or u - 1 maps every basis vector below itself in basis order
-        kind = expr_kind(expr)
-        images, _ = expr_images(expr, kind)
+        images, _ = expr_images(expr)
         assert all(i < c for c, hits in enumerate(images) for i in hits)
 
     def test_many_copies_of_a_zero_space_build_nothing(self, monkeypatch):
@@ -365,18 +351,44 @@ class TestImages:
 
         monkeypatch.setattr(oracle, "_direct_sum", None)  # a copy would call it
         expr = parse_expr("99999999999999999999*E2(W1)")
-        assert expr_images(expr, "nilpotent") == ([], [])
-        assert oracle_expr_jordan_type(expr, "nilpotent").parts == ()
+        assert expr_images(expr) == ([], [])
+        assert oracle_expr_jordan_type(expr).parts == ()
+
+    @settings(max_examples=150, deadline=None)
+    @given(oracle_expr(), st.sampled_from([3, 4, 10, 1000]))
+    @example(parse_expr("E2(W1) + T(W9, E2(S2(E2(W2))))"), 3)  # dimension 0 + 9 * 0
+    @example(parse_expr("E2(W2 + E2(W2))"), 3)  # E2 of dimension 3
+    @example(parse_expr("S2(E2(W3))"), 4)  # E2 of a saturated dimension stays saturated
+    def test_dim_up_to_3_is_saturated_dimension(self, expr, limit):
+        # _dim(expr, limit) = min(dim expr, limit) for every limit of 3 or more
+        from char2squares import oracle
+
+        assert oracle._dim(expr, limit) == min(len(expr_images(expr, cap=None)[1]), limit)
 
     @settings(max_examples=150, deadline=None)
     @given(oracle_expr())
-    @example(parse_expr("E2(W1) + T(W9, E2(S2(E2(W2))))"))  # dimension 0 + 9 * 0
-    @example(parse_expr("E2(W2 + E2(W2))"))  # E2 of dimension 3
-    def test_dim_up_to_3_is_saturated_dimension(self, expr):
+    @example(parse_expr("E2(W2) + E2(W1)"))  # W2 and W1 are larger than the root
+    def test_no_space_built_is_larger_than_the_root(self, expr):
+        # why the one cap check on the root bounds the whole build
         from char2squares import oracle
 
-        kind = expr_kind(expr)
-        assert oracle._dim_up_to_3(expr, kind) == min(len(expr_images(expr, kind)[1]), 3)
+        sizes = []
+
+        def recorded(build, size):
+            def wrapper(*args):
+                out = build(*args)
+                sizes.append(size(out))
+                return out
+            return wrapper
+
+        with mock.patch.multiple(
+            oracle,
+            _block_images=recorded(oracle._block_images, len),
+            _pair_images=recorded(oracle._pair_images, lambda out: len(out[1])),
+            _direct_sum=recorded(oracle._direct_sum, len),
+        ):
+            root = len(expr_images(expr, cap=None)[1])
+        assert all(size <= max(root, 2) for size in sizes)
 
     @pytest.mark.parametrize("text, mixed", [
         ("T(E2(W1), W30000)", "T(E2(W1), V30000)"),
@@ -387,9 +399,9 @@ class TestImages:
         from char2squares import oracle
 
         monkeypatch.setattr(oracle, "_block_images", None)  # building an atom would call it
-        assert expr_images(parse_expr(text), "nilpotent") == ([], [])
-        with pytest.raises(ValueError, match="kind mismatch"):
-            expr_images(parse_expr(mixed), "nilpotent")
+        assert expr_images(parse_expr(text)) == ([], [])
+        with pytest.raises(MixedKindError, match="mixes V \\(unipotent\\) and W"):
+            expr_images(parse_expr(mixed))
 
     def test_one_walk_builds_images_and_degrees(self, monkeypatch):
         # each pair node lays out its basis once, for the images and the degrees
@@ -403,5 +415,5 @@ class TestImages:
 
         monkeypatch.setattr(oracle, "basis_keys", counted)
         expr = parse_expr("S2(W6)")
-        assert oracle_expr_jordan_type(expr, "nilpotent") == decompose_expr(expr)
+        assert oracle_expr_jordan_type(expr) == decompose_expr(expr)
         assert len(calls) == 1
