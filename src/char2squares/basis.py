@@ -12,12 +12,10 @@ degree i + j, and the derivation lowers that degree by exactly 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import xor
 from typing import Sequence
 
 from .core import ConesExpansion, JordanType, cones_expansion
-from .gf2 import Gf2Matrix, _support, rank as gf2_rank
+from .gf2 import Form, Gf2Matrix, _apply_form, _support, rank as gf2_rank
 from .oracle import basis_keys
 
 Space = str  # "tensor" or "sym2"
@@ -222,8 +220,10 @@ def verify_basis(
     mapped to.  Each chain must satisfy action.v_t = v_{t+1} with the last
     vector killed, all vectors together must be linearly independent, and
     when terminals are supplied the last vector of chain i must equal
-    expected_terminals[i].  The images are read once into per-degree masks,
-    so the action must lower the degree of every monomial by exactly 1.
+    expected_terminals[i].  The images are read once into one map per
+    degree, in shift form over the vectors' masks, and each vector is mapped
+    by gf2._apply_form; the action must lower the degree of every monomial
+    by exactly 1, and an entry that does not is reported and left out.
     """
     if not chains:
         return VerificationReport(0, 0)
@@ -233,14 +233,16 @@ def verify_basis(
     dim = len(keys)
     if len(images) != dim:
         raise ValueError(f"action has {len(images)} images, expected {dim}")
-    image = [[0] * (n + 1) for _ in range(2 * n + 1)]  # image[degree][i]: mask in degree - 1
+    forms: list[Form] = [{} for _ in range(2 * n + 1)]  # forms[degree]: the map into degree - 1
     ungraded = []  # (target, source) positions
     for source, ((i, j), hits) in enumerate(zip(keys, images)):
-        row = image[i + j]
+        below = i + j - 1
+        form = forms[below + 1]
+        bit = 1 << i
         for target in hits:
             k, l = keys[target]
-            if k + l == i + j - 1:
-                row[i] ^= 1 << k
+            if k + l == below:
+                form[k - i] = form.get(k - i, 0) ^ bit
             else:
                 ungraded.append((target, source))
 
@@ -266,7 +268,7 @@ def verify_basis(
             by_degree.setdefault(v.degree, []).append(v.mask)
             if not v.mask:
                 failures.append(f"{where}: vector {pos} is zero")
-            mask = v.mask and reduce(xor, map(image[v.degree].__getitem__, _support(v.mask)))
+            mask = v.mask and _apply_form(forms[v.degree], v.mask)
             if pos + 1 < len(vectors):
                 if not same(vectors[pos + 1], v.degree - 1, mask):
                     failures.append(f"{where}: link {pos} -> {pos + 1} broken")

@@ -5,7 +5,11 @@ Row XOR is then a single word-parallel operation, which is all Gaussian
 elimination needs over GF(2).  The Jordan-type kernel,
 jordan_type_of_images, takes a square matrix as the row lists of its
 columns, the images of the basis vectors as the oracle builds them, so a
-sparse operator never has to be packed whole.  Gf2Matrix is the packed
+sparse operator never has to be packed whole.  A map between two such
+bit spaces that is applied to many masks is held in shift form, as its
+diagonals: _apply_form then maps a mask with one AND, one shift and one
+XOR per diagonal, however many bits the mask has.  The graded sweep and
+verify_basis map each degree's vectors this way.  Gf2Matrix is the packed
 dense form that rank reads (verify_basis hands it each degree's masks)
 and that jordan_type_of_nilpotent, the dense reference, reads.
 """
@@ -13,7 +17,6 @@ and that jordan_type_of_nilpotent, the dense reference, reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from operator import itemgetter, xor
 from typing import Iterable, Sequence
 
@@ -28,6 +31,23 @@ def _support(row: int) -> list[int]:
         bits.append(low.bit_length() - 1)
         row ^= low
     return bits
+
+
+# A map in shift form: form[shift] holds the sources of one diagonal, and bit
+# i of it maps bit i to bit i + shift.  Any map has one: each entry, source
+# i to target t, toggles bit i of form[t - i].
+Form = dict[int, int]
+
+
+def _apply_form(form: Form, mask: int) -> int:
+    """The image of mask under the map whose diagonals form holds."""
+    image = 0
+    for shift, sources in form.items():
+        if shift < 0:
+            image ^= (mask & sources) >> -shift
+        else:
+            image ^= (mask & sources) << shift
+    return image
 
 
 @dataclass(frozen=True)
@@ -140,9 +160,10 @@ def _graded_sweep(images: Sequence[Sequence[int]], degrees: Sequence[int]) -> Jo
     that depends on older ones closes its vector's bar (the elder rule of
     persistence: in a relation the youngest vector dies), and a bar born at
     degree b and closed on the way down from degree d is a Jordan block of
-    size b + 1 - d.  Each vector is mapped once per degree it lives, so the
-    sweep does dim map steps, where ranks of powers eliminate about
-    sum(size^2) / 2 rows.
+    size b + 1 - d.  Each degree's map is read once into shift form, and a
+    vector is moved down one degree by _apply_form, at a cost set by that
+    map's diagonals rather than by the vector's bits; the sweep does dim
+    such moves, where ranks of powers eliminate about sum(size^2) / 2 rows.
     """
     members: dict[int, list[int]] = {}  # degree -> basis vectors of that degree
     for c, d in enumerate(degrees):
@@ -156,9 +177,15 @@ def _graded_sweep(images: Sequence[Sequence[int]], degrees: Sequence[int]) -> Jo
     alive: list[int] = []  # masks over the local positions of degree prev
     prev = None
     for d in sorted(members, reverse=True):
-        # images of degree prev, all 0 if nothing lives in degree prev - 1 > d
-        image = [sum(1 << local[i] for i in images[c]) for c in members.get(prev, ())]
-        alive = [reduce(xor, map(image.__getitem__, _support(v)), 0) for v in alive]
+        # the map from degree prev, over local positions; empty if nothing
+        # lives in degree prev - 1 > d
+        form: Form = {}
+        for k, c in enumerate(members.get(prev, ())):
+            bit = 1 << k
+            for i in images[c]:
+                shift = local[i] - k
+                form[shift] = form.get(shift, 0) ^ bit
+        alive = [_apply_form(form, v) for v in alive]
         pivots = [0] * (len(members[d]) + 1)
         kept = _independent_rows(alive, range(len(alive)), pivots)
         survivors = set(kept)

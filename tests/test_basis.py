@@ -49,6 +49,81 @@ def tensor_terms(*pairs):
     return frozenset(pairs)
 
 
+def dense_failures(chains, images, terminals=None):
+    """The failures of the dense frame, for a graded action: each vector as a
+    mask over the whole square in basis_keys order, mapped as the XOR of the
+    images of its monomials, and one rank over all the vectors."""
+    space, n = chains[0].top.space, chains[0].top.n
+    index = {k: i for i, k in enumerate(basis_keys(space, n))}
+    image = [sum(1 << t for t in hits) for hits in images]
+    failures, dense = [], []
+    for ci, chain in enumerate(chains):
+        where = f"chain {ci} (s={chain.s})"
+        vectors = [bits(v, index) for v in chain.vectors]
+        for pos, x in enumerate(vectors):
+            dense.append(x)
+            if not x:
+                failures.append(f"{where}: vector {pos} is zero")
+            y = 0
+            for p in range(len(index)):
+                if x >> p & 1:
+                    y ^= image[p]
+            if pos + 1 < len(vectors):
+                if vectors[pos + 1] != y:
+                    failures.append(f"{where}: link {pos} -> {pos + 1} broken")
+            elif y:
+                failures.append(f"{where}: terminal vector not killed")
+        if terminals is not None and bits(terminals[ci], index) != vectors[-1]:
+            failures.append(f"{where}: terminal differs from expected vector")
+    r = rank(Gf2Matrix(len(dense), len(index), tuple(dense)))
+    if r != len(dense):
+        failures.append(f"chain vectors dependent: rank {r} < count {len(dense)}")
+    return failures
+
+
+def corrupt(chains, terminals, edit):
+    """chains with chain 0 (s = 1) corrupted, and the terminals to match."""
+    chains = list(chains)
+    v = chains[0].vectors
+    if edit == "swapped":
+        chains[0] = JordanChain(1, v[:-2] + (v[-1], v[-2]))
+    elif edit == "dropped":
+        chains[0] = JordanChain(1, v[:1] + v[2:])
+    elif edit == "repeated":
+        chains.append(chains[0])
+        terminals = terminals and terminals + [terminals[0]]
+    return chains, terminals
+
+
+def rotation(space, n):
+    """The permutation of basis_keys that moves each monomial one place up
+    within its degree, the last one of the degree back to the first."""
+    by_degree = {}
+    for key in basis_keys(space, n):
+        by_degree.setdefault(sum(key), []).append(key)
+    return {key: keys[(k + 1) % len(keys)] for keys in by_degree.values() for k, key in enumerate(keys)}
+
+
+def rotated_images(space, n, rot):
+    """action_images(space, n) conjugated by the permutation rot of basis_keys."""
+    keys = basis_keys(space, n)
+    index = {k: i for i, k in enumerate(keys)}
+    rotated = [[]] * len(keys)
+    for c, hits in enumerate(action_images(space, n)):
+        rotated[index[rot[keys[c]]]] = sorted(index[rot[keys[t]]] for t in hits)
+    return rotated
+
+
+def rotated_vec(v, rot):
+    return SparseVec(v.space, v.n, v.degree, sum(1 << rot[key][0] for key in v.terms))
+
+
+def diagonals(images, space, n):
+    """The shifts k - i of the entries v_i v_j -> v_k v_l of an action."""
+    keys = basis_keys(space, n)
+    return {keys[t][0] - keys[c][0] for c, hits in enumerate(images) for t in hits}
+
+
 class TestBuildZ:
     def test_z1(self):
         assert build_z(1, 4).terms == tensor_terms((1, 1))
@@ -231,22 +306,53 @@ class TestVerifyFrame:
         ("sym2", "repeated"): ["chain vectors dependent: rank 28 < count 36"],
     }
 
-    @pytest.mark.parametrize("space, edit", sorted(DENSE_FAILURES))
-    def test_failures_match_dense_frame(self, space, edit):
+    @staticmethod
+    def basis_of(space):
         n = 6 if space == "tensor" else 7
         chains = build_tensor_basis(n) if space == "tensor" else build_sym_basis(n)
         terminals = [build_z(c.s, n) for c in chains] if space == "tensor" else None
-        v = chains[0].vectors  # s = 1, a chain of length 8
-        assert len(v) == 8
-        if edit == "swapped":
-            chains[0] = JordanChain(1, v[:-2] + (v[-1], v[-2]))
-        elif edit == "dropped":
-            chains[0] = JordanChain(1, v[:1] + v[2:])
-        else:
-            chains.append(chains[0])
-            terminals = terminals and terminals + [terminals[0]]
-        report = verify_basis(chains, action_images(space, n), terminals)
+        assert chains[0].length == 8  # s = 1
+        return n, chains, terminals
+
+    @pytest.mark.parametrize("space, edit", sorted(DENSE_FAILURES))
+    def test_failures_match_dense_frame(self, space, edit):
+        n, chains, terminals = self.basis_of(space)
+        chains, terminals = corrupt(chains, terminals, edit)
+        action = action_images(space, n)
+        report = verify_basis(chains, action, terminals)
         assert report.failures == self.DENSE_FAILURES[space, edit]
+        assert dense_failures(chains, action, terminals) == report.failures
+
+    # graded entries whose targets sit above their sources in the masks:
+    # v_i v_j -> v_k v_l with k > i, diagonals the derivation does not have
+    RAISED = {
+        "tensor": (((2, 5), (4, 2)), ((1, 4), (3, 1)), ((3, 6), (6, 2))),
+        "sym2": (((2, 5), (3, 3)), ((1, 6), (3, 3)), ((2, 6), (3, 4))),
+    }
+
+    @pytest.mark.parametrize("edit", [None, "swapped", "dropped", "repeated"])
+    @pytest.mark.parametrize("action", ["rotated", "raised"])
+    @pytest.mark.parametrize("space", ["tensor", "sym2"])
+    def test_failures_match_dense_frame_on_other_diagonals(self, space, action, edit):
+        # the derivation has the diagonals -1 and 0 in every degree; these
+        # graded actions have others, and the verdicts must not depend on that
+        n, chains, terminals = self.basis_of(space)
+        if action == "rotated":
+            # conjugate by rotating every degree piece: the rotated chains
+            # are a Jordan basis of the rotated action
+            rot = rotation(space, n)
+            images = rotated_images(space, n, rot)
+            chains = [JordanChain(c.s, tuple(rotated_vec(v, rot) for v in c.vectors)) for c in chains]
+            terminals = terminals and [rotated_vec(v, rot) for v in terminals]
+        else:
+            images = action_images(space, n, *self.RAISED[space])
+        assert diagonals(images, space, n) - {-1, 0}
+        chains, terminals = corrupt(chains, terminals, edit)
+        report = verify_basis(chains, images, terminals)
+        expected = dense_failures(chains, images, terminals)
+        assert report.failures == expected
+        if edit is None:  # the rotated chains verify; the raised entries break links
+            assert bool(expected) == (action == "raised")
 
     def test_images_must_cover_the_space(self):
         chains = build_tensor_basis(4)

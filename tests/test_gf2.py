@@ -202,6 +202,69 @@ class TestJordanType:
         assert t == type_from_full_powers(m)
 
 
+def form_of(images):
+    """The shift form of the map sending bit s to the bits images[s]."""
+    form = {}
+    for s, targets in enumerate(images):
+        for t in targets:
+            form[t - s] = form.get(t - s, 0) ^ (1 << s)
+    return form
+
+
+def map_bit_by_bit(images, mask):
+    """The XOR of the images of the set bits of mask."""
+    image = 0
+    for s, targets in enumerate(images):
+        if mask >> s & 1:
+            for t in targets:
+                image ^= 1 << t
+    return image
+
+
+@st.composite
+def bit_maps(draw):
+    """(images, mask): a random map from a space of up to 40 bits into one of
+    up to 40 bits, images[s] the targets of bit s, and a mask of the source;
+    0 and all ones are drawn often."""
+    sources, targets = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+    hit = st.sets(st.integers(0, max(targets - 1, 0)), max_size=targets)
+    images = draw(st.lists(hit, min_size=sources, max_size=sources))
+    mask = draw(st.one_of(st.just(0), st.just((1 << sources) - 1), st.integers(0, (1 << sources) - 1)))
+    return images, mask
+
+
+class TestShiftForm:
+    """_apply_form maps a mask by the diagonals of a map, as the bit-by-bit
+    XOR of the images of its bits would."""
+
+    @settings(max_examples=300)
+    @given(bit_maps())
+    def test_equals_bit_by_bit(self, case):
+        images, mask = case
+        assert gf2._apply_form(form_of(images), mask) == map_bit_by_bit(images, mask)
+
+    def test_empty_map(self):
+        assert gf2._apply_form({}, 0) == gf2._apply_form({}, 0b1011) == 0
+
+    @pytest.mark.parametrize("mask", [0, 1 << 5, 0b111111111])
+    def test_one_source_many_targets(self, mask):
+        # bit 5 hits bits 0..12: the shifts -5..7, one source on each diagonal
+        images = [[]] * 5 + [list(range(13))] + [[]] * 3
+        form = form_of(images)
+        assert sorted(form) == list(range(-5, 8)) and set(form.values()) == {1 << 5}
+        assert gf2._apply_form(form, mask) == (0x1FFF if mask >> 5 & 1 else 0)
+
+    @pytest.mark.parametrize("shift", [-3, -1, 0, 1, 4])
+    def test_one_diagonal(self, shift):
+        # every bit i in 3..9 goes to i + shift; all ones moves the whole run
+        form = form_of([[i + shift] if 3 <= i <= 9 else [] for i in range(12)])
+        assert list(form) == [shift]
+        run = 0b1111111 << 3
+        assert gf2._apply_form(form, (1 << 12) - 1) == gf2._apply_form(form, run)
+        assert gf2._apply_form(form, run) == (run << shift if shift >= 0 else run >> -shift)
+        assert gf2._apply_form(form, 0) == 0
+
+
 @st.composite
 def degree_lowering(draw, graded):
     """(m, degrees): a basis of random degrees, gaps allowed, in random order,

@@ -107,6 +107,33 @@ def test_cli_routes_never_touch_the_dense_views(monkeypatch):
     assert [run_main(argv) for argv in CLI_ROUTES] == expected
 
 
+def test_graded_paths_map_masks_by_their_diagonals(monkeypatch):
+    # verify_basis and the graded sweep move masks down a degree with
+    # gf2._apply_form; a walk over their bits would call gf2._support, which
+    # only the chain builders (project_to_sym) and SparseVec.terms still use
+    from char2squares import basis, gf2, oracle
+    from char2squares.core import square_expr
+
+    n = 16
+    cases = [
+        (basis.build_tensor_basis(n), oracle.expr_images(square_expr("tensor", "nilpotent", n))[0]),
+        (basis.build_sym_basis(n), oracle.expr_images(square_expr("sym2", "nilpotent", n))[0]),
+    ]
+    terminals = [basis.build_z(c.s, n) for c in cases[0][0]]
+    expected = [basis.chain_type(chains) for chains, _ in cases]
+
+    def refuse(row):
+        raise AssertionError("a graded path walked the bits of a mask")
+
+    monkeypatch.setattr(gf2, "_support", refuse)
+    monkeypatch.setattr(basis, "_support", refuse)
+    for (chains, images), ends in zip(cases, (terminals, None)):
+        assert basis.verify_basis(chains, images, ends).ok
+    for functor, jordan_type in zip(("tensor", "sym2"), expected):
+        assert oracle.oracle_expr_jordan_type(square_expr(functor, "nilpotent", n)) == jordan_type
+    assert oracle.oracle_expr_jordan_type(square_expr("ext2", "nilpotent", n)).total_dim == 120
+
+
 def test_tracer_hooks_count_a_basis_verify(monkeypatch):
     # the hooks read the arguments of the names they wrap (basis.gf2_rank gets
     # a Gf2Matrix), so the names existing is not enough: run a command traced
