@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .core import ConesExpansion, JordanType, cones_expansion
-from .gf2 import Form, Gf2Matrix, _apply_form, _support, rank as gf2_rank
+from .gf2 import Gf2Matrix, _apply_form, _degree_forms, _support, rank as gf2_rank
 from .oracle import basis_keys
 
 Space = str  # "tensor" or "sym2"
@@ -83,6 +83,10 @@ class JordanChain:
 
     s: int  # source index of the chain (1..n)
     vectors: tuple[SparseVec, ...]
+
+    def __post_init__(self) -> None:
+        if not self.vectors:
+            raise ValueError(f"chain for s={self.s} has no vectors")
 
     @property
     def top(self) -> SparseVec:
@@ -219,12 +223,17 @@ def verify_basis(
     positions, in basis_keys order, of the monomials that monomial c is
     mapped to.  Each chain must satisfy action.v_t = v_{t+1} with the last
     vector killed, all vectors together must be linearly independent, and
-    when terminals are supplied the last vector of chain i must equal
-    expected_terminals[i].  The images are read once into one map per
-    degree, in shift form over the vectors' masks, and each vector is mapped
-    by gf2._apply_form; the action must lower the degree of every monomial
-    by exactly 1, and an entry that does not is reported and left out.
+    when terminals are supplied, one per chain (ValueError otherwise), the
+    last vector of chain i must equal expected_terminals[i].  One walk,
+    gf2._degree_forms, reads the images into one map per degree, in shift
+    form over the vectors' masks, in a frame taken from basis_keys (v_i v_j
+    has degree i + j and bit i), and each vector is mapped by
+    gf2._apply_form; the action must lower the degree of every monomial by
+    exactly 1, and the entries the walk lists as not doing so are reported
+    and left out.
     """
+    if expected_terminals is not None and len(expected_terminals) != len(chains):
+        raise ValueError(f"{len(expected_terminals)} expected terminals for {len(chains)} chains")
     if not chains:
         return VerificationReport(0, 0)
     space = chains[0].top.space
@@ -233,29 +242,18 @@ def verify_basis(
     dim = len(keys)
     if len(images) != dim:
         raise ValueError(f"action has {len(images)} images, expected {dim}")
-    forms: list[Form] = [{} for _ in range(2 * n + 1)]  # forms[degree]: the map into degree - 1
-    ungraded = []  # (target, source) positions
-    for source, ((i, j), hits) in enumerate(zip(keys, images)):
-        below = i + j - 1
-        form = forms[below + 1]
-        bit = 1 << i
-        for target in hits:
-            k, l = keys[target]
-            if k + l == below:
-                form[k - i] = form.get(k - i, 0) ^ bit
-            else:
-                ungraded.append((target, source))
+    forms, off = _degree_forms(images, [i + j for i, j in keys], [i for i, _ in keys])
 
     def same(v: SparseVec, degree: int, mask: int) -> bool:
         # a zero mask is the zero vector in every degree
         return v.mask == mask and (v.degree == degree or not mask)
 
     failures = []
-    if ungraded:
-        target, source = min(ungraded)  # the first in row order
+    if off:
+        target, source = min(off)  # the first in row order
         (i, j), (k, l) = keys[source], keys[target]
         failures.append(
-            f"action breaks the grading in {len(ungraded)} of its entries, "
+            f"action breaks the grading in {len(off)} of its entries, "
             f"first v{i}*v{j} -> v{k}*v{l}"
         )
     by_degree: dict[int, list[int]] = {}  # masks; rank adds up over degrees

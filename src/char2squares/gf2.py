@@ -8,10 +8,14 @@ columns, the images of the basis vectors as the oracle builds them, so a
 sparse operator never has to be packed whole.  A map between two such
 bit spaces that is applied to many masks is held in shift form, as its
 diagonals: _apply_form then maps a mask with one AND, one shift and one
-XOR per diagonal, however many bits the mask has.  The graded sweep and
-verify_basis map each degree's vectors this way.  Gf2Matrix is the packed
-dense form that rank reads (verify_basis hands it each degree's masks)
-and that jordan_type_of_nilpotent, the dense reference, reads.
+XOR per diagonal, however many bits the mask has.  One walk over the
+images, _degree_forms, reads the grading for both the Jordan kernel and
+verify_basis: it builds each degree's map into the degree below in this
+form and lists the entries that do not lower the degree by exactly 1.
+The graded sweep and verify_basis then move vectors down a degree with
+_apply_form.  Gf2Matrix is the packed dense form that rank reads
+(verify_basis hands it each degree's masks) and that
+jordan_type_of_nilpotent, the dense reference, reads.
 """
 
 from __future__ import annotations
@@ -129,63 +133,57 @@ def _nilpotent_ranks(supports: Sequence[Sequence[int]]) -> list[int] | None:
     return ranks
 
 
-def _lowers_by_one(images: Sequence[Sequence[int]], degrees: Sequence[int]) -> bool:
-    """Whether every entry lowers the degree by exactly 1.
+def _degree_forms(
+    images: Sequence[Sequence[int]], degrees: Sequence[int], position: Sequence[int]
+) -> tuple[dict[int, Form], list[tuple[int, int]]]:
+    """Each degree's map into the degree below, in shift form, and the entries off the grading.
 
-    Entry (i, c) maps basis vector c into basis vector i; ValueError names
-    the first entry, column by column, that does not lower the degree at all.
+    Entry (i, c) maps basis vector c into basis vector i, and position[c] is
+    the bit of c within its degree.  forms[d], for every degree d of a basis
+    vector, holds the entries from degree d into degree d - 1 over those bits;
+    every entry that does not lower the degree by exactly 1 is listed in off
+    instead, column by column, as (i, c).  One walk over the entries.
     """
-    graded = True
+    forms: dict[int, Form] = {d: {} for d in degrees}
+    off = []
     for c, hits in enumerate(images):
-        source = degrees[c]
+        form = forms[degrees[c]]
+        below = degrees[c] - 1
+        source = position[c]
+        bit = 1 << source
         for i in hits:
-            if degrees[i] != source - 1:
-                if degrees[i] >= source:
-                    raise ValueError(
-                        f"entry ({i}, {c}) does not lower the degree: it maps "
-                        f"degree {source} to degree {degrees[i]}"
-                    )
-                graded = False
-    return graded
+            if degrees[i] == below:
+                shift = position[i] - source
+                form[shift] = form.get(shift, 0) ^ bit
+            else:
+                off.append((i, c))
+    return forms, off
 
 
-def _graded_sweep(images: Sequence[Sequence[int]], degrees: Sequence[int]) -> JordanType:
+def _graded_sweep(forms: dict[int, Form], members: dict[int, list[int]]) -> JordanType:
     """Jordan type of a matrix whose every entry lowers the degree by exactly 1.
 
-    images[c] lists the basis vectors that basis vector c is mapped to, all
-    of degree degrees[c] - 1.  The sweep goes down through the degrees
+    members[d] lists the basis vectors of degree d, and forms[d] is the map
+    from degree d into degree d - 1 over their positions in those lists, as
+    _degree_forms builds it.  The sweep goes down through the degrees
     keeping a basis of the current one, oldest bar first: the images of the
     vectors kept one degree higher, then the basis vectors at the positions
     where no kept image has its highest bit, which complete them.  An image
     that depends on older ones closes its vector's bar (the elder rule of
     persistence: in a relation the youngest vector dies), and a bar born at
     degree b and closed on the way down from degree d is a Jordan block of
-    size b + 1 - d.  Each degree's map is read once into shift form, and a
-    vector is moved down one degree by _apply_form, at a cost set by that
-    map's diagonals rather than by the vector's bits; the sweep does dim
-    such moves, where ranks of powers eliminate about sum(size^2) / 2 rows.
+    size b + 1 - d.  A vector is moved down one degree by _apply_form, at a
+    cost set by that map's diagonals rather than by the vector's bits; the
+    sweep does dim such moves, where ranks of powers eliminate about
+    sum(size^2) / 2 rows.
     """
-    members: dict[int, list[int]] = {}  # degree -> basis vectors of that degree
-    for c, d in enumerate(degrees):
-        members.setdefault(d, []).append(c)
-    local = [0] * len(degrees)  # position of each basis vector within its degree
-    for indices in members.values():
-        for k, c in enumerate(indices):
-            local[c] = k
     sizes: list[int] = []
     births: list[int] = []  # births[t] is where the bar of alive[t] began
-    alive: list[int] = []  # masks over the local positions of degree prev
+    alive: list[int] = []  # masks over the positions of degree prev
     prev = None
     for d in sorted(members, reverse=True):
-        # the map from degree prev, over local positions; empty if nothing
-        # lives in degree prev - 1 > d
-        form: Form = {}
-        for k, c in enumerate(members.get(prev, ())):
-            bit = 1 << k
-            for i in images[c]:
-                shift = local[i] - k
-                form[shift] = form.get(shift, 0) ^ bit
-        alive = [_apply_form(form, v) for v in alive]
+        # forms[prev] is empty if nothing lives in degree prev - 1 > d
+        alive = [_apply_form(forms[prev], v) for v in alive]
         pivots = [0] * (len(members[d]) + 1)
         kept = _independent_rows(alive, range(len(alive)), pivots)
         survivors = set(kept)
@@ -236,20 +234,37 @@ def jordan_type_of_images(
 
     degrees, if given, holds a degree for each basis vector, and every
     nonzero entry (i, c) must lower it: degrees[i] < degrees[c], or
-    ValueError names the entry.  Such an m is nilpotent.  If every entry
-    lowers the degree by exactly 1, the type comes from _graded_sweep
-    instead of ranks.  Otherwise the rank loop runs with the basis listed
-    in ascending degree: the highest-bit pivot of each image is then its
-    highest-degree target.
+    ValueError names the first entry, column by column, that does not.  Such
+    an m is nilpotent.  One walk, _degree_forms, reads the grading: it
+    builds each degree's map into the degree below and lists the entries
+    that do not lower the degree by exactly 1.  If there are none, the type
+    comes from _graded_sweep on those maps instead of ranks.  Otherwise the
+    rank loop runs with the basis listed in ascending degree: the
+    highest-bit pivot of each image is then its highest-degree target.
     """
     dim = len(images)
     if degrees is not None:
         if len(degrees) != dim:
             raise ValueError(f"{len(degrees)} degrees for a matrix of size {dim}")
-        if _lowers_by_one(images, degrees):
-            return _graded_sweep(images, degrees)
+        members: dict[int, list[int]] = {}  # degree -> basis vectors of that degree
+        for c, d in enumerate(degrees):
+            members.setdefault(d, []).append(c)
+        local = [0] * dim  # position of each basis vector within its degree
+        for indices in members.values():
+            for k, c in enumerate(indices):
+                local[c] = k
+        forms, off = _degree_forms(images, degrees, local)
+        for i, c in off:
+            if degrees[i] >= degrees[c]:
+                raise ValueError(
+                    f"entry ({i}, {c}) does not lower the degree: it maps "
+                    f"degree {degrees[c]} to degree {degrees[i]}"
+                )
+        if not off:
+            return _graded_sweep(forms, members)
+        del forms, off, local  # the rank loop reads none of the walk
         # conjugate by the permutation that lists the basis in ascending degree
-        order = sorted(range(dim), key=degrees.__getitem__)
+        order = [c for d in sorted(members) for c in members[d]]
         position = [0] * dim
         for p, c in enumerate(order):
             position[c] = p

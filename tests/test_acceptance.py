@@ -4,8 +4,9 @@ import itertools
 import time
 
 from char2squares.basis import build_sym_basis, build_tensor_basis, build_z, chain_type, verify_basis
-from char2squares.core import cones_expansion, parse_jordan_type
+from char2squares.core import Atom, Ext2, Scaled, Sum, Sym2, cones_expansion, parse_jordan_type
 from char2squares.formulas import (
+    decompose_expr,
     ext2_block,
     ext2_nilpotent,
     ext2_nilpotent_rec,
@@ -16,7 +17,7 @@ from char2squares.formulas import (
     sym2_unipotent,
     tensor_decompose,
 )
-from char2squares.oracle import oracle_jordan_type
+from char2squares.oracle import oracle_expr_jordan_type, oracle_jordan_type
 from test_basis import action_images
 
 TABLE_1 = {
@@ -148,3 +149,30 @@ def test_criterion_8_named_counterexamples(capsys):
     for got, expected in cases:
         assert got == parse_jordan_type(expected), (got, expected)
     report(capsys, 8, "unipotent/nilpotent counterexamples at n=3,4", time.monotonic() - start, 60)
+
+
+def partitions(n, largest=None):
+    """Every partition of n into parts of at most largest, as (part, count) pairs, largest first."""
+    largest = n if largest is None else largest
+    if n == 0:
+        yield []
+        return
+    for part in range(min(n, largest), 0, -1):
+        for count in range(1, n // part + 1):
+            for rest in partitions(n - part * count, part - 1):
+                yield [(part, count)] + rest
+
+
+def test_criterion_9_every_partition(capsys):
+    start = time.monotonic()
+    cases = 0
+    for kind in ("unipotent", "nilpotent"):
+        for n in range(1, 17):
+            for parts in partitions(n):
+                space = Sum(tuple(Scaled(count, Atom(kind, part)) for part, count in parts))
+                for square in (Ext2(space), Sym2(space)):
+                    assert oracle_expr_jordan_type(square) == decompose_expr(square), (kind, parts)
+                    cases += 1
+    assert cases == 3656
+    report(capsys, 9, "formula = oracle on E2 and S2 of every partition of n<=16, both kinds",
+           time.monotonic() - start, 20)

@@ -388,6 +388,28 @@ class TestVerifyFrame:
         ]
 
 
+class TestBoundary:
+    """Malformed chains and terminal lists raise ValueError, not IndexError,
+    and extra terminals are not silently ignored."""
+
+    def test_chain_needs_a_vector(self):
+        with pytest.raises(ValueError, match="chain for s=3 has no vectors"):
+            JordanChain(3, ())
+
+    @pytest.mark.parametrize("count", [0, 3, 5])
+    def test_one_terminal_per_chain(self, count):
+        n = 4
+        chains = build_tensor_basis(n)
+        terminals = [build_z(c.s, n) for c in chains + chains][:count]
+        with pytest.raises(ValueError, match=f"{count} expected terminals for {n} chains"):
+            verify_basis(chains, action_images("tensor", n), terminals)
+
+    def test_terminals_without_chains(self):
+        with pytest.raises(ValueError, match="1 expected terminals for 0 chains"):
+            verify_basis([], [], [build_z(1, 1)])
+        assert verify_basis([], [], []).ok
+
+
 class TestSymBasis:
     def test_n1(self):
         chains = build_sym_basis(1)

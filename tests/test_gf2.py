@@ -265,6 +265,45 @@ class TestShiftForm:
         assert gf2._apply_form(form, 0) == 0
 
 
+class TestDegreeForms:
+    """_degree_forms reads a graded or filtered map in one walk: each degree's
+    forms[d] maps a mask as the bit-by-bit XOR of the images of the entries
+    that lower the degree by exactly 1, and off lists every other entry."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.booleans(), st.data())
+    def test_forms_and_off_list_split_the_entries(self, graded, data):
+        m, degrees = data.draw(degree_lowering(graded=graded))
+        images = [[i for i in range(m.rows) if m.data[i] >> c & 1] for c in range(m.cols)]
+        members = {}
+        for c, d in enumerate(degrees):
+            members.setdefault(d, []).append(c)
+        # any frame will do: distinct bits within each degree, gaps allowed
+        position = [0] * len(degrees)
+        for indices in members.values():
+            bits = data.draw(st.permutations(range(2 * len(indices))))
+            for c, bit in zip(indices, bits):
+                position[c] = bit
+        forms, off = gf2._degree_forms(images, degrees, position)
+        assert off == [(i, c) for c, hits in enumerate(images) for i in hits
+                       if degrees[i] != degrees[c] - 1]
+        assert set(forms) == set(members)
+        for d, sources in members.items():
+            # bit position[c] of degree d goes to the bits of its exactly-one targets
+            exact = [[] for _ in range(2 * len(sources))]
+            for c in sources:
+                exact[position[c]] = [position[i] for i in images[c] if degrees[i] == d - 1]
+            mask = data.draw(st.integers(0, (1 << len(exact)) - 1))
+            assert gf2._apply_form(forms[d], mask) == map_bit_by_bit(exact, mask)
+
+    def test_entries_that_raise_or_keep_the_degree_are_off(self):
+        # v1 -> v0 lowers by 1, v2 -> v0 by 2, v0 -> v2 raises, v1 -> v1 keeps
+        images = [[2], [0, 1], [0]]
+        forms, off = gf2._degree_forms(images, [0, 1, 2], [0, 0, 0])
+        assert off == [(2, 0), (1, 1), (0, 2)]
+        assert forms == {0: {}, 1: {0: 1}, 2: {}}
+
+
 @st.composite
 def degree_lowering(draw, graded):
     """(m, degrees): a basis of random degrees, gaps allowed, in random order,

@@ -134,6 +134,32 @@ def test_graded_paths_map_masks_by_their_diagonals(monkeypatch):
     assert oracle.oracle_expr_jordan_type(square_expr("ext2", "nilpotent", n)).total_dim == 120
 
 
+def test_one_walk_reads_the_grading(monkeypatch):
+    # gf2._degree_forms is the one place that reads a shift form off images;
+    # verify_basis and the kernel each walk the entries once, whichever of
+    # the sweep (W) or the rank loop (V) follows
+    from char2squares import basis, gf2, oracle
+    from char2squares.core import square_expr
+
+    calls, real = [], gf2._degree_forms
+
+    def counted(*args):
+        calls.append(len(args[0]))  # the number of basis vectors walked
+        return real(*args)
+
+    monkeypatch.setattr(gf2, "_degree_forms", counted)
+    monkeypatch.setattr(basis, "_degree_forms", counted)
+    n = 9
+    images = oracle.expr_images(square_expr("tensor", "nilpotent", n))[0]
+    ends = [basis.build_z(s, n) for s in range(1, n + 1)]
+    assert basis.verify_basis(basis.build_tensor_basis(n), images, ends).ok
+    assert calls == [81]
+    for kind in ("nilpotent", "unipotent"):
+        calls.clear()
+        assert oracle.oracle_expr_jordan_type(square_expr("sym2", kind, n)).total_dim == 45
+        assert calls == [45]
+
+
 def test_tracer_hooks_count_a_basis_verify(monkeypatch):
     # the hooks read the arguments of the names they wrap (basis.gf2_rank gets
     # a Gf2Matrix), so the names existing is not enough: run a command traced
