@@ -13,15 +13,22 @@ images, _degree_forms, reads the grading for both the Jordan kernel and
 verify_basis: it builds each degree's map into the degree below in this
 form and lists the entries that do not lower the degree by exactly 1.
 The graded sweep and verify_basis then move vectors down a degree with
-_apply_form.  Gf2Matrix is the packed dense form that rank reads
-(verify_basis hands it each degree's masks) and that
+_apply_form.  Where the grading does not hold, the kernel reads the type
+off ranks of powers (_nilpotent_ranks).  Those ranks fall by drops that
+never rise, so the loop eliminates only where the drop can change: it
+jumps by the factors m^(2^j), built once by squaring and applied row by
+row with itemgetter gathers (_gathers, _apply), and the squaring that
+reaches 0 is its nilpotency test.  Gf2Matrix is the packed dense form that
+rank reads (verify_basis hands it each degree's masks) and that
 jordan_type_of_nilpotent, the dense reference, reads.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from operator import itemgetter, xor
+from itertools import repeat
+from operator import itemgetter, lshift, rshift, setitem, xor
 from typing import Iterable, Sequence
 
 from .core import JordanType
@@ -101,35 +108,127 @@ def rank(m: Gf2Matrix) -> int:
     return len(_independent_rows(m.data, range(m.rows), [0] * (m.cols + 1)))
 
 
+def _gathers(rows: list[int], index: list[int]) -> list[itemgetter]:
+    """The gathers that multiply by the matrix m whose rows are rows[:-1]; rows[-1] is 0.
+
+    index[b] is b - 1 for b >= 1 and index[0] is len(rows) - 1, the zero
+    row, so that index[x.bit_length()] is the highest set bit of x, or the
+    zero row for x = 0.  Each gather takes, from every row, the highest bit
+    the earlier ones left, and gather(p), for a list of rows p that ends in a
+    zero row, is a tuple of len(rows) rows ending in that zero: row i of
+    m * p is the XOR over the gathers of gather(p)[i].  There is one gather
+    per set bit of the fullest row, and the gathers share index's ints.
+
+    Each round clears the bits it took with x >> cut << cut (0 for a zero
+    row): the first round makes the one copy of rows that later rounds clear
+    in place, and the last one clears nothing.
+    """
+    gathers = []
+    rest = rows
+    for left in range(max(map(int.bit_count, rows)), 0, -1):
+        cut = itemgetter(*map(int.bit_length, rest))(index)
+        gathers.append(itemgetter(*cut))
+        if left == 1:
+            break
+        cleared = map(xor, rest, map(lshift, map(rshift, rest, cut), cut))
+        if rest is rows:
+            rest = list(cleared)
+        else:
+            deque(map(setitem, repeat(rest), range(len(rest)), cleared), maxlen=0)
+    return gathers
+
+
+def _apply(gathers: list[itemgetter], rows: list[int]) -> list[int]:
+    """m * p, for the gathers of m and the rows of p ending in a zero row (see _gathers)."""
+    acc = gathers[0](rows)
+    for gather in gathers[1:]:
+        acc = map(xor, acc, gather(rows))
+    return list(acc)
+
+
+def _identity(n: int) -> list[int]:
+    """The rows of the n x n identity, and the zero row after them."""
+    return [1 << i for i in range(n)] + [0]
+
+
 def _nilpotent_ranks(supports: Sequence[Sequence[int]]) -> list[int] | None:
     """[rank(m^0), rank(m^1), ...] up to the first 0, or None if m is not nilpotent.
 
     supports[i] lists the columns of row i of the square matrix m.  See
-    jordan_type_of_images for why the loop is correct.
+    jordan_type_of_images for why the loop is correct.  At most two lists of
+    n rows are alive at once: a factor and its square or its peeled copy,
+    then the power the loop stands on and the next one.
     """
     n = len(supports)
-    # Row i of m^(k+1) = m * m^k is the XOR of the rows of m^k in supports[i].
-    # gathers[t] fetches, for every i, the row at the t-th bit of supports[i],
-    # or the zero row kept at index n when supports[i] is shorter; the
-    # trailing n makes each gather a tuple of n + 1 rows ending in that zero.
-    width = max(1, max(map(len, supports), default=0))
-    gathers = [
-        itemgetter(*[bits[t] if t < len(bits) else n for bits in supports], n)
-        for t in range(width)
-    ]
-    power = [sum(1 << j for j in bits) for bits in supports]  # rows of m^k, from k = 1
-    power.append(0)
-    spanning: Iterable[int] = range(n)
-    ranks = [n]
-    while ranks[-1]:
-        spanning = _independent_rows(power, spanning, [0] * (n + 1))
-        if len(spanning) == ranks[-1]:
+    index = [n, *range(n)]  # index[b] = b - 1, and index[0] = n, the zero row
+    width = max(map(len, supports), default=0)
+    gathers = [itemgetter(*[bits[t] if t < len(bits) else n for bits in supports], n)
+               for t in range(width)]
+    factors = []  # factors[j] holds the gathers of m^(2^j)
+    rows = _apply(gathers, _identity(n)) if gathers else []  # m, then each square
+    while gathers:
+        if 1 << len(factors) >= n:
             return None
-        ranks.append(len(spanning))
-        acc = gathers[0](power)
-        for gather in gathers[1:]:
-            acc = map(xor, acc, gather(power))
-        power = list(acc)
+        factors.append(gathers)
+        rows = _apply(gathers, rows)
+        gathers = _gathers(rows, index)
+    # powers above k of known rank, nearest last: m^(2^len(factors)) = 0, the
+    # jumps that left the line, and how far the line held before each of them
+    known = [(1 << len(factors), 0)]
+    power = _identity(n)  # the rows of m^k
+    spanning: Sequence[int] = range(n)
+    ranks = [n]
+    k, d, j = 0, n, 0  # d = ranks[k - 1] - ranks[k] (n at k = 0); the next jump is 2^j
+    while ranks[-1]:
+        r = ranks[-1]
+        while known[-1][0] <= k:
+            known.pop()
+        free = k  # the ranks up to m^free lie on the line r - (i - k) d
+        for p, r_p in reversed(known):
+            if r - (p - k) * d != r_p:  # p is now the nearest known power off the line
+                break
+            if not r_p:  # the line meets 0 where the rank is 0
+                ranks.extend(range(r - d, -1, -d))
+                return ranks
+            free = p
+        if free > k:
+            j = (free - k).bit_length() - 1
+        while j and k + (1 << j) >= p:  # a jump that reaches m^p would leave the line
+            j -= 1
+        j = min(j, len(factors) - 1)
+        h = 1 << j
+        candidate = _apply(factors[j], power)
+        if not j:  # a 1-step is always taken, so m^k can go before the elimination
+            power = candidate
+        line = r - h * d
+        if k + h <= free:
+            rank, kept = line, spanning
+        elif k + h == p:
+            rank, kept = r_p, spanning
+        else:
+            kept = _independent_rows(candidate, spanning, [0] * (n + 1))
+            rank = len(kept)
+        if not j:
+            j = 1 if r - rank == d else 0
+            d = r - rank
+            ranks.append(rank)
+        elif rank == line:
+            ranks.extend(range(r - d, line - 1, -d))
+            j += 1
+        elif rank == line + 1 and rank:  # one short: only the last drop is d - 1
+            ranks.extend(range(r - d, line, -d))
+            ranks.append(rank)
+            d -= 1
+            j = 0
+        else:
+            known.append((k + h, rank))
+            short = rank - line
+            if short < h:  # each drop after the line is at least 1 short of d
+                known.append((k + h - short, r - (h - short) * d))
+            j = 0
+            continue
+        k += h
+        power, spanning = candidate, kept
     return ranks
 
 
@@ -174,8 +273,8 @@ def _graded_sweep(forms: dict[int, Form], members: dict[int, list[int]]) -> Jord
     degree b and closed on the way down from degree d is a Jordan block of
     size b + 1 - d.  A vector is moved down one degree by _apply_form, at a
     cost set by that map's diagonals rather than by the vector's bits; the
-    sweep does dim such moves, where ranks of powers eliminate about
-    sum(size^2) / 2 rows.
+    sweep does dim such moves, where eliminating at every power would visit
+    about sum(size^2) / 2 rows.
     """
     sizes: list[int] = []
     births: list[int] = []  # births[t] is where the bar of alive[t] began
@@ -219,18 +318,33 @@ def jordan_type_of_images(
     where basis vector c goes.  The rank loop reads them as the rows of the
     transpose t, which has the ranks of powers of m.
 
-    The number of blocks of size >= k equals rank(t^(k-1)) - rank(t^k), so
-    the multiplicity of size k is rank(t^(k-1)) - 2 rank(t^k) + rank(t^(k+1)).
+    The number of blocks of size >= k is the drop d_k = rank(t^(k-1)) -
+    rank(t^k), so the multiplicity of size k is d_k - d_(k+1).  The drops
+    never rise, and that lets the rank loop skip powers.  Standing on t^k
+    with the last drop d, it jumps to t^(k+h), h = 2^j, and eliminates
+    there.  Each of the h drops in between is at most d, so a rank of
+    rank(t^k) - h d makes them all d: the ranks in between lie on that line,
+    and the next jump is twice as long.  A rank 1 above the line fixes them
+    too: only the last drop is d - 1.  Any other rank is kept as a known
+    rank above k, with the power up to which the line must still hold, as
+    each drop after it is at least 1 short of d, and the loop goes on with
+    1-steps, which read each drop exactly.  Known ranks on the current line
+    are reached by applying factors without an elimination, and the nearest
+    one off it bounds every jump.
 
-    Row c of t^k is row c of t^(k-1) times t.  So the rows of t^k at the
-    indices whose rows of t^(k-1) span the row space of t^(k-1) span the
-    row space of t^k, and each power eliminates only those rank(t^(k-1))
-    rows; the indices that give pivots are kept for the next power.
+    Row c of t^(k+h) is row c of t^k times t^h.  So the rows of t^(k+h) at
+    the indices whose rows of t^k span the row space of t^k span the row
+    space of t^(k+h): each elimination visits only those rows, and the
+    indices that give pivots are kept for the next one.
 
-    The row space of t^k lies inside that of t^(k-1).  Equal ranks above 0
-    make the two spaces equal, so every later power has the same nonzero
-    rank: m is not nilpotent, and ValueError is raised.  Otherwise the rank
-    falls at every step and reaches 0 within len(images) steps.
+    The factors t, t^2, t^4, ... come from squaring, each applied by
+    gathers, one per set bit of its fullest row (_gathers).  In
+    characteristic 2, (u - 1)^(2^j) = u^(2^j) - 1, so on the oracle's
+    unipotent operators every factor is as sparse as t; correctness does not
+    depend on it.  The squaring stops at the first zero factor.  A factor
+    t^(2^j) that is still nonzero with 2^j >= len(images) shows that m is not
+    nilpotent, and ValueError is raised.  Otherwise t^(2^J) = 0 is a known
+    rank 0, which ends the last line without an elimination.
 
     degrees, if given, holds a degree for each basis vector, and every
     nonzero entry (i, c) must lower it: degrees[i] < degrees[c], or
@@ -269,6 +383,7 @@ def jordan_type_of_images(
         for p, c in enumerate(order):
             position[c] = p
         images = [[position[i] for i in images[c]] for c in order]
+        del members, order, position  # freed before the rank loop's peak
     ranks = _nilpotent_ranks(images)
     if ranks is None:
         raise ValueError("matrix is not nilpotent")

@@ -8,10 +8,12 @@ memory proportional to the number of nonzero entries.  The same walk
 reads the degree of each basis vector off the tree, and the exact linear
 algebra kernel takes the images as built, with their degrees, to extract
 Jordan types: e lowers every degree by exactly 1, so its type comes from a
-graded sweep, and u - 1 lowers it by at least 1, so its ranks of powers
-pivot on each image's highest-degree target.  The kind and the dimension
-are read off the expression before anything is built, and one check of
-that dimension against the cap bounds every space built on the way.
+graded sweep, and u - 1 lowers it by at least 1, so its type comes from
+ranks of powers, which pivot on each image's highest-degree target and are
+eliminated only where the drop in rank can change.  The kind and the
+dimension are read off the expression before anything is built, and one
+check of that dimension against the cap bounds every space built on the
+way.
 expr_action, square_action and tensor_action are dense views of the same
 images, as bit-packed matrices, and _dense adds u's identity back; no
 command builds them.

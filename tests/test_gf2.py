@@ -202,6 +202,139 @@ class TestJordanType:
         assert t == type_from_full_powers(m)
 
 
+def rows_of_blocks(sizes):
+    """Rows of the direct sum of upper shift blocks of the given sizes."""
+    rows = []
+    for s in sizes:
+        offset = len(rows)
+        rows += [1 << (offset + i + 1) for i in range(s - 1)] + [0]
+    return rows
+
+
+def conjugated(rows, pairs):
+    """T m T for each T = I + e_ab in turn, a < b; over GF(2) each T is its own inverse."""
+    for a, b in pairs:
+        rows = [row ^ rows[b] if i == a else row for i, row in enumerate(rows)]  # row a += row b
+        rows = [row ^ (row >> a & 1) << b for row in rows]  # column b += column a
+    return rows
+
+
+def ranks_of_full_powers(m):
+    """[rank(m^0), rank(m^1), ...] up to the first 0, from dense products."""
+    ranks, power = [m.rows], identity(m.rows)
+    while ranks[-1]:
+        power = mul(m, power)
+        ranks.append(rank(power))
+    return ranks
+
+
+@st.composite
+def block_sums(draw):
+    """(sizes, rows): shift blocks of up to 48 dimensions in all, in runs of
+    equal sizes, conjugated by upper unitriangular transvections."""
+    sizes = []
+    for size, count in draw(st.lists(st.tuples(st.integers(1, 24), st.integers(1, 16)), max_size=10)):
+        sizes += [size] * min(count, (48 - sum(sizes)) // size)
+    n = sum(sizes)
+    pairs = draw(st.lists(st.tuples(st.integers(0, max(n - 2, 0)), st.integers(1, 47)), max_size=60))
+    pairs = [(a, a + 1 + b % (n - a - 1)) for a, b in pairs if a < n - 1]
+    return sizes, conjugated(rows_of_blocks(sizes), pairs)
+
+
+class TestFactorGathers:
+    """_gathers reads a factor off its rows: applied with _apply, its gathers
+    multiply like the dense product, whatever the rows' sparsity."""
+
+    @staticmethod
+    def product_by_gathers(m, p):
+        index = [m.rows, *range(m.rows)]
+        gathers = gf2._gathers([*m.data, 0], index)
+        if not gathers:
+            return [0] * m.rows
+        rows = gf2._apply(gathers, [*p.data, 0])
+        assert rows[-1] == 0  # every gather ends in the zero row
+        return rows[:-1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40), st.sampled_from([0.0, 0.05, 0.5, 1.0]), st.integers(0, 2**30))
+    def test_equals_dense_product(self, n, density, seed):
+        rng = random.Random(seed)
+        rows = [sum(1 << c for c in range(n) if rng.random() < density) for _ in range(n)]
+        # all-zero rows, and rows whose only bit is bit 0
+        for i in rng.sample(range(n), n // 4):
+            rows[i] = rng.choice([0, 1])
+        m = Gf2Matrix(n, n, tuple(rows))
+        p = random_matrix(rng, n, n)
+        assert self.product_by_gathers(m, p) == list(mul(m, p).data)
+
+    def test_one_gather_per_bit_of_the_fullest_row(self):
+        rows = [0b1011, 0, 0b1, 0b1000, 0]
+        gathers = gf2._gathers(rows, [4, 0, 1, 2, 3])
+        assert len(gathers) == 3
+        # highest bits first; a row out of bits, and the zero row, take index 4
+        p = ["r0", "r1", "r2", "r3", "zero"]
+        assert [g(p) for g in gathers] == [
+            ("r3", "zero", "r0", "r3", "zero"),
+            ("r1", "zero", "zero", "zero", "zero"),
+            ("r0", "zero", "zero", "zero", "zero"),
+        ]
+
+    def test_zero_factor_has_no_gathers(self):
+        assert gf2._gathers([0] * 6, [5, 0, 1, 2, 3, 4]) == []
+        assert self.product_by_gathers(zero(5, 5), random_matrix(random.Random(3), 5, 5)) == [0] * 5
+
+
+class TestGallop:
+    """The rank loop jumps over powers where the drops of rank stay equal: its
+    ranks must be the ranks of every power, for n up to 48."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(block_sums())
+    def test_block_sums(self, case):
+        sizes, rows = case
+        m = Gf2Matrix(len(rows), len(rows), tuple(rows))
+        assert gf2._nilpotent_ranks([gf2._support(row) for row in rows]) == ranks_of_full_powers(m)
+        assert jordan_type_of_nilpotent(m) == JordanType.from_sizes(sizes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**30), st.integers(11, 48))
+    def test_random_nilpotent(self, seed, n):
+        m = random_nilpotent(random.Random(seed), n)
+        assert gf2._nilpotent_ranks([gf2._support(row) for row in m.data]) == ranks_of_full_powers(m)
+        assert jordan_type_of_nilpotent(m) == type_from_full_powers(m)
+
+    @pytest.mark.parametrize("block, ones", [(40, 1), (40, 8), (31, 2), (47, 1), (17, 31)])
+    def test_stall_after_a_long_line(self, block, ones):
+        # the ranks fall by 1 for block - 1 powers, then stay at ones
+        rows = rows_of_blocks([block]) + [1 << (block + i) for i in range(ones)]
+        pairs = [(i, i + 3) for i in range(0, block + ones - 3, 5)]
+        m = Gf2Matrix(block + ones, block + ones, tuple(conjugated(rows, pairs)))
+        with pytest.raises(ValueError, match="not nilpotent"):
+            jordan_type_of_nilpotent(m)
+
+    def test_nilpotency_test_ends_the_squaring(self, monkeypatch):
+        # a square m^(2^j) that is nonzero with 2^j >= n ends the squaring at once
+        calls, real = [], gf2._gathers
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            assert len(calls) <= 6, "the squaring went on past m^64"
+            return real(*args)
+
+        monkeypatch.setattr(gf2, "_gathers", counted)
+        m = Gf2Matrix(42, 42, tuple(rows_of_blocks([40]) + [1 << 40, 1 << 41]))
+        with pytest.raises(ValueError, match="not nilpotent"):
+            jordan_type_of_nilpotent(m)
+        assert calls == [43] * 6  # m^2, ..., m^64
+
+    def test_one_by_one(self):
+        assert gf2._nilpotent_ranks([[]]) == [1, 0]
+        assert gf2._nilpotent_ranks([[0]]) is None
+        assert jordan_type_of_nilpotent(zero(1, 1)) == JordanType.from_sizes([1])
+        with pytest.raises(ValueError, match="not nilpotent"):
+            jordan_type_of_nilpotent(identity(1))
+
+
 def form_of(images):
     """The shift form of the map sending bit s to the bits images[s]."""
     form = {}

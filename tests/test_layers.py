@@ -171,3 +171,21 @@ def test_tracer_hooks_count_a_basis_verify(monkeypatch):
     assert metrics["gf2.rank_rows"] > 0
     assert metrics["basis.vectors"] == 36
     assert metrics["basis.verify_s"] > 0
+
+
+def test_rank_loop_gallops_over_equal_drops(monkeypatch):
+    # T(V64, V64) has type 64^64: every drop of rank is 64, so the unipotent
+    # rank loop eliminates only where the drop could change, not at each power
+    from char2squares import gf2, oracle
+    from char2squares.core import square_expr
+
+    calls, real = [], gf2._independent_rows
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(gf2, "_independent_rows", counted)
+    expr = square_expr("tensor", "unipotent", 64, 64)
+    assert oracle.oracle_expr_jordan_type(expr).sizes() == [64] * 64
+    assert len(calls) <= 8
