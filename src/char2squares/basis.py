@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .core import ConesExpansion, JordanType, cones_expansion
+from .core import ConesExpansion, JordanType, _trusted, cones_expansion
 from .gf2 import Gf2Matrix, _apply_form, _degree_forms, _support, rank as gf2_rank
 from .oracle import basis_keys
 
@@ -66,15 +66,7 @@ class SparseVec:
             mask &= ~(1 << self.degree // 2)
         degree = self.degree - 1
         mask = ((mask >> 1) ^ mask) & _valid_mask(self.space, self.n, degree)
-        return _trusted_vec(self.space, self.n, degree, mask)
-
-
-def _trusted_vec(space: Space, n: int, degree: int, mask: int) -> SparseVec:
-    """A SparseVec whose mask is valid by construction, built without re-checking it."""
-    vec = object.__new__(SparseVec)
-    fields = vec.__dict__
-    fields["space"], fields["n"], fields["degree"], fields["mask"] = space, n, degree, mask
-    return vec
+        return _trusted(SparseVec, space=self.space, n=self.n, degree=degree, mask=mask)
 
 
 @dataclass(frozen=True)
@@ -276,7 +268,9 @@ def verify_basis(
         if expected_terminals is not None and not same(expected_terminals[ci], last.degree, last.mask):
             failures.append(f"{where}: terminal differs from expected vector")
     count = sum(map(len, by_degree.values()))
-    matrix_rank = sum(gf2_rank(Gf2Matrix(len(r), n + 1, tuple(r))) for r in by_degree.values())
+    # the masks were checked against (space, n) above, so the matrices are built unchecked
+    matrix_rank = sum(gf2_rank(_trusted(Gf2Matrix, rows=len(r), cols=n + 1, data=tuple(r)))
+                      for r in by_degree.values())
     if matrix_rank != count:
         failures.append(f"chain vectors dependent: rank {matrix_rank} < count {count}")
     return VerificationReport(count, matrix_rank, failures)

@@ -21,7 +21,7 @@ import sys
 from . import basis as basis_mod
 from . import formulas, oracle
 from .core import FUNCTORS, KINDS, format_jordan_type, square_expr
-from .parser import ExprSyntaxError, parse_expr
+from .parser import ExprSyntaxError, IntegerTooLong, parse_expr, to_int
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -47,7 +47,21 @@ class _LimitExceeded(Exception):
     """A result too large to build or print (exit 3)."""
 
 
+def _int_option(text: str) -> int:
+    """The value of a type=int option; one too long to convert is named as such."""
+    try:
+        return to_int(text)
+    except IntegerTooLong as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # type=int options convert with _int_option; any other bad value is
+        # still reported as an "invalid int value", after the option's type
+        self.register("type", int, _int_option)
+
     # argparse exits with status 2 by default; usage errors must exit 1
     def error(self, message: str):
         raise _CliError(message)

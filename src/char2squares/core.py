@@ -9,13 +9,30 @@ nilpotent Jordan blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Iterable, Literal, TypeVar
 
 Kind = Literal["unipotent", "nilpotent"]
 
 KINDS = ("unipotent", "nilpotent")
 
 FUNCTORS = ("tensor", "ext2", "sym2")
+
+_T = TypeVar("_T")
+
+
+def _trusted(cls: type[_T], **fields: object) -> _T:
+    """An instance of the frozen dataclass cls with these fields, built without __post_init__.
+
+    For values valid by construction: the caller guarantees what
+    __post_init__ would check.  Public constructors keep every check.
+    """
+    out = object.__new__(cls)
+    attrs = out.__dict__
+    # one at a time, in field order: attrs then keeps sharing its keys with
+    # the other instances, where update(fields) would copy a table of its own
+    for name, value in fields.items():
+        attrs[name] = value
+    return out
 
 
 class MixedKindError(ValueError):
@@ -58,18 +75,7 @@ class JordanType:
             if size < 1:
                 raise ValueError(f"non-positive block size {size}")
             acc[size] = acc.get(size, 0) + mult
-        return cls._trusted(tuple(sorted(acc.items(), reverse=True)))
-
-    @classmethod
-    def _trusted(cls, parts: tuple[tuple[int, int], ...]) -> "JordanType":
-        """Wrap parts that are valid by construction, without re-running __post_init__.
-
-        The caller guarantees what __post_init__ checks: sizes strictly
-        decreasing, sizes and multiplicities positive.
-        """
-        out = object.__new__(cls)
-        out.__dict__["parts"] = parts
-        return out
+        return _trusted(cls, parts=tuple(sorted(acc.items(), reverse=True)))
 
     @classmethod
     def from_sizes(cls, sizes: Iterable[int]) -> "JordanType":
@@ -184,11 +190,7 @@ def cones_expansion(n: int) -> ConesExpansion:
         b = (m - 1).bit_length()
         betas.append(b)
         m = (1 << b) - m
-    # valid by construction, so built without re-running __post_init__
-    out = object.__new__(ConesExpansion)
-    fields = out.__dict__
-    fields["n"], fields["betas"] = n, tuple(betas)
-    return out
+    return _trusted(ConesExpansion, n=n, betas=tuple(betas))
 
 
 # --- symbolic module expressions -----------------------------------------

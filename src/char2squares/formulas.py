@@ -20,6 +20,7 @@ from .core import (
     Sum,
     Sym2,
     Tensor,
+    _trusted,
     cones_expansion,
     expr_kind,
 )
@@ -109,7 +110,7 @@ def ext2_nilpotent(n: int) -> JordanType:
     contributes blocks of size 2^b_k - 1 with multiplicity
     2^(b_k - 1) - n_{k+1}.
     """
-    return JordanType._trusted(tuple(((1 << b) - 1, m) for b, m in _nilpotent_bands(n)))
+    return _trusted(JordanType, parts=tuple(((1 << b) - 1, m) for b, m in _nilpotent_bands(n)))
 
 
 def sym2_nilpotent(n: int) -> JordanType:
@@ -120,7 +121,7 @@ def sym2_nilpotent(n: int) -> JordanType:
     """
     pairs = [(1 << b, m) for b, m in _nilpotent_bands(n)]
     pairs.append((1, (n + 1) // 2))
-    return JordanType._trusted(tuple(pairs))
+    return _trusted(JordanType, parts=tuple(pairs))
 
 
 # Small on purpose: callers ask for both squares of one n close together

@@ -195,7 +195,6 @@ def _nilpotent_ranks(supports: Sequence[Sequence[int]]) -> list[int] | None:
             j = (free - k).bit_length() - 1
         while j and k + (1 << j) >= p:  # a jump that reaches m^p would leave the line
             j -= 1
-        j = min(j, len(factors) - 1)
         h = 1 << j
         candidate = _apply(factors[j], power)
         if not j:  # a 1-step is always taken, so m^k can go before the elimination
@@ -208,23 +207,16 @@ def _nilpotent_ranks(supports: Sequence[Sequence[int]]) -> list[int] | None:
         else:
             kept = _independent_rows(candidate, spanning, [0] * (n + 1))
             rank = len(kept)
-        if not j:
-            j = 1 if r - rank == d else 0
-            d = r - rank
-            ranks.append(rank)
-        elif rank == line:
+        if rank == line:
             ranks.extend(range(r - d, line - 1, -d))
             j += 1
-        elif rank == line + 1 and rank:  # one short: only the last drop is d - 1
-            ranks.extend(range(r - d, line, -d))
+        elif not j:  # a 1-step reads the new drop
+            d = r - rank
             ranks.append(rank)
-            d -= 1
-            j = 0
         else:
             known.append((k + h, rank))
-            short = rank - line
-            if short < h:  # each drop after the line is at least 1 short of d
-                known.append((k + h - short, r - (h - short) * d))
+            short = rank - line  # each drop after the line is at least 1 short of d
+            known.append((k + h - short, r - (h - short) * d))
             j = 0
             continue
         k += h
@@ -324,13 +316,13 @@ def jordan_type_of_images(
     with the last drop d, it jumps to t^(k+h), h = 2^j, and eliminates
     there.  Each of the h drops in between is at most d, so a rank of
     rank(t^k) - h d makes them all d: the ranks in between lie on that line,
-    and the next jump is twice as long.  A rank 1 above the line fixes them
-    too: only the last drop is d - 1.  Any other rank is kept as a known
+    and the next jump is twice as long.  Any other rank is kept as a known
     rank above k, with the power up to which the line must still hold, as
     each drop after it is at least 1 short of d, and the loop goes on with
-    1-steps, which read each drop exactly.  Known ranks on the current line
-    are reached by applying factors without an elimination, and the nearest
-    one off it bounds every jump.
+    1-steps, which read each drop exactly.  That bound covers a rank 1 above
+    the line too: every power but the last lies on the line.  Known ranks on
+    the current line are reached by applying factors without an
+    elimination, and the nearest one off it bounds every jump.
 
     Row c of t^(k+h) is row c of t^k times t^h.  So the rows of t^(k+h) at
     the indices whose rows of t^k span the row space of t^k span the row
@@ -388,9 +380,6 @@ def jordan_type_of_images(
     if ranks is None:
         raise ValueError("matrix is not nilpotent")
     ranks.append(0)
-    pairs = []
-    for k in range(1, len(ranks) - 1):
-        mult = ranks[k - 1] - 2 * ranks[k] + ranks[k + 1]
-        if mult:
-            pairs.append((k, mult))
-    return JordanType.from_pairs(pairs)
+    return JordanType.from_pairs(
+        (k, ranks[k - 1] - 2 * ranks[k] + ranks[k + 1]) for k in range(1, len(ranks) - 1)
+    )

@@ -27,6 +27,7 @@ from .core import (
     Atom, Ext2, JordanType, Kind, ModuleExpr, Scaled, Sum, Sym2, Tensor, expr_kind, square_expr,
 )
 from .gf2 import Gf2Matrix, jordan_type_of_images, jordan_type_of_nilpotent  # noqa: F401
+from .parser import IntegerTooLong, to_int
 
 Functor = str  # one of core.FUNCTORS
 Images = list[list[int]]  # images[c]: positions hit by basis vector c
@@ -54,7 +55,9 @@ def dim_cap() -> int:
     if not value:
         return DEFAULT_DIM_CAP
     try:
-        cap = int(value)
+        cap = to_int(value)
+    except IntegerTooLong as exc:
+        raise ValueError(f"{CAP_ENV_VAR}: {exc}") from None
     except ValueError:
         raise ValueError(f"{CAP_ENV_VAR} must be an integer, not {value!r}") from None
     if cap < 0:

@@ -15,17 +15,38 @@ may nest at most MAX_DEPTH levels deep.
 
 from __future__ import annotations
 
+import re
+
 from .core import Atom, Ext2, ModuleExpr, Scaled, Sum, Sym2, Tensor
 
 # brackets nested deeper than this are a syntax error; it also bounds the
 # recursion depth of everything that walks the parsed expression
 MAX_DEPTH = 300
 
+# what int() reads: a sign, decimal digits with single underscores between
+# them, and whitespace around
+_INT_SYNTAX = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
 
 class ExprSyntaxError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+class IntegerTooLong(ValueError):
+    """A well-formed integer with more digits than Python converts (4300 by default)."""
+
+
+def to_int(text: str) -> int:
+    """int(text), but a well-formed integer too long to convert raises IntegerTooLong,
+    "integer too long (N digits)", where int calls it an invalid literal."""
+    try:
+        return int(text)
+    except ValueError:
+        if not _INT_SYNTAX.fullmatch(text):
+            raise
+    raise IntegerTooLong(f"integer too long ({sum(map(str.isdecimal, text))} digits)")
 
 
 class _Parser:
@@ -58,10 +79,10 @@ class _Parser:
         if self.pos == start:
             raise self.error("expected an integer")
         try:
-            return int(self.text[start : self.pos])
-        except ValueError:  # more digits than Python converts (4300 by default)
-            digits, self.pos = self.pos - start, start
-            raise self.error(f"integer too long ({digits} digits)") from None
+            return to_int(self.text[start : self.pos])
+        except IntegerTooLong as exc:
+            self.pos = start
+            raise self.error(str(exc)) from None
 
     def open(self) -> None:
         """Consume '(' and enter one more level of nesting."""

@@ -574,3 +574,55 @@ class TestBasis:
             tracemalloc.stop()
         assert code == 0 and "verification passed (16384 vectors)" in out
         assert peak < 12e6
+
+
+class TestLongIntegerOptions:
+    """A well-formed integer of more than 4,300 digits is too long for Python
+    to convert: it is reported as too long, not echoed back as invalid."""
+
+    OPTIONS = [
+        ("decompose", "--functor", "ext2", "--kind", "unipotent", "--n"),
+        ("decompose", "--functor", "tensor", "--kind", "nilpotent", "--n", "3", "--m"),
+        ("basis", "--n"),
+        ("table", "--max"),
+    ]
+
+    @pytest.mark.parametrize("argv", OPTIONS)
+    @pytest.mark.parametrize("value, digits", [
+        ("9" * 4301, 4301),
+        ("-" + "1" * 5000, 5000),
+        (" +" + "0" * 4400 + "7 ", 4401),  # leading zeros count, as int counts them
+        ("1_" + "2" * 4300, 4301),
+    ])
+    def test_too_long(self, argv, value, digits):
+        code, out, err = run_cli(*argv, value)
+        assert (code, out) == (1, "")
+        assert err == f"error: argument {argv[-1]}: integer too long ({digits} digits)\n"
+
+    @pytest.mark.parametrize("argv", OPTIONS)
+    @pytest.mark.parametrize("value", ["x", "12k", "1__2", "9" * 4400 + "x", "- 9" + "9" * 4400])
+    def test_invalid_is_still_invalid(self, argv, value):
+        code, out, err = run_cli(*argv, value)
+        assert (code, out) == (1, "")
+        assert err == f"error: argument {argv[-1]}: invalid int value: {value!r}\n"
+
+    def test_longest_convertible(self):
+        code, out, err = run_cli("table", "--max", "0" * 4299 + "2")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 3
+
+    def test_cap_too_long(self, monkeypatch):
+        code, out, err = run_cli("expr", "S2(W3)", "--method", "both",
+                                 env_cap="2" * 4301, monkeypatch=monkeypatch)
+        assert (code, out) == (1, "")
+        assert err == "error: CHAR2SQUARES_ORACLE_CAP: integer too long (4301 digits)\n"
+
+    def test_cap_invalid_is_still_invalid(self, monkeypatch):
+        value = "2" * 4301 + "k"
+        code, out, err = run_cli("expr", "S2(W3)", "--method", "both",
+                                 env_cap=value, monkeypatch=monkeypatch)
+        assert (code, out) == (1, "")
+        assert err == f"error: CHAR2SQUARES_ORACLE_CAP must be an integer, not {value!r}\n"
+        code, out, _ = run_cli("expr", "S2(W3)", "--method", "both",
+                               env_cap="0" * 4295 + "20000", monkeypatch=monkeypatch)
+        assert (code, out) == (0, "4 1^2\n4 1^2\n")

@@ -2,7 +2,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from char2squares import gf2
@@ -290,6 +290,10 @@ class TestGallop:
 
     @settings(max_examples=80, deadline=None)
     @given(block_sums())
+    # a jump that lands 1 above the line: every drop it spans but the last is d
+    @example(([1, 4, 6], rows_of_blocks([1, 4, 6])))
+    @example(([3, 4, 5], rows_of_blocks([3, 4, 5])))
+    @example(([2, 5, 7], rows_of_blocks([2, 5, 7])))
     def test_block_sums(self, case):
         sizes, rows = case
         m = Gf2Matrix(len(rows), len(rows), tuple(rows))

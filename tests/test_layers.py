@@ -189,3 +189,23 @@ def test_rank_loop_gallops_over_equal_drops(monkeypatch):
     expr = square_expr("tensor", "unipotent", 64, 64)
     assert oracle.oracle_expr_jordan_type(expr).sizes() == [64] * 64
     assert len(calls) <= 8
+
+
+def test_rank_loop_eliminations_pinned(monkeypatch):
+    # the rank loop's eliminations on E2 and S2 of V_n, n <= 40, and T(V_m, V_n),
+    # m <= n <= 16: each bound the loop keeps saves some, so a lost rule shows here
+    from char2squares import gf2, oracle
+    from char2squares.core import square_expr
+
+    calls, real = [], gf2._independent_rows
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(gf2, "_independent_rows", counted)
+    exprs = [square_expr(f, "unipotent", n) for f in ("ext2", "sym2") for n in range(1, 41)]
+    exprs += [square_expr("tensor", "unipotent", n, m) for n in range(1, 17) for m in range(1, n + 1)]
+    for expr in exprs:
+        oracle.oracle_expr_jordan_type(expr)
+    assert len(calls) == 1617

@@ -1,7 +1,7 @@
 import pytest
 
 from char2squares.core import Atom, Ext2, Scaled, Sum, Sym2, Tensor
-from char2squares.parser import MAX_DEPTH, ExprSyntaxError, parse_expr
+from char2squares.parser import MAX_DEPTH, ExprSyntaxError, IntegerTooLong, parse_expr, to_int
 
 
 class TestParse:
@@ -71,3 +71,25 @@ class TestErrors:
         expr = parse_expr("V2 + W2")
         with pytest.raises(MixedKindError):
             expr_kind(expr)
+
+
+class TestToInt:
+    @pytest.mark.parametrize("text", ["0", "-7", " +12 ", "1_000", "\u0663", "9" * 4300])
+    def test_equals_int(self, text):
+        assert to_int(text) == int(text)
+
+    @pytest.mark.parametrize("text, digits", [
+        ("9" * 4301, 4301), ("\t-" + "1_1" * 3000 + "\n", 6000), ("\u0663" * 4301, 4301),
+    ])
+    def test_too_long(self, text, digits):
+        with pytest.raises(IntegerTooLong, match=rf"^integer too long \({digits} digits\)$"):
+            to_int(text)
+
+    @pytest.mark.parametrize("text", ["", "x", "1__2", "_1", "1_", "+-1", "- 1", "1.0", "9" * 4301 + "x"])
+    def test_invalid_raises_ints_error(self, text):
+        with pytest.raises(ValueError) as expected:
+            int(text)
+        with pytest.raises(ValueError) as got:
+            to_int(text)
+        assert type(got.value) is ValueError
+        assert str(got.value) == str(expected.value)
