@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .core import ConesExpansion, JordanType, _trusted, cones_expansion
+from .core import JordanType, _trusted, cones_expansion
 from .gf2 import Gf2Matrix, _apply_form, _degree_forms, _support, rank as gf2_rank
 from .oracle import basis_keys
 
@@ -96,11 +96,11 @@ def build_z(s: int, n: int) -> SparseVec:
     return SparseVec("tensor", n, s + 1, (2 << s) - 2)
 
 
-def band_index(s: int, n: int, exp: ConesExpansion | None = None) -> int:
+def band_index(s: int, n: int) -> int:
     """The unique k (1-based) with n_k > n - s >= n_{k+1}."""
     if not (1 <= s <= n):
         raise ValueError(f"s={s} out of range for n={n}")
-    exp = exp or cones_expansion(n)
+    exp = cones_expansion(n)
     nk = exp.suffix_values()
     for k in range(1, exp.r + 1):
         if nk[k - 1] > n - s >= nk[k]:
@@ -118,20 +118,16 @@ def find_j0(s: int, n: int, beta: int) -> int:
         raise ValueError("beta must be positive")
     half = 1 << (beta - 1)
     step = 1 << beta
-    for j0 in range(n + 1):
-        lo = s // 2 + half + j0 * step
-        hi = (s + 1) // 2 + half + j0 * step
-        if s <= lo <= n and s <= hi <= n:
-            return j0
-        if lo > n:
-            break
-    raise ValueError(f"no valid j0 for s={s}, n={n}, beta={beta}")
+    # the least j0 whose lower point s // 2 + half + j0 step is at least s
+    j0 = max(0, -((half - (s + 1) // 2) // step))
+    if (s + 1) // 2 + half + j0 * step > n:
+        raise ValueError(f"no valid j0 for s={s}, n={n}, beta={beta}")
+    return j0
 
 
-def build_w(s: int, n: int, exp: ConesExpansion | None = None) -> SparseVec:
+def build_w(s: int, n: int) -> SparseVec:
     """Chain top w_s; equals z_s in the beta = 0 band."""
-    exp = exp or cones_expansion(n)
-    beta = exp.betas[band_index(s, n, exp) - 1]
+    beta = cones_expansion(n).betas[band_index(s, n) - 1]
     if beta == 0:
         return build_z(s, n)
     half = 1 << (beta - 1)
@@ -161,8 +157,7 @@ def build_tensor_basis(n: int) -> list[JordanChain]:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    exp = cones_expansion(n)
-    return [_chain_from_top(build_w(s, n, exp), s) for s in range(1, n + 1)]
+    return [_chain_from_top(build_w(s, n), s) for s in range(1, n + 1)]
 
 
 def project_to_sym(vec: SparseVec) -> SparseVec:
@@ -183,10 +178,9 @@ def build_sym_basis(n: int) -> list[JordanChain]:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    exp = cones_expansion(n)
     chains = []
     for s in range(1, n + 1):
-        top = project_to_sym(build_w(s, n, exp))
+        top = project_to_sym(build_w(s, n))
         chains.append(JordanChain(s, (top,)) if s % 2 == 0 else _chain_from_top(top, s))
     return chains
 

@@ -20,7 +20,7 @@ import sys
 
 from . import basis as basis_mod
 from . import formulas, oracle
-from .core import FUNCTORS, KINDS, format_jordan_type, square_expr
+from .core import FUNCTORS, KINDS, PRINTABLE_LIMIT, format_jordan_type, square_expr
 from .parser import ExprSyntaxError, IntegerTooLong, parse_expr, to_int
 
 EXIT_OK = 0
@@ -133,7 +133,7 @@ def _decompose(expr, input_desc: dict, args, out, err) -> int:
         results.append(formulas.decompose_expr(expr))
     if args.method in ("oracle", "both"):
         try:
-            results.append(oracle.oracle_expr_jordan_type(expr, cap=oracle.dim_cap()))
+            results.append(oracle.oracle_expr_jordan_type(expr))
         except oracle.OracleCapExceeded as exc:
             if args.method == "oracle":
                 raise
@@ -141,7 +141,7 @@ def _decompose(expr, input_desc: dict, args, out, err) -> int:
     # total_dim bounds every size and multiplicity printed: from 10^4300 on,
     # Python will not print it in JSON.  Below that their digits, bounded
     # from bit_length() without printing them, may still run to megabytes.
-    huge = any(result.total_dim >= formulas.MULTIPLICITY_LIMIT for result in results)
+    huge = any(result.total_dim >= PRINTABLE_LIMIT for result in results)
     digits = sum(x.bit_length() * 30103 // 100000 + 1
                  for result in results for part in result.parts for x in part)
     if huge or digits >= OUTPUT_DIGIT_LIMIT:
@@ -206,7 +206,7 @@ def _cmd_basis(args, out, err) -> int:
             f"basis has {vectors} chain vectors, above the limit {BASIS_VECTOR_LIMIT}")
     if args.verify:  # before any chain or output: a space over the cap builds nothing
         expr = square_expr(args.functor, "nilpotent", args.n)
-        images, _ = oracle.expr_images(expr, cap=oracle.dim_cap())
+        images, _ = oracle.expr_images(expr)
     if args.functor == "tensor":
         chains = basis_mod.build_tensor_basis(args.n)
         terminals = [basis_mod.build_z(c.s, args.n) for c in chains]

@@ -17,6 +17,11 @@ KINDS = ("unipotent", "nilpotent")
 
 FUNCTORS = ("tensor", "ext2", "sym2")
 
+# The first integer Python will not print (4300 digits at most by default):
+# formula multiplicities and oracle dimensions saturate here, and no size or
+# multiplicity is printed from here on.
+PRINTABLE_LIMIT = 10**4300
+
 _T = TypeVar("_T")
 
 

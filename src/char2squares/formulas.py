@@ -16,6 +16,7 @@ from .core import (
     JordanType,
     Kind,
     ModuleExpr,
+    PRINTABLE_LIMIT,
     Scaled,
     Sum,
     Sym2,
@@ -26,13 +27,8 @@ from .core import (
 )
 
 
-# Multiplicities must stay below this: Python prints an int of at most 4300
-# digits by default, and each nested square of a larger one doubles its size.
-MULTIPLICITY_LIMIT = 10**4300
-
-
 class MultiplicityCapExceeded(RuntimeError):
-    """A block multiplicity of the formula route reached MULTIPLICITY_LIMIT."""
+    """A block multiplicity of the formula route reached PRINTABLE_LIMIT."""
 
 
 def _q(n: int) -> int:
@@ -184,10 +180,10 @@ def decompose_expr(expr: ModuleExpr) -> JordanType:
     F(A + B) = F(A) + (A tensor B) + F(B) for F in {ext2, sym2}, and the
     tensor product is bilinear.  Every part is added into one table of
     block size -> multiplicity, which becomes a Jordan type once at the end.
-    Raises MultiplicityCapExceeded if a multiplicity reaches MULTIPLICITY_LIMIT.
+    Raises MultiplicityCapExceeded if a multiplicity reaches PRINTABLE_LIMIT.
     """
     blocks = _blocks(expr, expr_kind(expr))
-    if any(m >= MULTIPLICITY_LIMIT for _, m in blocks):
+    if any(m >= PRINTABLE_LIMIT for _, m in blocks):
         raise MultiplicityCapExceeded("a block multiplicity reaches the limit 10^4300")
     return JordanType.from_pairs(blocks)
 
@@ -197,7 +193,7 @@ def _eval(expr: ModuleExpr, kind: Kind, c: int, acc: dict[int, int]) -> None:
     if isinstance(expr, Atom):
         acc[expr.dim] = acc.get(expr.dim, 0) + c
     elif isinstance(expr, Scaled):
-        _eval(expr.inner, kind, min(c * expr.count, MULTIPLICITY_LIMIT), acc)
+        _eval(expr.inner, kind, min(c * expr.count, PRINTABLE_LIMIT), acc)
     elif isinstance(expr, Sum):
         for t in expr.terms:
             _eval(t, kind, c, acc)
@@ -224,12 +220,12 @@ def _eval(expr: ModuleExpr, kind: Kind, c: int, acc: dict[int, int]) -> None:
 def _blocks(expr: ModuleExpr, kind: Kind) -> list[tuple[int, int]]:
     """The (size, multiplicity) blocks of expr, equal sizes merged.
 
-    Multiplicities saturate at MULTIPLICITY_LIMIT.  Counts only multiply and add, so
+    Multiplicities saturate at PRINTABLE_LIMIT.  Counts only multiply and add, so
     a saturated count feeds only counts that reach the limit, or a tensor that is 0.
     """
     acc: dict[int, int] = {}
     _eval(expr, kind, 1, acc)
-    return [(s, min(m, MULTIPLICITY_LIMIT)) for s, m in acc.items()]
+    return [(s, min(m, PRINTABLE_LIMIT)) for s, m in acc.items()]
 
 
 def _add_tensor(acc: dict[int, int], a: int, b: int, c: int) -> None:

@@ -172,8 +172,8 @@ def _nilpotent_ranks(supports: Sequence[Sequence[int]]) -> list[int] | None:
         factors.append(gathers)
         rows = _apply(gathers, rows)
         gathers = _gathers(rows, index)
-    # powers above k of known rank, nearest last: m^(2^len(factors)) = 0, the
-    # jumps that left the line, and how far the line held before each of them
+    # powers above k of measured rank, nearest last: m^(2^len(factors)) = 0
+    # and the jumps that left the line
     known = [(1 << len(factors), 0)]
     power = _identity(n)  # the rows of m^k
     spanning: Sequence[int] = range(n)
@@ -185,7 +185,11 @@ def _nilpotent_ranks(supports: Sequence[Sequence[int]]) -> list[int] | None:
             known.pop()
         free = k  # the ranks up to m^free lie on the line r - (i - k) d
         for p, r_p in reversed(known):
-            if r - (p - k) * d != r_p:  # p is now the nearest known power off the line
+            short = r_p - (r - (p - k) * d)
+            if short:  # p is the nearest known power off the line
+                # each drop after the line is at least 1 short of d, so the
+                # line holds up to m^(p - short)
+                free = max(free, p - short)
                 break
             if not r_p:  # the line meets 0 where the rank is 0
                 ranks.extend(range(r - d, -1, -d))
@@ -215,8 +219,6 @@ def _nilpotent_ranks(supports: Sequence[Sequence[int]]) -> list[int] | None:
             ranks.append(rank)
         else:
             known.append((k + h, rank))
-            short = rank - line  # each drop after the line is at least 1 short of d
-            known.append((k + h - short, r - (h - short) * d))
             j = 0
             continue
         k += h
@@ -317,12 +319,14 @@ def jordan_type_of_images(
     there.  Each of the h drops in between is at most d, so a rank of
     rank(t^k) - h d makes them all d: the ranks in between lie on that line,
     and the next jump is twice as long.  Any other rank is kept as a known
-    rank above k, with the power up to which the line must still hold, as
-    each drop after it is at least 1 short of d, and the loop goes on with
-    1-steps, which read each drop exactly.  That bound covers a rank 1 above
-    the line too: every power but the last lies on the line.  Known ranks on
-    the current line are reached by applying factors without an
-    elimination, and the nearest one off it bounds every jump.
+    rank above k, and the loop goes on with 1-steps, which read each drop
+    exactly.  Known ranks on the current line are reached by applying
+    factors without an elimination, and the nearest one off it bounds every
+    jump.  It also bounds how far the current line must still hold, derived
+    where it is used: a rank at p that lies short above the line keeps every
+    power up to p - short on it, as each drop after the line is at least 1
+    short of d.  That covers a rank 1 above the line too: every power but
+    the last lies on the line.
 
     Row c of t^(k+h) is row c of t^k times t^h.  So the rows of t^(k+h) at
     the indices whose rows of t^k span the row space of t^k span the row

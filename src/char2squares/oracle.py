@@ -13,7 +13,9 @@ ranks of powers, which pivot on each image's highest-degree target and are
 eliminated only where the drop in rank can change.  The kind and the
 dimension are read off the expression before anything is built, and one
 check of that dimension against the cap bounds every space built on the
-way.
+way.  The cap policy lives here alone: every entry point reads the cap
+from the environment (dim_cap), so commands and library calls obey the
+same one.
 expr_action, square_action and tensor_action are dense views of the same
 images, as bit-packed matrices, and _dense adds u's identity back; no
 command builds them.
@@ -24,7 +26,8 @@ from __future__ import annotations
 import os
 
 from .core import (
-    Atom, Ext2, JordanType, Kind, ModuleExpr, Scaled, Sum, Sym2, Tensor, expr_kind, square_expr,
+    PRINTABLE_LIMIT, Atom, Ext2, JordanType, Kind, ModuleExpr, Scaled, Sum, Sym2, Tensor, expr_kind,
+    square_expr,
 )
 from .gf2 import Gf2Matrix, jordan_type_of_images, jordan_type_of_nilpotent  # noqa: F401
 from .parser import IntegerTooLong, to_int
@@ -35,22 +38,25 @@ Degrees = list[int]  # degrees[c]: the degree of basis vector c
 
 DEFAULT_DIM_CAP = 20_000
 CAP_ENV_VAR = "CHAR2SQUARES_ORACLE_CAP"
-# Dimensions saturate here, the first with more digits than Python prints.
-_DIM_LIMIT = 10**4300
 
 
 class OracleCapExceeded(RuntimeError):
     """The requested functor space is larger than the configured cap."""
 
     def __init__(self, dim: int, cap: int):
-        shown = "at least 10^4300" if dim >= _DIM_LIMIT else dim
+        shown = "at least 10^4300" if dim >= PRINTABLE_LIMIT else dim
         super().__init__(f"oracle space has dimension {shown}, above the cap {cap}")
         self.dim = dim
         self.cap = cap
 
 
 def dim_cap() -> int:
-    """Active oracle dimension cap (overridable via environment)."""
+    """Active oracle dimension cap: CHAR2SQUARES_ORACLE_CAP, or 20000 if it is unset or empty.
+
+    Read by expr_images on every call.  A value that is not an integer of
+    at most 4300 digits, or is negative, raises ValueError with the message
+    the CLI prints.
+    """
     value = os.environ.get(CAP_ENV_VAR)
     if not value:
         return DEFAULT_DIM_CAP
@@ -175,24 +181,26 @@ def _dim(expr: ModuleExpr, limit: int) -> int:
     return min(d, limit)
 
 
-def expr_images(expr: ModuleExpr, *, cap: int | None = DEFAULT_DIM_CAP) -> tuple[Images, Degrees]:
+def expr_images(expr: ModuleExpr) -> tuple[Images, Degrees]:
     """Images of the basis vectors under the nilpotent part N of the
     operator on a module expression, and the degree of each basis vector.
 
     N is e on W expressions and u - 1 on V expressions; only the dense views
     (_dense) add u's identity.  v_i of an atom has degree i, and a pair of
     T, E2 or S2 has the sum of its two factors' degrees: e lowers every
-    degree by exactly 1 and u - 1 lowers it by at least 1.  The kind is read
-    off the atoms (MixedKindError if they mix), and the dimension checked
-    against the cap, before anything is built.  That bounds every space
-    built on the way: only E2 of a space of dimension 2 or less is smaller
-    than its input, and a tensor with a zero factor builds neither factor.
+    degree by exactly 1 and u - 1 lowers it by at least 1.  The cap is read
+    first (dim_cap), so a malformed one is reported before a mixed kind;
+    then the kind is read off the atoms (MixedKindError if they mix), and
+    the dimension checked against the cap (OracleCapExceeded), before
+    anything is built.  That bounds every space built on the way: only E2
+    of a space of dimension 2 or less is smaller than its input, and a
+    tensor with a zero factor builds neither factor.
     """
+    cap = dim_cap()
     unipotent = expr_kind(expr) == "unipotent"
-    if cap is not None:
-        dim = _dim(expr, _DIM_LIMIT)
-        if dim > cap:
-            raise OracleCapExceeded(dim, cap)
+    dim = _dim(expr, PRINTABLE_LIMIT)
+    if dim > cap:
+        raise OracleCapExceeded(dim, cap)
     return _images(expr, unipotent)
 
 
@@ -246,38 +254,27 @@ def _dense(images: Images, unipotent: bool) -> Gf2Matrix:
 # --- concrete oracle entry points ----------------------------------------
 
 
-def square_action(
-    kind: Kind, functor: Functor, n: int, *, cap: int | None = DEFAULT_DIM_CAP
-) -> Gf2Matrix:
+def square_action(kind: Kind, functor: Functor, n: int) -> Gf2Matrix:
     """Matrix of u or e on the chosen square of the size-n block."""
-    return expr_action(square_expr(functor, kind, n), cap=cap)
+    return expr_action(square_expr(functor, kind, n))
 
 
-def tensor_action(
-    kind: Kind, m: int, n: int, *, cap: int | None = DEFAULT_DIM_CAP
-) -> Gf2Matrix:
+def tensor_action(kind: Kind, m: int, n: int) -> Gf2Matrix:
     """Matrix of u or e on the mixed tensor product of blocks of sizes m, n."""
-    return expr_action(square_expr("tensor", kind, n, m), cap=cap)
+    return expr_action(square_expr("tensor", kind, n, m))
 
 
-def expr_action(expr: ModuleExpr, *, cap: int | None = DEFAULT_DIM_CAP) -> Gf2Matrix:
+def expr_action(expr: ModuleExpr) -> Gf2Matrix:
     """Matrix of the operator on an arbitrary module expression."""
-    images, _ = expr_images(expr, cap=cap)
+    images, _ = expr_images(expr)
     return _dense(images, expr_kind(expr) == "unipotent")
 
 
-def oracle_jordan_type(
-    kind: Kind,
-    functor: Functor,
-    n: int,
-    m: int | None = None,
-    *,
-    cap: int | None = DEFAULT_DIM_CAP,
-) -> JordanType:
+def oracle_jordan_type(kind: Kind, functor: Functor, n: int, m: int | None = None) -> JordanType:
     """Ground-truth Jordan type via explicit matrices and the GF(2) kernel."""
-    return oracle_expr_jordan_type(square_expr(functor, kind, n, m), cap=cap)
+    return oracle_expr_jordan_type(square_expr(functor, kind, n, m))
 
 
-def oracle_expr_jordan_type(expr: ModuleExpr, *, cap: int | None = DEFAULT_DIM_CAP) -> JordanType:
+def oracle_expr_jordan_type(expr: ModuleExpr) -> JordanType:
     """Ground-truth Jordan type of the operator on a module expression."""
-    return jordan_type_of_images(*expr_images(expr, cap=cap))
+    return jordan_type_of_images(*expr_images(expr))

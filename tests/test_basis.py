@@ -166,7 +166,7 @@ class TestFindJ0:
 
             exp = cones_expansion(n)
             for s in range(1, n + 1):
-                k = band_index(s, n, exp)
+                k = band_index(s, n)
                 beta = exp.betas[k - 1]
                 if beta == 0:
                     continue
@@ -199,7 +199,7 @@ class TestBuildW:
         for n in range(1, 25):
             exp = cones_expansion(n)
             for s in range(1, n + 1):
-                beta = exp.betas[band_index(s, n, exp) - 1]
+                beta = exp.betas[band_index(s, n) - 1]
                 v = build_w(s, n)
                 for _ in range((1 << beta) - 1):
                     v = v.apply_e()

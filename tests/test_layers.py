@@ -208,4 +208,4 @@ def test_rank_loop_eliminations_pinned(monkeypatch):
     exprs += [square_expr("tensor", "unipotent", n, m) for n in range(1, 17) for m in range(1, n + 1)]
     for expr in exprs:
         oracle.oracle_expr_jordan_type(expr)
-    assert len(calls) == 1617
+    assert len(calls) == 1372

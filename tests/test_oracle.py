@@ -89,9 +89,11 @@ class TestSquareAction:
     def test_tensor_w4_square(self):
         assert oracle_jordan_type("nilpotent", "tensor", 4) == jt("4^4")
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setenv("CHAR2SQUARES_ORACLE_CAP", "50")
         with pytest.raises(OracleCapExceeded):
-            square_action("nilpotent", "tensor", 10, cap=50)
+            square_action("nilpotent", "tensor", 10)
+        monkeypatch.delenv("CHAR2SQUARES_ORACLE_CAP")
         with pytest.raises(OracleCapExceeded):
             oracle_jordan_type("nilpotent", "sym2", 300)
 
@@ -188,14 +190,26 @@ class TestExprOracle:
 
         assert jordan_type_of_nilpotent(mat) == jt("3 2")
 
-    def test_cap_uses_each_square_dimension(self):
+    def test_cap_uses_each_square_dimension(self, monkeypatch):
         w5 = Atom("nilpotent", 5)
-        assert expr_action(Ext2(w5), cap=10).rows == 10
-        with pytest.raises(OracleCapExceeded):
-            expr_action(Ext2(w5), cap=9)
-        assert expr_action(Sym2(w5), cap=15).rows == 15
-        with pytest.raises(OracleCapExceeded):
-            expr_action(Sym2(w5), cap=14)
+        for square, cap in ((Ext2(w5), 10), (Sym2(w5), 15)):
+            monkeypatch.setenv("CHAR2SQUARES_ORACLE_CAP", str(cap))
+            assert expr_action(square).rows == cap
+            monkeypatch.setenv("CHAR2SQUARES_ORACLE_CAP", str(cap - 1))
+            with pytest.raises(OracleCapExceeded):
+                expr_action(square)
+
+    def test_library_calls_obey_the_cap_variable(self, monkeypatch):
+        monkeypatch.setenv("CHAR2SQUARES_ORACLE_CAP", "9")
+        with pytest.raises(OracleCapExceeded, match="dimension 10, above the cap 9"):
+            expr_action(Ext2(Atom("nilpotent", 5)))
+
+    def test_malformed_cap_is_reported_before_the_kind(self, monkeypatch):
+        # the CLI's message, and before a mixed-kind error
+        monkeypatch.setenv("CHAR2SQUARES_ORACLE_CAP", "12k")
+        with pytest.raises(ValueError) as info:
+            expr_images(parse_expr("T(V2, W2)"))
+        assert str(info.value) == "CHAR2SQUARES_ORACLE_CAP must be an integer, not '12k'"
 
     def test_repeated_factor_built_once(self, monkeypatch):
         from char2squares import oracle
@@ -215,9 +229,10 @@ class TestExprOracle:
         from char2squares.parser import parse_expr
 
         monkeypatch.setattr(oracle, "_block_images", None)  # building an atom would call it
+        monkeypatch.setenv("CHAR2SQUARES_ORACLE_CAP", "20000")
         expr = parse_expr("W15000 + W15000 + W15000 + W15000")
         with pytest.raises(OracleCapExceeded, match="dimension 60000, above the cap 20000"):
-            expr_action(expr, cap=20_000)
+            expr_action(expr)
 
     def test_expr_oracle_matches_formula(self):
         from char2squares.parser import parse_expr
@@ -363,7 +378,7 @@ class TestImages:
         # _dim(expr, limit) = min(dim expr, limit) for every limit of 3 or more
         from char2squares import oracle
 
-        assert oracle._dim(expr, limit) == min(len(expr_images(expr, cap=None)[1]), limit)
+        assert oracle._dim(expr, limit) == min(len(expr_images(expr)[1]), limit)
 
     @settings(max_examples=150, deadline=None)
     @given(oracle_expr())
@@ -387,7 +402,7 @@ class TestImages:
             _pair_images=recorded(oracle._pair_images, lambda out: len(out[1])),
             _direct_sum=recorded(oracle._direct_sum, len),
         ):
-            root = len(expr_images(expr, cap=None)[1])
+            root = len(expr_images(expr)[1])
         assert all(size <= max(root, 2) for size in sizes)
 
     @pytest.mark.parametrize("text, mixed", [
