@@ -6,15 +6,23 @@ that applying the derivation 2^b - 1 times lands exactly on the kernel
 vector z_s.  Projecting to the symmetric square yields its Jordan basis.
 
 Every chain vector is homogeneous: all its monomials v_i v_j share one
-degree i + j, and the derivation lowers that degree by exactly 1.
+degree i + j, and the derivation lowers that degree by exactly 1.  A vector
+is a checked tuple (space, n, degree, mask); a chain is built from its top
+in one loop that lowers the mask by _lower, the one definition of e on a
+mask, and keeps the bits valid in each degree from a table made once per
+basis.  Those vectors are valid by construction and skip the check.  The
+chains of a basis share one expansion of n, cached in _expansion.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import itemgetter
 from typing import Sequence
 
-from .core import JordanType, _trusted, cones_expansion
+from .core import ConesExpansion, JordanType, _trusted, cones_expansion
 from .gf2 import Gf2Matrix, _apply_form, _degree_forms, _support, rank as gf2_rank
 from .oracle import basis_keys
 
@@ -28,25 +36,53 @@ def _valid_mask(space: Space, n: int, degree: int) -> int:
     return 0 if hi < lo else (2 << hi) - (1 << lo)
 
 
-@dataclass(frozen=True)
-class SparseVec:
+def _valid_masks(space: Space, n: int) -> list[int]:
+    """_valid_mask(space, n, degree) for every degree from 0 to 2n, indexed by degree."""
+    return [_valid_mask(space, n, degree) for degree in range(2 * n + 1)]
+
+
+def _lower(mask: int, degree: int, sym2: bool, valid: int) -> int:
+    """e on a mask of this degree: the mask of its image in degree - 1.
+
+    Bit i goes to bits i - 1 and i, of which only the bits of valid, the
+    valid mask of degree - 1, are kept; in sym2, e(v_i v_i) = 0.
+    """
+    if sym2 and not degree & 1:
+        mask &= ~(1 << (degree >> 1))
+    return ((mask >> 1) ^ mask) & valid
+
+
+class SparseVec(tuple):
     """GF(2) vector of one degree in the tensor or symmetric square.
 
     Bit i of mask stands for v_i (x) v_{degree-i}, or in sym2 for the
     monomial v_i v_{degree-i} with i <= degree - i.  A zero mask is the
-    zero vector, whatever its degree.
+    zero vector, whatever its degree.  An immutable tuple
+    (space, n, degree, mask), equal and hashed as those four fields.
     """
 
-    space: Space
-    n: int
-    degree: int
-    mask: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.space not in ("tensor", "sym2"):
-            raise ValueError(f"unknown space {self.space!r}")
-        if self.mask < 0 or self.mask & ~_valid_mask(self.space, self.n, self.degree):
-            raise ValueError(f"mask {self.mask:#x} invalid in degree {self.degree} for n={self.n}")
+    def __new__(cls, space: Space, n: int, degree: int, mask: int) -> "SparseVec":
+        if space not in ("tensor", "sym2"):
+            raise ValueError(f"unknown space {space!r}")
+        if mask < 0 or mask & ~_valid_mask(space, n, degree):
+            raise ValueError(f"mask {mask:#x} invalid in degree {degree} for n={n}")
+        return tuple.__new__(cls, (space, n, degree, mask))
+
+    space = property(itemgetter(0), doc="'tensor' or 'sym2'")
+    n = property(itemgetter(1), doc="size of the Jordan block W_n squared")
+    degree = property(itemgetter(2), doc="i + j, shared by every monomial v_i v_j")
+    mask = property(itemgetter(3), doc="bit i for each monomial v_i v_{degree-i}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the checked constructor; __getnewargs__
+        # alone would leave pickle protocols 0 and 1 unchecked
+        return SparseVec, tuple(self)
+
+    def __repr__(self) -> str:
+        space, n, degree, mask = self
+        return f"SparseVec(space={space!r}, n={n!r}, degree={degree!r}, mask={mask!r})"
 
     @property
     def terms(self) -> frozenset[tuple[int, int]]:
@@ -57,16 +93,18 @@ class SparseVec:
         return not self.mask
 
     def apply_e(self) -> "SparseVec":
-        """Derivation action: v_i v_j -> v_{i-1} v_j + v_i v_{j-1} over GF(2).
+        """Derivation action: v_i v_j -> v_{i-1} v_j + v_i v_{j-1} over GF(2)."""
+        space, n, degree, mask = self
+        valid = _valid_mask(space, n, degree - 1)
+        return _unchecked((space, n, degree - 1, _lower(mask, degree, space == "sym2", valid)))
 
-        Bit i goes to bits i - 1 and i of degree - 1; in sym2, e(v_i v_i) = 0.
-        """
-        mask = self.mask
-        if self.space == "sym2" and self.degree % 2 == 0:
-            mask &= ~(1 << self.degree // 2)
-        degree = self.degree - 1
-        mask = ((mask >> 1) ^ mask) & _valid_mask(self.space, self.n, degree)
-        return _trusted(SparseVec, space=self.space, n=self.n, degree=degree, mask=mask)
+
+def _unchecked(fields: tuple[Space, int, int, int]) -> SparseVec:
+    """The SparseVec (space, n, degree, mask) built without the constructor's check.
+
+    For masks valid by construction, such as images under _lower.
+    """
+    return tuple.__new__(SparseVec, fields)
 
 
 @dataclass(frozen=True)
@@ -96,12 +134,18 @@ def build_z(s: int, n: int) -> SparseVec:
     return SparseVec("tensor", n, s + 1, (2 << s) - 2)
 
 
+@lru_cache(maxsize=16)
+def _expansion(n: int) -> tuple[ConesExpansion, tuple[int, ...]]:
+    """n's consecutive-ones expansion and its suffix values, read once per chain of a basis."""
+    exp = cones_expansion(n)
+    return exp, exp.suffix_values()
+
+
 def band_index(s: int, n: int) -> int:
     """The unique k (1-based) with n_k > n - s >= n_{k+1}."""
     if not (1 <= s <= n):
         raise ValueError(f"s={s} out of range for n={n}")
-    exp = cones_expansion(n)
-    nk = exp.suffix_values()
+    exp, nk = _expansion(n)
     for k in range(1, exp.r + 1):
         if nk[k - 1] > n - s >= nk[k]:
             return k
@@ -127,7 +171,7 @@ def find_j0(s: int, n: int, beta: int) -> int:
 
 def build_w(s: int, n: int) -> SparseVec:
     """Chain top w_s; equals z_s in the beta = 0 band."""
-    beta = cones_expansion(n).betas[band_index(s, n) - 1]
+    beta = _expansion(n)[0].betas[band_index(s, n) - 1]
     if beta == 0:
         return build_z(s, n)
     half = 1 << (beta - 1)
@@ -142,11 +186,17 @@ def build_w(s: int, n: int) -> SparseVec:
     return SparseVec("tensor", n, degree, mask)
 
 
-def _chain_from_top(top: SparseVec, s: int) -> JordanChain:
-    """The chain from top down to degree s + 1, the degree of z_s."""
+def _chain_from_top(top: SparseVec, s: int, valid: list[int]) -> JordanChain:
+    """The chain from top down to degree s + 1, the degree of z_s.
+
+    valid is _valid_masks of top's square.
+    """
+    space, n, degree, mask = top
+    sym2 = space == "sym2"
     vectors = [top]
-    for _ in range(top.degree - s - 1):
-        vectors.append(vectors[-1].apply_e())
+    for degree in range(degree - 1, s, -1):
+        mask = _lower(mask, degree + 1, sym2, valid[degree])
+        vectors.append(_unchecked((space, n, degree, mask)))
     return JordanChain(s, tuple(vectors))
 
 
@@ -157,7 +207,8 @@ def build_tensor_basis(n: int) -> list[JordanChain]:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return [_chain_from_top(build_w(s, n), s) for s in range(1, n + 1)]
+    valid = _valid_masks("tensor", n)
+    return [_chain_from_top(build_w(s, n), s, valid) for s in range(1, n + 1)]
 
 
 def project_to_sym(vec: SparseVec) -> SparseVec:
@@ -178,10 +229,11 @@ def build_sym_basis(n: int) -> list[JordanChain]:
     """
     if n < 1:
         raise ValueError("n must be positive")
+    valid = _valid_masks("sym2", n)
     chains = []
     for s in range(1, n + 1):
         top = project_to_sym(build_w(s, n))
-        chains.append(JordanChain(s, (top,)) if s % 2 == 0 else _chain_from_top(top, s))
+        chains.append(JordanChain(s, (top,)) if s % 2 == 0 else _chain_from_top(top, s, valid))
     return chains
 
 
@@ -230,10 +282,6 @@ def verify_basis(
         raise ValueError(f"action has {len(images)} images, expected {dim}")
     forms, off = _degree_forms(images, [i + j for i, j in keys], [i for i, _ in keys])
 
-    def same(v: SparseVec, degree: int, mask: int) -> bool:
-        # a zero mask is the zero vector in every degree
-        return v.mask == mask and (v.degree == degree or not mask)
-
     failures = []
     if off:
         target, source = min(off)  # the first in row order
@@ -242,25 +290,28 @@ def verify_basis(
             f"action breaks the grading in {len(off)} of its entries, "
             f"first v{i}*v{j} -> v{k}*v{l}"
         )
-    by_degree: dict[int, list[int]] = {}  # masks; rank adds up over degrees
+    by_degree: defaultdict[int, list[int]] = defaultdict(list)  # masks; rank adds up over degrees
     for ci, chain in enumerate(chains):
         where = f"chain {ci} (s={chain.s})"
-        vectors = chain.vectors
-        for pos, v in enumerate(vectors):
-            if v.space != space or v.n != n:
+        # the image of the vector before, in degree below; a zero mask is the
+        # zero vector in every degree, so a zero image matches any zero vector
+        image = below = None
+        for pos, (vspace, vn, degree, mask) in enumerate(chain.vectors):
+            if vspace != space or vn != n:
                 raise ValueError(f"{where}: vector {pos} is not in the {space} square for n={n}")
-            by_degree.setdefault(v.degree, []).append(v.mask)
-            if not v.mask:
+            by_degree[degree].append(mask)
+            if pos and not (mask == image and (degree == below or not mask)):
+                failures.append(f"{where}: link {pos - 1} -> {pos} broken")
+            if not mask:
                 failures.append(f"{where}: vector {pos} is zero")
-            mask = v.mask and _apply_form(forms[v.degree], v.mask)
-            if pos + 1 < len(vectors):
-                if not same(vectors[pos + 1], v.degree - 1, mask):
-                    failures.append(f"{where}: link {pos} -> {pos + 1} broken")
-            elif mask:
-                failures.append(f"{where}: terminal vector not killed")
-        last = vectors[-1]
-        if expected_terminals is not None and not same(expected_terminals[ci], last.degree, last.mask):
-            failures.append(f"{where}: terminal differs from expected vector")
+            image = mask and _apply_form(forms[degree], mask)
+            below = degree - 1
+        if image:
+            failures.append(f"{where}: terminal vector not killed")
+        if expected_terminals is not None:
+            _, _, end_degree, end_mask = expected_terminals[ci]
+            if not (end_mask == mask and (end_degree == degree or not mask)):
+                failures.append(f"{where}: terminal differs from expected vector")
     count = sum(map(len, by_degree.values()))
     # the masks were checked against (space, n) above, so the matrices are built unchecked
     matrix_rank = sum(gf2_rank(_trusted(Gf2Matrix, rows=len(r), cols=n + 1, data=tuple(r)))

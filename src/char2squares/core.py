@@ -30,6 +30,8 @@ def _trusted(cls: type[_T], **fields: object) -> _T:
 
     For values valid by construction: the caller guarantees what
     __post_init__ would check.  Public constructors keep every check.
+    basis.SparseVec is a tuple, not a dataclass, and has its own
+    unchecked constructor, basis._unchecked.
     """
     out = object.__new__(cls)
     attrs = out.__dict__

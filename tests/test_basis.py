@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 from char2squares.basis import (
     JordanChain,
     SparseVec,
+    _unchecked,
     band_index,
     build_sym_basis,
     build_tensor_basis,
@@ -235,6 +239,19 @@ class TestTensorBasis:
         report = verify_basis(chains, action_images("tensor", 6))
         assert not report.ok
         assert any("chain 0" in f and "link" in f for f in report.failures)
+
+    @pytest.mark.parametrize("n", [*range(1, 41), 64, 96, 128])
+    def test_chain_loop_equals_checked_path(self, n):
+        # the chain builder lowers masks in a loop of its own and skips the
+        # constructor's check: each vector must pass that check, and each
+        # link must be what apply_e gives
+        for chains in (build_tensor_basis(n), build_sym_basis(n)):
+            for chain in chains:
+                vectors = chain.vectors
+                for t, v in enumerate(vectors):
+                    assert type(v) is SparseVec and SparseVec(*v) == v
+                    if t + 1 < len(vectors):
+                        assert vectors[t + 1] == v.apply_e()
 
     @pytest.mark.parametrize(
         "build, space", [(build_tensor_basis, "tensor"), (build_sym_basis, "sym2")]
@@ -469,6 +486,29 @@ class TestSparseVec:
                 SparseVec(space, 3, degree, mask)
         with pytest.raises(ValueError):
             SparseVec("other", 3, 4, 0)
+
+    def test_immutable_tuple(self):
+        v = SparseVec("sym2", 5, 7, 0b1100)  # v_2 v_5 + v_3 v_4
+        with pytest.raises(AttributeError):
+            v.mask = 0
+        with pytest.raises(AttributeError):
+            v.other = 0
+        assert not hasattr(v, "__dict__")
+        assert not hasattr(v, "_replace") and not hasattr(v, "_make")
+        assert v == SparseVec("sym2", 5, 7, 0b1100) != SparseVec("tensor", 5, 7, 0b1100)
+        assert hash(v) == hash((v.space, v.n, v.degree, v.mask))
+        assert repr(v) == "SparseVec(space='sym2', n=5, degree=7, mask=12)"
+
+    def test_copies_go_through_the_check(self):
+        v = SparseVec("tensor", 3, 4, 0b1010)
+        protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+        copies = [copy.copy(v), copy.deepcopy(v), *(pickle.loads(pickle.dumps(v, p)) for p in protocols)]
+        assert all(type(c) is SparseVec and c == v for c in copies)
+        bad = _unchecked(("tensor", 3, 4, 0b1))  # bit 0 is v_0
+        for copier in (copy.copy, copy.deepcopy, *(lambda x, p=p: pickle.loads(pickle.dumps(x, p))
+                                                   for p in protocols)):
+            with pytest.raises(ValueError, match="mask 0x1 invalid in degree 4 for n=3"):
+                copier(bad)
 
     def test_sym_derivation_cancels_square(self):
         v = SparseVec("sym2", 3, 4, 1 << 2)  # v_2 v_2

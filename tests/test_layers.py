@@ -173,6 +173,23 @@ def test_tracer_hooks_count_a_basis_verify(monkeypatch):
     assert metrics["basis.verify_s"] > 0
 
 
+def test_basis_builds_one_expansion_per_call(monkeypatch):
+    # bench/run.py empties the package's caches before each pass, so a cache
+    # it cannot find would carry work over from one pass to the next; once
+    # they are empty, the chains of a basis share one expansion of n
+    from char2squares import basis
+
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    tracing = importlib.import_module("tracing")
+    caches = importlib.import_module("run").lru_caches("char2squares")
+    assert basis._expansion in caches
+    for cache in caches:
+        cache.cache_clear()
+    with tracing.Tracer() as tracer:
+        assert run_main(["basis", "--n", "6", "--verify"])[0] == 0
+    assert tracer.metrics()["core.cones_expansion_calls"] == 1
+
+
 def test_rank_loop_gallops_over_equal_drops(monkeypatch):
     # T(V64, V64) has type 64^64: every drop of rank is 64, so the unipotent
     # rank loop eliminates only where the drop could change, not at each power
