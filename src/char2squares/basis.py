@@ -11,18 +11,18 @@ is a checked tuple (space, n, degree, mask); a chain is built from its top
 in one loop that lowers the mask by _lower, the one definition of e on a
 mask, and keeps the bits valid in each degree from a table made once per
 basis.  Those vectors are valid by construction and skip the check.  The
-chains of a basis share one expansion of n, cached in _expansion.
+builders read every chain's band from one walk, _bands, over one expansion
+of n, so nothing is cached between calls.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import lru_cache
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .core import ConesExpansion, JordanType, _trusted, cones_expansion
+from .core import JordanType, _trusted, cones_expansion
 from .gf2 import Gf2Matrix, _apply_form, _degree_forms, _support, rank as gf2_rank
 from .oracle import basis_keys
 
@@ -134,22 +134,23 @@ def build_z(s: int, n: int) -> SparseVec:
     return SparseVec("tensor", n, s + 1, (2 << s) - 2)
 
 
-@lru_cache(maxsize=16)
-def _expansion(n: int) -> tuple[ConesExpansion, tuple[int, ...]]:
-    """n's consecutive-ones expansion and its suffix values, read once per chain of a basis."""
+def _bands(n: int) -> Iterator[tuple[int, int, int]]:
+    """(s, k, beta_k) for s = 1..n in turn, s in band k, from one expansion of n.
+
+    s lies in band k when n_k > n - s >= n_{k+1}, so the bands are runs of s.
+    """
     exp = cones_expansion(n)
-    return exp, exp.suffix_values()
+    nk = exp.suffix_values()
+    for k, beta in enumerate(exp.betas, 1):
+        for s in range(n - nk[k - 1] + 1, n - nk[k] + 1):
+            yield s, k, beta
 
 
 def band_index(s: int, n: int) -> int:
     """The unique k (1-based) with n_k > n - s >= n_{k+1}."""
     if not (1 <= s <= n):
         raise ValueError(f"s={s} out of range for n={n}")
-    exp, nk = _expansion(n)
-    for k in range(1, exp.r + 1):
-        if nk[k - 1] > n - s >= nk[k]:
-            return k
-    raise AssertionError("suffix values failed to cover n - s")  # unreachable
+    return list(_bands(n))[s - 1][1]
 
 
 def find_j0(s: int, n: int, beta: int) -> int:
@@ -171,7 +172,11 @@ def find_j0(s: int, n: int, beta: int) -> int:
 
 def build_w(s: int, n: int) -> SparseVec:
     """Chain top w_s; equals z_s in the beta = 0 band."""
-    beta = _expansion(n)[0].betas[band_index(s, n) - 1]
+    return _top(s, n, cones_expansion(n).betas[band_index(s, n) - 1])
+
+
+def _top(s: int, n: int, beta: int) -> SparseVec:
+    """w_s for s in the band of exponent beta."""
     if beta == 0:
         return build_z(s, n)
     half = 1 << (beta - 1)
@@ -208,7 +213,7 @@ def build_tensor_basis(n: int) -> list[JordanChain]:
     if n < 1:
         raise ValueError("n must be positive")
     valid = _valid_masks("tensor", n)
-    return [_chain_from_top(build_w(s, n), s, valid) for s in range(1, n + 1)]
+    return [_chain_from_top(_top(s, n, beta), s, valid) for s, _, beta in _bands(n)]
 
 
 def project_to_sym(vec: SparseVec) -> SparseVec:
@@ -231,8 +236,8 @@ def build_sym_basis(n: int) -> list[JordanChain]:
         raise ValueError("n must be positive")
     valid = _valid_masks("sym2", n)
     chains = []
-    for s in range(1, n + 1):
-        top = project_to_sym(build_w(s, n))
+    for s, _, beta in _bands(n):
+        top = project_to_sym(_top(s, n, beta))
         chains.append(JordanChain(s, (top,)) if s % 2 == 0 else _chain_from_top(top, s, valid))
     return chains
 
@@ -330,8 +335,7 @@ def format_chain(chain: JordanChain) -> str:
     """One-line dump: vectors as '+'-joined monomials 'vi*vj', ' | '-separated."""
 
     def fmt_vec(v: SparseVec) -> str:
-        if v.is_zero():
-            return "0"
-        return "+".join(f"v{i}*v{j}" for i, j in sorted(v.terms))
+        _, _, degree, mask = v
+        return "+".join(f"v{i}*v{degree - i}" for i in _support(mask)) or "0"
 
     return " | ".join(fmt_vec(v) for v in chain.vectors)

@@ -7,8 +7,9 @@ E2(Xn), S2(Xn) or T(Xm, Xn)), expr (symbolic expression), table
 or output limit.
 
 main() may be called any number of times in one process: the argument
-parser is built on the first call and reused, and nothing else is kept
-between calls.
+parser is built on the first call and reused.  The only other state kept
+between calls is formulas' 256-entry cache of nilpotent bands, which no
+output depends on.
 """
 
 from __future__ import annotations

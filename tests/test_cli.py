@@ -149,6 +149,20 @@ class TestParserReuse:
         assert cli._build_parser.cache_info().misses == 1
         assert codes.count(0) == 13 and codes.count(1) == 5 and codes.count(3) == 2
 
+    def test_formula_call_keeps_nothing(self):
+        # S2 of 400 distinct atoms adds about 80,000 tensor products into one
+        # table; the parser and the small band cache are all a call may keep
+        run_cli("table", "--max", "1")
+        expr = "S2(" + " + ".join(f"W{i}" for i in range(1, 401)) + ")"
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            code, _, _ = run_cli("expr", expr)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and kept < 1e6
+
     def test_no_parser_built_at_import(self):
         probe = "import char2squares.cli as c; print(c._build_parser.cache_info().currsize)"
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}

@@ -15,8 +15,8 @@ from char2squares.core import (
     parse_jordan_type,
 )
 from char2squares.formulas import (
+    _add_tensor,
     _q,
-    _tensor_parts,
     decompose_expr,
     ext2_nilpotent,
     ext2_nilpotent_rec,
@@ -32,6 +32,17 @@ from char2squares.parser import parse_expr
 
 def jt(text):
     return parse_jordan_type(text)
+
+
+def tensor_reference(m, n):
+    """V_m tensor V_n, 1 <= m <= n, by the recursion of the paper, as a Counter of sizes."""
+    q = 1 << (n - 1).bit_length()
+    if n == q:
+        return Counter({q: m})
+    if m + n > q:
+        return Counter({q: m + n - q}) + tensor_reference(q - n, q - m)
+    inner = tensor_reference(*sorted((m, q - n)))
+    return Counter({q - s: c for s, c in inner.items()})
 
 
 class TestQChoice:
@@ -66,21 +77,23 @@ class TestTensor:
         assert t.total_dim == m * n
 
     def test_parts_equal_recursive_reference(self):
-        def reference(m, n):
-            # the recursion of the paper on 1 <= m <= n, as a Counter of sizes
-            q = 1 << (n - 1).bit_length()
-            if n == q:
-                return Counter({q: m})
-            if m + n > q:
-                return Counter({q: m + n - q}) + reference(q - n, q - m)
-            inner = reference(*sorted((m, q - n)))
-            return Counter({q - s: c for s, c in inner.items()})
-
         for n in range(1, 257):
             for m in range(1, n + 1):
-                expected = tuple(sorted(reference(m, n).items(), reverse=True))
-                assert _tensor_parts(m, n) == expected, (m, n)
+                expected = tuple(sorted(tensor_reference(m, n).items(), reverse=True))
+                assert tensor_decompose(m, n).parts == expected, (m, n)
                 assert tensor_decompose(n, m).parts == expected, (m, n)
+
+    @given(st.integers(1, 200), st.integers(1, 200), st.integers(1, 10**30),
+           st.dictionaries(st.integers(1, 256), st.integers(1, 10**6), min_size=1))
+    def test_add_tensor_adds_c_copies_into_the_table(self, m, n, c, table):
+        # the formula route adds into a table that already holds other blocks
+        expected = Counter(table)
+        for size, mult in tensor_reference(min(m, n), max(m, n)).items():
+            expected[size] += c * mult
+        for a, b in ((m, n), (n, m)):
+            acc = dict(table)
+            _add_tensor(acc, a, b, c)
+            assert acc == expected, (a, b)
 
     @given(st.integers(1, 200), st.integers(1, 200))
     def test_largest_block_at_most_q(self, m, n):

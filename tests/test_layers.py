@@ -177,12 +177,12 @@ def test_basis_builds_one_expansion_per_call(monkeypatch):
     # bench/run.py empties the package's caches before each pass, so a cache
     # it cannot find would carry work over from one pass to the next; once
     # they are empty, the chains of a basis share one expansion of n
-    from char2squares import basis
-
     monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
     tracing = importlib.import_module("tracing")
     caches = importlib.import_module("run").lru_caches("char2squares")
-    assert basis._expansion in caches
+    # the two caches whose traffic repeats: the parser, and the bands that
+    # E2 and S2 of one n share
+    assert {c.__qualname__ for c in caches} == {"_build_parser", "_nilpotent_bands"}
     for cache in caches:
         cache.cache_clear()
     with tracing.Tracer() as tracer:
