@@ -8,6 +8,7 @@ from .core import (
     EMPTY_TYPE,
     Ext2,
     JordanType,
+    LimitExceeded,
     MixedKindError,
     ModuleExpr,
     Scaled,

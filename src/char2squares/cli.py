@@ -4,7 +4,9 @@ Subcommands: decompose (a square of a single block, shorthand for expr on
 E2(Xn), S2(Xn) or T(Xm, Xn)), expr (symbolic expression), table
 (overview of small squares), basis (explicit Jordan chains).  Exit codes:
 0 success, 1 usage or parse error, 2 verification mismatch, 3 resource cap
-or output limit.
+or output limit: every bound raises core.LimitExceeded, the oracle's cap
+its subclass OracleCapExceeded, and main maps that one type to exit 3.
+--help and -h write the help text to out and return 0.
 
 main() may be called any number of times in one process: the argument
 parser is built on the first call and reused.  The only other state kept
@@ -21,7 +23,9 @@ import sys
 
 from . import basis as basis_mod
 from . import formulas, oracle
-from .core import FUNCTORS, KINDS, PRINTABLE_LIMIT, format_jordan_type, square_expr
+from .core import (
+    FUNCTORS, KINDS, PRINTABLE_LIMIT, LimitExceeded, format_jordan_type, shown_count, square_expr,
+)
 from .parser import ExprSyntaxError, IntegerTooLong, parse_expr, to_int
 
 EXIT_OK = 0
@@ -44,8 +48,8 @@ class _CliError(Exception):
     """A usage error (exit 1)."""
 
 
-class _LimitExceeded(Exception):
-    """A result too large to build or print (exit 3)."""
+class _Help(Exception):
+    """A --help or -h: its text, which main writes to out (exit 0)."""
 
 
 def _int_option(text: str) -> int:
@@ -66,6 +70,10 @@ class _ArgumentParser(argparse.ArgumentParser):
     # argparse exits with status 2 by default; usage errors must exit 1
     def error(self, message: str):
         raise _CliError(message)
+
+    # argparse prints help to sys.stdout and exits; main returns it instead
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
 
 # Built on first use and reused: parse_args keeps no state in the parser, and
@@ -148,7 +156,7 @@ def _decompose(expr, input_desc: dict, args, out, err) -> int:
     if huge or digits >= OUTPUT_DIGIT_LIMIT:
         form = "JSON" if args.format == "json" else "text"
         what = "total_dim reaches 10^4300" if huge else "sizes and multiplicities reach 10^6 digits"
-        raise _LimitExceeded(f"{what}, too long for {form} output")
+        raise LimitExceeded(f"{what}, too long for {form} output")
     for result in results:
         if args.format == "json":
             payload = {
@@ -187,7 +195,7 @@ def _cmd_table(args, out, err) -> int:
     if args.max_n < 1:
         raise _CliError("--max must be positive")
     if args.max_n > TABLE_ROW_LIMIT:
-        raise _LimitExceeded(f"table has {args.max_n} rows, above the limit {TABLE_ROW_LIMIT}")
+        raise LimitExceeded(f"table has {args.max_n} rows, above the limit {TABLE_ROW_LIMIT}")
     rows = table_rows(args.max_n)
     headers = ("n", "ext2(V_n)", "sym2(V_n)", "ext2(W_n)", "sym2(W_n)")
     table = [tuple(str(c) for c in row) for row in rows]
@@ -201,12 +209,12 @@ def _cmd_table(args, out, err) -> int:
 def _cmd_basis(args, out, err) -> int:
     if args.n < 1:
         raise _CliError("--n must be positive")
-    vectors = args.n * args.n if args.functor == "tensor" else args.n * (args.n + 1) // 2
+    expr = square_expr(args.functor, "nilpotent", args.n)
+    vectors = oracle._dim(expr, PRINTABLE_LIMIT)
     if vectors > BASIS_VECTOR_LIMIT:
-        raise _LimitExceeded(
-            f"basis has {vectors} chain vectors, above the limit {BASIS_VECTOR_LIMIT}")
+        raise LimitExceeded(f"basis has {shown_count(vectors)} chain vectors, "
+                            f"above the limit {BASIS_VECTOR_LIMIT}")
     if args.verify:  # before any chain or output: a space over the cap builds nothing
-        expr = square_expr(args.functor, "nilpotent", args.n)
         images, _ = oracle.expr_images(expr)
     if args.functor == "tensor":
         chains = basis_mod.build_tensor_basis(args.n)
@@ -217,7 +225,7 @@ def _cmd_basis(args, out, err) -> int:
     if args.dump:
         monomials = sum(v.mask.bit_count() for chain in chains for v in chain.vectors)
         if monomials > DUMP_MONOMIAL_LIMIT:
-            raise _LimitExceeded(
+            raise LimitExceeded(
                 f"dump has {monomials} monomials, above the limit {DUMP_MONOMIAL_LIMIT}")
     print(
         f"{args.functor} square of W_{args.n}: {len(chains)} chains, "
@@ -251,8 +259,10 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
         if args.command == "table":
             return _cmd_table(args, out, err)
         return _cmd_basis(args, out, err)
-    except (oracle.OracleCapExceeded, formulas.MultiplicityCapExceeded,
-            _LimitExceeded) as exc:
+    except _Help as exc:
+        print(exc, end="", file=out)
+        return EXIT_OK
+    except LimitExceeded as exc:
         print(f"error: {exc}", file=err)
         return EXIT_CAP
     except (_CliError, ValueError) as exc:

@@ -22,6 +22,16 @@ FUNCTORS = ("tensor", "ext2", "sym2")
 # multiplicity is printed from here on.
 PRINTABLE_LIMIT = 10**4300
 
+
+class LimitExceeded(RuntimeError):
+    """A space, result or output too large to build or print (exit 3)."""
+
+
+def shown_count(count: int) -> int | str:
+    """count as a message names it: itself, or "at least 10^4300" from PRINTABLE_LIMIT on."""
+    return "at least 10^4300" if count >= PRINTABLE_LIMIT else count
+
+
 _T = TypeVar("_T")
 
 
@@ -166,14 +176,10 @@ class ConesExpansion:
         if self.suffix_values()[0] != self.n:
             raise ValueError(f"expansion does not sum to {self.n}")
 
-    @property
-    def r(self) -> int:
-        return len(self.betas)
-
     def suffix_values(self) -> tuple[int, ...]:
-        """Values n_k = sum_{k<=i<=r} (-1)^(i+k) 2^(b_i), for k = 1..r+1.
+        """Values n_k = sum_{k<=i<=r} (-1)^(i+k) 2^(b_i), for k = 1..len(betas)+1.
 
-        Satisfies n = n_1 > n_2 > ... > n_r > n_{r+1} = 0.
+        With r = len(betas), n = n_1 > n_2 > ... > n_r > n_{r+1} = 0.
         """
         vals = [0]
         for b in reversed(self.betas):

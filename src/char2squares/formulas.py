@@ -15,20 +15,16 @@ from .core import (
     Ext2,
     JordanType,
     Kind,
+    LimitExceeded,
     ModuleExpr,
     PRINTABLE_LIMIT,
     Scaled,
     Sum,
-    Sym2,
     Tensor,
     _trusted,
     cones_expansion,
     expr_kind,
 )
-
-
-class MultiplicityCapExceeded(RuntimeError):
-    """A block multiplicity of the formula route reached PRINTABLE_LIMIT."""
 
 
 def _q(n: int) -> int:
@@ -159,11 +155,14 @@ def decompose_expr(expr: ModuleExpr) -> JordanType:
     F(A + B) = F(A) + (A tensor B) + F(B) for F in {ext2, sym2}, and the
     tensor product is bilinear.  Every part is added into one table of
     block size -> multiplicity, which becomes a Jordan type once at the end.
-    Raises MultiplicityCapExceeded if a multiplicity reaches PRINTABLE_LIMIT.
+    expr_kind checks every node first: it raises TypeError on one that is
+    not a module expression, and MixedKindError, a ValueError, on a mix of
+    V and W atoms.  Raises LimitExceeded if a multiplicity reaches
+    PRINTABLE_LIMIT.
     """
     blocks = _blocks(expr, expr_kind(expr))
     if any(m >= PRINTABLE_LIMIT for _, m in blocks):
-        raise MultiplicityCapExceeded("a block multiplicity reaches the limit 10^4300")
+        raise LimitExceeded("a block multiplicity reaches the limit 10^4300")
     return JordanType.from_pairs(blocks)
 
 
@@ -181,7 +180,7 @@ def _eval(expr: ModuleExpr, kind: Kind, c: int, acc: dict[int, int]) -> None:
         for a, ca in _blocks(expr.left, kind):
             for b, cb in right:
                 _add_tensor(acc, a, b, ca * cb * c)
-    elif isinstance(expr, (Ext2, Sym2)):
+    else:  # Ext2 or Sym2: decompose_expr has checked every node with expr_kind
         square = ext2_block if isinstance(expr, Ext2) else sym2_block
         parts = _blocks(expr.inner, kind)
         for i, (a, ca) in enumerate(parts):
@@ -192,8 +191,6 @@ def _eval(expr: ModuleExpr, kind: Kind, c: int, acc: dict[int, int]) -> None:
                 _add_tensor(acc, a, a, ca * (ca - 1) // 2 * c)
             for b, cb in parts[i + 1 :]:
                 _add_tensor(acc, a, b, ca * cb * c)
-    else:
-        raise TypeError(f"not a module expression: {expr!r}")
 
 
 def _blocks(expr: ModuleExpr, kind: Kind) -> list[tuple[int, int]]:

@@ -253,35 +253,35 @@ def _degree_forms(
     return forms, off
 
 
-def _graded_sweep(forms: dict[int, Form], members: dict[int, list[int]]) -> JordanType:
+def _graded_sweep(forms: dict[int, Form], counts: dict[int, int]) -> JordanType:
     """Jordan type of a matrix whose every entry lowers the degree by exactly 1.
 
-    members[d] lists the basis vectors of degree d, and forms[d] is the map
-    from degree d into degree d - 1 over their positions in those lists, as
-    _degree_forms builds it.  The sweep goes down through the degrees
-    keeping a basis of the current one, oldest bar first: the images of the
-    vectors kept one degree higher, then the basis vectors at the positions
-    where no kept image has its highest bit, which complete them.  An image
-    that depends on older ones closes its vector's bar (the elder rule of
-    persistence: in a relation the youngest vector dies), and a bar born at
-    degree b and closed on the way down from degree d is a Jordan block of
-    size b + 1 - d.  A vector is moved down one degree by _apply_form, at a
-    cost set by that map's diagonals rather than by the vector's bits; the
-    sweep does dim such moves, where eliminating at every power would visit
-    about sum(size^2) / 2 rows.
+    counts[d] is the number of basis vectors of degree d, and forms[d] is
+    the map from degree d into degree d - 1 over their positions
+    0..counts[d]-1 within their degrees, as _degree_forms builds it.  The
+    sweep goes down through the degrees keeping a basis of the current one,
+    oldest bar first: the images of the vectors kept one degree higher, then
+    the basis vectors at the positions where no kept image has its highest
+    bit, which complete them.  An image that depends on older ones closes its
+    vector's bar (the elder rule of persistence: in a relation the youngest
+    vector dies), and a bar born at degree b and closed on the way down from
+    degree d is a Jordan block of size b + 1 - d.  A vector is moved down one
+    degree by _apply_form, at a cost set by that map's diagonals rather than
+    by the vector's bits; the sweep does dim such moves, where eliminating
+    at every power would visit about sum(size^2) / 2 rows.
     """
     sizes: list[int] = []
     births: list[int] = []  # births[t] is where the bar of alive[t] began
     alive: list[int] = []  # masks over the positions of degree prev
     prev = None
-    for d in sorted(members, reverse=True):
+    for d in sorted(counts, reverse=True):
         # forms[prev] is empty if nothing lives in degree prev - 1 > d
         alive = [_apply_form(forms[prev], v) for v in alive]
-        pivots = [0] * (len(members[d]) + 1)
+        pivots = [0] * (counts[d] + 1)
         kept = _independent_rows(alive, range(len(alive)), pivots)
         survivors = set(kept)
         sizes.extend(b + 1 - prev for t, b in enumerate(births) if t not in survivors)
-        fresh = [1 << k for k in range(len(members[d])) if not pivots[k + 1]]
+        fresh = [1 << k for k in range(counts[d]) if not pivots[k + 1]]
         births = [births[t] for t in kept] + [d] * len(fresh)
         alive = [alive[t] for t in kept] + fresh
         prev = d
@@ -356,13 +356,11 @@ def jordan_type_of_images(
     if degrees is not None:
         if len(degrees) != dim:
             raise ValueError(f"{len(degrees)} degrees for a matrix of size {dim}")
-        members: dict[int, list[int]] = {}  # degree -> basis vectors of that degree
-        for c, d in enumerate(degrees):
-            members.setdefault(d, []).append(c)
+        counts: dict[int, int] = {}  # degree -> number of basis vectors of that degree
         local = [0] * dim  # position of each basis vector within its degree
-        for indices in members.values():
-            for k, c in enumerate(indices):
-                local[c] = k
+        for c, d in enumerate(degrees):
+            k = local[c] = counts.get(d, 0)
+            counts[d] = k + 1
         forms, off = _degree_forms(images, degrees, local)
         for i, c in off:
             if degrees[i] >= degrees[c]:
@@ -371,15 +369,15 @@ def jordan_type_of_images(
                     f"degree {degrees[c]} to degree {degrees[i]}"
                 )
         if not off:
-            return _graded_sweep(forms, members)
+            return _graded_sweep(forms, counts)
         del forms, off, local  # the rank loop reads none of the walk
         # conjugate by the permutation that lists the basis in ascending degree
-        order = [c for d in sorted(members) for c in members[d]]
+        order = sorted(range(dim), key=degrees.__getitem__)  # stable: by index within a degree
         position = [0] * dim
         for p, c in enumerate(order):
             position[c] = p
         images = [[position[i] for i in images[c]] for c in order]
-        del members, order, position  # freed before the rank loop's peak
+        del order, position  # freed before the rank loop's peak
     ranks = _nilpotent_ranks(images)
     if ranks is None:
         raise ValueError("matrix is not nilpotent")

@@ -26,8 +26,8 @@ from __future__ import annotations
 import os
 
 from .core import (
-    PRINTABLE_LIMIT, Atom, Ext2, JordanType, Kind, ModuleExpr, Scaled, Sum, Sym2, Tensor, expr_kind,
-    square_expr,
+    PRINTABLE_LIMIT, Atom, Ext2, JordanType, Kind, LimitExceeded, ModuleExpr, Scaled, Sum, Tensor,
+    expr_kind, shown_count, square_expr,
 )
 from .gf2 import Gf2Matrix, jordan_type_of_images, jordan_type_of_nilpotent  # noqa: F401
 from .parser import IntegerTooLong, to_int
@@ -40,12 +40,11 @@ DEFAULT_DIM_CAP = 20_000
 CAP_ENV_VAR = "CHAR2SQUARES_ORACLE_CAP"
 
 
-class OracleCapExceeded(RuntimeError):
+class OracleCapExceeded(LimitExceeded):
     """The requested functor space is larger than the configured cap."""
 
     def __init__(self, dim: int, cap: int):
-        shown = "at least 10^4300" if dim >= PRINTABLE_LIMIT else dim
-        super().__init__(f"oracle space has dimension {shown}, above the cap {cap}")
+        super().__init__(f"oracle space has dimension {shown_count(dim)}, above the cap {cap}")
         self.dim = dim
         self.cap = cap
 
@@ -173,11 +172,9 @@ def _dim(expr: ModuleExpr, limit: int) -> int:
         d = sum(_dim(t, limit) for t in expr.terms)
     elif isinstance(expr, Tensor):
         d = _dim(expr.left, limit) * _dim(expr.right, limit)
-    elif isinstance(expr, (Ext2, Sym2)):
+    else:  # Ext2 or Sym2: expr_kind has checked every node of a tree from outside
         d = _dim(expr.inner, limit)
         d = d * (d - 1 if isinstance(expr, Ext2) else d + 1) // 2
-    else:
-        raise TypeError(f"not a module expression: {expr!r}")
     return min(d, limit)
 
 
@@ -224,10 +221,9 @@ def _images(expr: ModuleExpr, unipotent: bool) -> tuple[Images, Degrees]:
             return [], []
         left, right = _images(expr.left, unipotent), _images(expr.right, unipotent)
         return _pair_images(left, right, unipotent, "tensor")
-    if isinstance(expr, (Ext2, Sym2)):
-        inner = _images(expr.inner, unipotent)
-        return _pair_images(inner, inner, unipotent, "ext2" if isinstance(expr, Ext2) else "sym2")
-    raise TypeError(f"not a module expression: {expr!r}")
+    # Ext2 or Sym2: expr_images has checked every node with expr_kind
+    inner = _images(expr.inner, unipotent)
+    return _pair_images(inner, inner, unipotent, "ext2" if isinstance(expr, Ext2) else "sym2")
 
 
 # --- dense views ---------------------------------------------------------

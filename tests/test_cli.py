@@ -640,3 +640,20 @@ class TestLongIntegerOptions:
         code, out, _ = run_cli("expr", "S2(W3)", "--method", "both",
                                env_cap="0" * 4295 + "20000", monkeypatch=monkeypatch)
         assert (code, out) == (0, "4 1^2\n4 1^2\n")
+
+
+
+class TestHelpInProcess:
+    """--help and -h return 0 from main, with argparse's help text on out:
+    the text the console script prints before it exits 0."""
+
+    @pytest.mark.parametrize("argv", [("--help",), ("expr", "-h")])
+    def test_help_returns(self, argv, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help at the terminal width
+        code, out, err = run_cli(*argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: char2squares " + " ".join(argv[:-1]))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-m", "char2squares.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stdout, done.stderr) == (0, out, "")
