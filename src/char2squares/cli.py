@@ -9,9 +9,8 @@ its subclass OracleCapExceeded, and main maps that one type to exit 3.
 --help and -h write the help text to out and return 0.
 
 main() may be called any number of times in one process: the argument
-parser is built on the first call and reused.  The only other state kept
-between calls is formulas' 256-entry cache of nilpotent bands, which no
-output depends on.
+parser is built on the first call and reused, and no other state is kept
+between calls.
 """
 
 from __future__ import annotations
@@ -20,11 +19,13 @@ import argparse
 import functools
 import json
 import sys
+from operator import itemgetter
 
 from . import basis as basis_mod
 from . import formulas, oracle
 from .core import (
-    FUNCTORS, KINDS, PRINTABLE_LIMIT, LimitExceeded, format_jordan_type, shown_count, square_expr,
+    FUNCTORS, KINDS, PRINTABLE_LIMIT, LimitExceeded, format_jordan_type, format_parts, shown_count,
+    square_expr,
 )
 from .parser import ExprSyntaxError, IntegerTooLong, parse_expr, to_int
 
@@ -177,18 +178,9 @@ def _decompose(expr, input_desc: dict, args, out, err) -> int:
 
 
 def table_rows(max_n: int) -> list[tuple[int, str, str, str, str]]:
-    rows = []
-    for n in range(1, max_n + 1):
-        rows.append(
-            (
-                n,
-                format_jordan_type(formulas.ext2_unipotent(n)),
-                format_jordan_type(formulas.sym2_unipotent(n)),
-                format_jordan_type(formulas.ext2_nilpotent(n)),
-                format_jordan_type(formulas.sym2_nilpotent(n)),
-            )
-        )
-    return rows
+    """Rows (n, ext2(V_n), sym2(V_n), ext2(W_n), sym2(W_n)) for n = 1, ..., max_n."""
+    return [(n, format_parts(e2v), format_parts(s2v), format_parts(e2w), format_parts(s2w))
+            for n, e2v, s2v, e2w, s2w in formulas.square_rows(max_n)]
 
 
 def _cmd_table(args, out, err) -> int:
@@ -198,11 +190,12 @@ def _cmd_table(args, out, err) -> int:
         raise LimitExceeded(f"table has {args.max_n} rows, above the limit {TABLE_ROW_LIMIT}")
     rows = table_rows(args.max_n)
     headers = ("n", "ext2(V_n)", "sym2(V_n)", "ext2(W_n)", "sym2(W_n)")
-    table = [tuple(str(c) for c in row) for row in rows]
-    widths = [max(len(h), *(len(r[i]) for r in table)) for i, h in enumerate(headers)]
-    print("  ".join(h.ljust(w) for h, w in zip(headers, widths)), file=out)
-    for row in table:
-        print("  ".join(c.ljust(w) for c, w in zip(row, widths)), file=out)
+    # the widest n is max_n; each square is as wide as its widest cell
+    widths = [len(str(args.max_n))] + [max(map(len, map(itemgetter(i), rows))) for i in range(1, 5)]
+    line = "  ".join(f"{{:<{max(len(h), w)}}}" for h, w in zip(headers, widths))
+    print(line.format(*headers), file=out)
+    for row in rows:
+        print(line.format(*row), file=out)
     return EXIT_OK
 
 

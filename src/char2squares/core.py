@@ -126,9 +126,12 @@ EMPTY_TYPE = JordanType()
 
 def format_jordan_type(t: JordanType) -> str:
     """Canonical string: sizes descending, '^mult' omitted when 1, '0' if empty."""
-    if not t.parts:
-        return "0"
-    return " ".join(f"{s}^{m}" if m > 1 else str(s) for s, m in t.parts)
+    return format_parts(t.parts)
+
+
+def format_parts(parts: Iterable[tuple[int, int]]) -> str:
+    """The canonical string of (size, multiplicity) parts sorted as a JordanType's."""
+    return " ".join([f"{s}^{m}" if m > 1 else str(s) for s, m in parts]) or "0"
 
 
 def parse_jordan_type(text: str) -> JordanType:

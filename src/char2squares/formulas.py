@@ -8,7 +8,7 @@ and symmetric squares do not.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from typing import Iterator
 
 from .core import (
     Atom,
@@ -25,6 +25,8 @@ from .core import (
     cones_expansion,
     expr_kind,
 )
+
+Parts = tuple[tuple[int, int], ...]  # (size, multiplicity), sizes descending
 
 
 def _q(n: int) -> int:
@@ -44,13 +46,56 @@ def tensor_decompose(m: int, n: int) -> JordanType:
     return JordanType.from_pairs(acc.items())
 
 
+# --- recursion steps on q - n -----------------------------------------------
+#
+# Each step takes n >= 2 and returns the blocks that the square of n adds to
+# a square of q - n < n, and q - n.  A block it adds has a size of its own,
+# except where its docstring names a merge.
+
+
+def _ext2_unipotent_step(n: int) -> tuple[Parts, int]:
+    """Gow-Laffey: ext2(V_n) is (q, n - q/2 - 1), (3q/2 - n, 1), then ext2(V_{q-n}).
+
+    The first block is left out when its multiplicity is 0, at n = q/2 + 1.
+    """
+    q = _q(n)
+    half = q // 2
+    if n == half + 1:
+        return ((half + q - n, 1),), q - n
+    return ((q, n - half - 1), (half + q - n, 1)), q - n
+
+
+def _sym2_unipotent_step(n: int) -> tuple[Parts, int]:
+    """sym2(V_n) is (q, n - q/2), (q/2, 1), then ext2(V_{q-n}).
+
+    The (q/2, 1) block merges with the top block of ext2(V_{q-n}) when that
+    block also has size q/2.
+    """
+    q = _q(n)
+    return ((q, n - q // 2), (q // 2, 1)), q - n
+
+
+def _ext2_nilpotent_step(n: int) -> tuple[Parts, int]:
+    """ext2(W_n) is (q - 1, n - q/2), then ext2(W_{q-n})."""
+    q = _q(n)
+    return ((q - 1, n - q // 2),), q - n
+
+
+def _sym2_nilpotent_step(n: int) -> tuple[Parts, int]:
+    """sym2(W_n) is (q, n - q/2), (1, n - q/2), then sym2(W_{q-n}).
+
+    The ones merge with the ones of sym2(W_{q-n}), its last block; sym2(W_1) is 1.
+    """
+    q = _q(n)
+    return ((q, n - q // 2), (1, n - q // 2)), q - n
+
+
 def _ext2_unipotent_pairs(n: int) -> list[tuple[int, int]]:
     """Parts of ext2(V_n) for n >= 0, unmerged, following the recursion on q - n."""
     pairs = []
     while n >= 2:
-        q = _q(n)
-        pairs += [(q, n - q // 2 - 1), (3 * q // 2 - n, 1)]
-        n = q - n
+        head, n = _ext2_unipotent_step(n)
+        pairs += head
     return pairs
 
 
@@ -67,9 +112,8 @@ def sym2_unipotent(n: int) -> JordanType:
         raise ValueError("n must be positive")
     if n == 1:
         return JordanType.from_pairs([(1, 1)])
-    q = _q(n)
-    head = [(q, n - q // 2), (q // 2, 1)]
-    return JordanType.from_pairs(head + _ext2_unipotent_pairs(q - n))
+    head, rest = _sym2_unipotent_step(n)
+    return JordanType.from_pairs([*head, *_ext2_unipotent_pairs(rest)])
 
 
 def ext2_nilpotent(n: int) -> JordanType:
@@ -93,16 +137,11 @@ def sym2_nilpotent(n: int) -> JordanType:
     return _trusted(JordanType, parts=tuple(pairs))
 
 
-# Small on purpose: callers ask for both squares of one n close together
-# (table rows, the acceptance criteria), and a large cache shows in peak RSS.
-# On seed 1 of the formula_expr and oracle_crosscheck workloads 52% of its
-# calls hit, and without it a formula_expr pass took about 6% longer.
-@lru_cache(maxsize=256)
 def _nilpotent_bands(n: int) -> tuple[tuple[int, int], ...]:
     """(b_k, 2^(b_k - 1) - n_{k+1}) for each exponent b_k > 0 of the expansion of n.
 
-    The bands that ext2(W_n) and sym2(W_n) share, computed once per n.  The
-    exponents strictly decrease and 2^(b_k - 1) - n_{k+1} > 0, since
+    The bands that ext2(W_n) and sym2(W_n) share.  The exponents strictly
+    decrease and 2^(b_k - 1) - n_{k+1} > 0, since
     n_{k+1} = 2^b_k - n_k < 2^(b_k - 1): so the parts built from them are
     sorted and positive by construction.
     """
@@ -117,9 +156,8 @@ def ext2_nilpotent_rec(n: int) -> JordanType:
         raise ValueError("n must be positive")
     pairs = []
     while n >= 2:
-        q = _q(n)
-        pairs.append((q - 1, n - q // 2))
-        n = q - n
+        head, n = _ext2_nilpotent_step(n)
+        pairs += head
     return JordanType.from_pairs(pairs)
 
 
@@ -129,12 +167,53 @@ def sym2_nilpotent_rec(n: int) -> JordanType:
         raise ValueError("n must be positive")
     pairs = []
     while n >= 2:
-        q = _q(n)
-        pairs += [(q, n - q // 2), (1, n - q // 2)]
-        n = q - n
+        head, n = _sym2_nilpotent_step(n)
+        pairs += head
     if n == 1:
         pairs.append((1, 1))
     return JordanType.from_pairs(pairs)
+
+
+def square_rows(max_n: int) -> Iterator[tuple[int, Parts, Parts, Parts, Parts]]:
+    """(n, ext2(V_n), sym2(V_n), ext2(W_n), sym2(W_n)) as parts, for n = 1, ..., max_n.
+
+    Each square of n >= 2 is the head its step gives, then a row already
+    built: the same square of q - n < n, or ext2(V_{q-n}) for sym2(V_n).
+    Equal sizes merge where its step says so.  The parts equal those of the
+    per-n functions, which evaluate one n without building the rows below
+    it.  The rows that later rows read are held only while the generator runs.
+    """
+    one = ((1, 1),)
+    ext2_v: list[Parts] = [(), ()]
+    ext2_w: list[Parts] = [(), ()]
+    sym2_w: list[Parts] = [(), one]
+    # later rows read only rows below _q(max_n)/2, as q - n < q/2 <= _q(max_n)/2
+    read = _q(max_n) // 2
+    if max_n >= 1:
+        yield 1, (), one, (), one
+    for n in range(2, max_n + 1):
+        head, rest = _ext2_unipotent_step(n)
+        e2v = head + ext2_v[rest]
+        head, rest = _sym2_unipotent_step(n)
+        below = ext2_v[rest]
+        size, mult = head[-1]
+        if below and below[0][0] == size:
+            s2v = head[:-1] + ((size, mult + below[0][1]),) + below[1:]
+        else:
+            s2v = head + below
+        head, rest = _ext2_nilpotent_step(n)
+        e2w = head + ext2_w[rest]
+        (band, (_, ones)), rest = _sym2_nilpotent_step(n)
+        below = sym2_w[rest]
+        if below:
+            s2w = (band,) + below[:-1] + ((1, ones + below[-1][1]),)
+        else:
+            s2w = (band, (1, ones))
+        if n < read:
+            ext2_v.append(e2v)
+            ext2_w.append(e2w)
+            sym2_w.append(s2w)
+        yield n, e2v, s2v, e2w, s2w
 
 
 def ext2_block(n: int, kind: Kind) -> JordanType:

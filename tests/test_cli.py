@@ -9,9 +9,9 @@ import tracemalloc
 
 import pytest
 
-from char2squares import basis, cli
+from char2squares import basis, cli, formulas
 from char2squares.cli import main
-from char2squares.core import parse_jordan_type
+from char2squares.core import format_jordan_type, parse_jordan_type
 
 
 def run_cli(*argv, env_cap=None, monkeypatch=None):
@@ -151,7 +151,7 @@ class TestParserReuse:
 
     def test_formula_call_keeps_nothing(self):
         # S2 of 400 distinct atoms adds about 80,000 tensor products into one
-        # table; the parser and the small band cache are all a call may keep
+        # table; the parser is all a call may keep
         run_cli("table", "--max", "1")
         expr = "S2(" + " + ".join(f"W{i}" for i in range(1, 401)) + ")"
         tracemalloc.start()
@@ -470,6 +470,22 @@ class TestTable:
         row9 = lines[9].split("  ")
         cells = [c.strip() for c in row9 if c.strip()]
         assert cells == ["9", "15 8^2 5", "16 8^3 5", "15 7^3", "16 8^3 1^5"]
+
+    def test_cells_equal_the_per_n_functions(self):
+        # the table reads each row off row q - n; the per-n functions evaluate n alone
+        squares = (formulas.ext2_unipotent, formulas.sym2_unipotent,
+                   formulas.ext2_nilpotent, formulas.sym2_nilpotent)
+        rows = cli.table_rows(1 << 14)
+        assert [row[0] for row in rows] == list(range(1, (1 << 14) + 1))
+        for n, *cells in rows:
+            assert cells == [format_jordan_type(square(n)) for square in squares], n
+
+    def test_columns_as_wide_as_their_widest_cell(self):
+        code, out, _ = run_cli("table", "--max", "10")
+        lines = out.splitlines()
+        assert code == 0 and lines[0] == "n   ext2(V_n)    sym2(V_n)     ext2(W_n)   sym2(W_n)     "
+        assert lines[10] == "10  16 14 8 6 1  16^2 8^2 6 1  15^2 7^2 1  16^2 8^2 2 1^5"
+        assert {len(line) for line in lines} == {57}
 
     def test_rejects_bad_max(self):
         code, _, _ = run_cli("table", "--max", "0")

@@ -21,6 +21,7 @@ from char2squares.formulas import (
     ext2_nilpotent,
     ext2_nilpotent_rec,
     ext2_unipotent,
+    square_rows,
     sym2_nilpotent,
     sym2_nilpotent_rec,
     sym2_unipotent,
@@ -133,6 +134,13 @@ class TestSquares:
         assert ext2_nilpotent_rec(6) == jt("7^2 1")
         assert sym2_nilpotent_rec(4) == jt("4^2 1^2")
         assert sym2_nilpotent_rec(1) == jt("1")
+
+    def test_rows_equal_the_per_n_functions(self):
+        # every table size keeps the rows that its later rows read
+        squares = (ext2_unipotent, sym2_unipotent, ext2_nilpotent, sym2_nilpotent)
+        expected = [(n, *(square(n).parts for square in squares)) for n in range(1, 301)]
+        for max_n in range(301):
+            assert list(square_rows(max_n)) == expected[:max_n], max_n
 
     @pytest.mark.parametrize(
         "fn", [ext2_unipotent, sym2_unipotent, ext2_nilpotent, sym2_nilpotent]

@@ -180,9 +180,8 @@ def test_basis_builds_one_expansion_per_call(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
     tracing = importlib.import_module("tracing")
     caches = importlib.import_module("run").lru_caches("char2squares")
-    # the two caches whose traffic repeats: the parser, and the bands that
-    # E2 and S2 of one n share
-    assert {c.__qualname__ for c in caches} == {"_build_parser", "_nilpotent_bands"}
+    # the one cache whose traffic repeats: the parser
+    assert {c.__qualname__ for c in caches} == {"_build_parser"}
     for cache in caches:
         cache.cache_clear()
     with tracing.Tracer() as tracer:
