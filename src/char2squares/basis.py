@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import JordanType, _trusted, cones_expansion
-from .gf2 import Gf2Matrix, _apply_form, _degree_forms, _support, rank as gf2_rank
+from .gf2 import Form, Gf2Matrix, _apply_form, _degree_forms, _support, rank as gf2_rank
 from .oracle import basis_keys
 
 Space = str  # "tensor" or "sym2"
@@ -255,6 +256,56 @@ class VerificationReport:
         return not self.failures
 
 
+def _walk(chain: JordanChain, where: str, space: Space, n: int,
+          forms: dict[int, Form], failures: list[str]) -> None:
+    """Check chain link by link, vector by vector, adding its failures in order.
+
+    A vector outside the space's square for n raises ValueError.
+    """
+    # the image of the vector before, in degree below; a zero mask is the
+    # zero vector in every degree, so a zero image matches any zero vector
+    image = below = None
+    for pos, (vspace, vn, degree, mask) in enumerate(chain.vectors):
+        if vspace != space or vn != n:
+            raise ValueError(f"{where}: vector {pos} is not in the {space} square for n={n}")
+        if pos and not (mask == image and (degree == below or not mask)):
+            failures.append(f"{where}: link {pos - 1} -> {pos} broken")
+        if not mask:
+            failures.append(f"{where}: vector {pos} is zero")
+        image = mask and _apply_form(forms[degree], mask)
+        below = degree - 1
+    if image:
+        failures.append(f"{where}: terminal vector not killed")
+
+
+def _rank(vectors: Iterable[SparseVec], n: int) -> int:
+    """Rank of vectors of the square for n, one gf2_rank per degree."""
+    by_degree: defaultdict[int, list[int]] = defaultdict(list)
+    for _, _, degree, mask in vectors:
+        by_degree[degree].append(mask)
+    # the masks were checked against (space, n), so the matrices are built unchecked
+    return sum(gf2_rank(_trusted(Gf2Matrix, rows=len(r), cols=n + 1, data=tuple(r)))
+               for r in by_degree.values())
+
+
+def _chain_holds(masks: tuple[int, ...], low: int, packed: list[tuple[int, int]], width: int) -> bool:
+    """Whether masks, of degrees low + len(masks) - 1 down to low, form a chain.
+
+    packed holds (shift, sources) per diagonal, the sources of degree d in
+    slot d of width bytes.  Each mask goes into its degree's slot, and the
+    image of every slot, an AND and a shift per diagonal, must be the next
+    mask, raised one slot, or 0 below the last.
+    """
+    bits = 8 * width
+    x = int.from_bytes(b"".join(map(int.to_bytes, masks, repeat(width), repeat("big"))),
+                       "big") << low * bits
+    image = 0
+    for shift, sources in packed:
+        image ^= (x & sources) << shift if shift >= 0 else (x & sources) >> -shift
+    top = low + len(masks) - 1
+    return image == (x ^ masks[0] << top * bits) << bits
+
+
 def verify_basis(
     chains: list[JordanChain],
     images: Sequence[Sequence[int]],
@@ -270,10 +321,21 @@ def verify_basis(
     last vector of chain i must equal expected_terminals[i].  One walk,
     gf2._degree_forms, reads the images into one map per degree, in shift
     form over the vectors' masks, in a frame taken from basis_keys (v_i v_j
-    has degree i + j and bit i), and each vector is mapped by
-    gf2._apply_form; the action must lower the degree of every monomial by
-    exactly 1, and the entries the walk lists as not doing so are reported
-    and left out.
+    has degree i + j and bit i); the action must lower the degree of every
+    monomial by exactly 1, and the entries the walk lists as not doing so
+    are reported and left out.
+
+    The forms of all degrees are packed side by side, one int per diagonal,
+    and a chain of nonzero vectors in consecutive degrees is checked whole
+    by _chain_holds: one comparison of packed ints covers all its links and
+    its terminal kill.  Only a chain that fails it, or does not fit it, is
+    walked vector by vector, with gf2._apply_form, to name its failures.
+
+    When every chain passes, the vectors are independent if and only if
+    the chains' last vectors are: in a relation, apply the action h times,
+    h the largest distance to its chain's end of a vector in it, and only
+    last vectors remain.  So the rank then runs over the last vectors, and
+    over all vectors only when a chain was walked or they are dependent.
     """
     if expected_terminals is not None and len(expected_terminals) != len(chains):
         raise ValueError(f"{len(expected_terminals)} expected terminals for {len(chains)} chains")
@@ -295,32 +357,33 @@ def verify_basis(
             f"action breaks the grading in {len(off)} of its entries, "
             f"first v{i}*v{j} -> v{k}*v{l}"
         )
-    by_degree: defaultdict[int, list[int]] = defaultdict(list)  # masks; rank adds up over degrees
+    width = n // 8 + 1  # bytes per degree slot, enough for bits 0..n of a mask
+    packed = [  # (shift, that diagonal's sources of every degree, each in its slot)
+        (shift, int.from_bytes(b"".join(forms.get(d, {}).get(shift, 0).to_bytes(width, "big")
+                                        for d in range(2 * n, -1, -1)), "big"))
+        for shift in {shift for form in forms.values() for shift in form}
+    ]
+    count = 0
+    walked = False
     for ci, chain in enumerate(chains):
         where = f"chain {ci} (s={chain.s})"
-        # the image of the vector before, in degree below; a zero mask is the
-        # zero vector in every degree, so a zero image matches any zero vector
-        image = below = None
-        for pos, (vspace, vn, degree, mask) in enumerate(chain.vectors):
-            if vspace != space or vn != n:
-                raise ValueError(f"{where}: vector {pos} is not in the {space} square for n={n}")
-            by_degree[degree].append(mask)
-            if pos and not (mask == image and (degree == below or not mask)):
-                failures.append(f"{where}: link {pos - 1} -> {pos} broken")
-            if not mask:
-                failures.append(f"{where}: vector {pos} is zero")
-            image = mask and _apply_form(forms[degree], mask)
-            below = degree - 1
-        if image:
-            failures.append(f"{where}: terminal vector not killed")
+        spaces, ns, degrees, masks = zip(*chain.vectors)
+        length = len(masks)
+        count += length
+        degree, mask = degrees[-1], masks[-1]
+        if not (spaces.count(space) == ns.count(n) == length and 0 not in masks
+                and degrees == tuple(range(degrees[0], degree - 1, -1))
+                and _chain_holds(masks, degree, packed, width)):
+            walked = True
+            _walk(chain, where, space, n, forms, failures)
         if expected_terminals is not None:
             _, _, end_degree, end_mask = expected_terminals[ci]
             if not (end_mask == mask and (end_degree == degree or not mask)):
                 failures.append(f"{where}: terminal differs from expected vector")
-    count = sum(map(len, by_degree.values()))
-    # the masks were checked against (space, n) above, so the matrices are built unchecked
-    matrix_rank = sum(gf2_rank(_trusted(Gf2Matrix, rows=len(r), cols=n + 1, data=tuple(r)))
-                      for r in by_degree.values())
+    if walked or _rank((c.vectors[-1] for c in chains), n) < len(chains):
+        matrix_rank = _rank((v for c in chains for v in c.vectors), n)
+    else:
+        matrix_rank = count
     if matrix_rank != count:
         failures.append(f"chain vectors dependent: rank {matrix_rank} < count {count}")
     return VerificationReport(count, matrix_rank, failures)

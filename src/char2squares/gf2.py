@@ -12,15 +12,18 @@ XOR per diagonal, however many bits the mask has.  One walk over the
 images, _degree_forms, reads the grading for both the Jordan kernel and
 verify_basis: it builds each degree's map into the degree below in this
 form and lists the entries that do not lower the degree by exactly 1.
-The graded sweep and verify_basis then move vectors down a degree with
-_apply_form.  Where the grading does not hold, the kernel reads the type
+The graded sweep moves vectors down a degree with _apply_form;
+verify_basis packs the forms of all degrees side by side and checks a
+whole chain at once, and maps vector by vector with _apply_form only the
+chains that fail.  Where the grading does not hold, the kernel reads the type
 off ranks of powers (_nilpotent_ranks).  Those ranks fall by drops that
 never rise, so the loop eliminates only where the drop can change: it
 jumps by the factors m^(2^j), built once by squaring and applied row by
 row with itemgetter gathers (_gathers, _apply), and the squaring that
 reaches 0 is its nilpotency test.  Gf2Matrix is the packed dense form that
-rank reads (verify_basis hands it each degree's masks) and that
-jordan_type_of_nilpotent, the dense reference, reads.
+rank reads (verify_basis hands it each degree's masks of the chains' last
+vectors, and of all the vectors only when a chain fails or those are
+dependent) and that jordan_type_of_nilpotent, the dense reference, reads.
 """
 
 from __future__ import annotations

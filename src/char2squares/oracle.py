@@ -230,8 +230,11 @@ def _images(expr: ModuleExpr, unipotent: bool) -> tuple[Images, Degrees]:
 # Kept in the package only because bench/tracing.py wraps them by name:
 # expr_action, square_action and tensor_action here, jordan_type_of_nilpotent
 # imported into this namespace, and basis.gf2_rank, which is why
-# verify_basis hands its masks over as a Gf2Matrix.  No command calls the
-# first four; the tests read them as the dense reference.
+# verify_basis hands its masks over as a Gf2Matrix, one per degree: the
+# chains' last vectors when every chain passes its packed check, and all
+# the vectors only when one does not or the last vectors are dependent.
+# No command calls the first four; the tests read them as the dense
+# reference.
 
 
 def _dense(images: Images, unipotent: bool) -> Gf2Matrix:

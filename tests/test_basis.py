@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from char2squares.basis import (
     JordanChain,
     SparseVec,
+    VerificationReport,
     _unchecked,
+    _valid_mask,
     band_index,
     build_sym_basis,
     build_tensor_basis,
@@ -53,8 +55,8 @@ def tensor_terms(*pairs):
     return frozenset(pairs)
 
 
-def dense_failures(chains, images, terminals=None):
-    """The failures of the dense frame, for a graded action: each vector as a
+def dense_report(chains, images, terminals=None):
+    """The report of the dense frame, for a graded action: each vector as a
     mask over the whole square in basis_keys order, mapped as the XOR of the
     images of its monomials, and one rank over all the vectors."""
     space, n = chains[0].top.space, chains[0].top.n
@@ -82,7 +84,7 @@ def dense_failures(chains, images, terminals=None):
     r = rank(Gf2Matrix(len(dense), len(index), tuple(dense)))
     if r != len(dense):
         failures.append(f"chain vectors dependent: rank {r} < count {len(dense)}")
-    return failures
+    return VerificationReport(len(dense), r, failures)
 
 
 def corrupt(chains, terminals, edit):
@@ -338,7 +340,7 @@ class TestVerifyFrame:
         action = action_images(space, n)
         report = verify_basis(chains, action, terminals)
         assert report.failures == self.DENSE_FAILURES[space, edit]
-        assert dense_failures(chains, action, terminals) == report.failures
+        assert dense_report(chains, action, terminals) == report
 
     # graded entries whose targets sit above their sources in the masks:
     # v_i v_j -> v_k v_l with k > i, diagonals the derivation does not have
@@ -366,10 +368,99 @@ class TestVerifyFrame:
         assert diagonals(images, space, n) - {-1, 0}
         chains, terminals = corrupt(chains, terminals, edit)
         report = verify_basis(chains, images, terminals)
-        expected = dense_failures(chains, images, terminals)
-        assert report.failures == expected
+        expected = dense_report(chains, images, terminals)
+        assert report == expected
         if edit is None:  # the rotated chains verify; the raised entries break links
-            assert bool(expected) == (action == "raised")
+            assert bool(expected.failures) == (action == "raised")
+
+    @pytest.mark.parametrize("space", ["tensor", "sym2"])
+    def test_broken_link_keeps_the_full_rank(self, space):
+        # a vector of another chain in place of a top breaks one link and
+        # makes the vectors dependent, while the last vectors stay
+        # independent: independence follows from the last vectors only when
+        # every link holds, so the rank must still run over all the vectors
+        n, chains, terminals = self.basis_of(space)
+        # the first top of a chain with a link, and a vector of its degree in another chain
+        a, b, q = next((a, b, q) for a, c in enumerate(chains) if c.length > 1
+                       for b, d in enumerate(chains) if b != a
+                       for q, v in enumerate(d.vectors) if v.degree == c.top.degree)
+        chains[a] = JordanChain(chains[a].s, (chains[b].vectors[q],) + chains[a].vectors[1:])
+        ends = [c.vectors[-1] for c in chains]
+        assert verify_basis([JordanChain(c.s, (v,)) for c, v in zip(chains, ends)],
+                            action_images(space, n)).rank == len(chains)
+        report = verify_basis(chains, action_images(space, n), terminals)
+        count = n * n if space == "tensor" else n * (n + 1) // 2
+        assert report == VerificationReport(count, count - 1, [
+            f"chain {a} (s={chains[a].s}): link 0 -> 1 broken",
+            f"chain vectors dependent: rank {count - 1} < count {count}",
+        ])
+        assert dense_report(chains, action_images(space, n), terminals) == report
+
+    def test_degrees_must_be_consecutive(self):
+        # vector 1 of the chain for s = 1, v1*v3 + v2*v2, moved up to degree 5
+        # keeps its mask (v1*v4 + v2*v3), so the masks alone still chain: the
+        # degrees must be checked too
+        n = 4
+        chains = build_tensor_basis(n)
+        v = chains[0].vectors
+        chains[0] = JordanChain(1, (v[0], SparseVec("tensor", n, 5, v[1].mask)) + v[2:])
+        report = verify_basis(chains, action_images("tensor", n))
+        assert report.failures == [
+            "chain 0 (s=1): link 0 -> 1 broken",
+            "chain 0 (s=1): link 1 -> 2 broken",
+            "chain vectors dependent: rank 15 < count 16",  # five vectors in degree 5
+        ]
+        assert dense_report(chains, action_images("tensor", n)) == report
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["tensor", "sym2"]), st.integers(1, 9),
+           st.sampled_from(["flip", "drop", "swap", "repeat", "borrow", "regrade", "toggle"]),
+           st.data())
+    def test_one_edit_matches_dense_frame(self, space, n, edit, data):
+        # one random edit of a valid basis or of its action: the report,
+        # failures in order, count and rank, is the dense frame's
+        build = build_tensor_basis if space == "tensor" else build_sym_basis
+        chains = build(n)
+        terminals = None
+        if space == "tensor" and data.draw(st.booleans()):
+            terminals = [build_z(c.s, n) for c in chains]
+        edits = []
+        draw = lambda items: data.draw(st.sampled_from(items))
+        c, p = draw([(c, p) for c, chain in enumerate(chains) for p in range(chain.length)])
+        vectors = list(chains[c].vectors)
+        if edit == "flip":  # one valid bit of one vector
+            v = vectors[p]
+            valid = _valid_mask(space, n, v.degree)
+            bit = draw([i for i in range(valid.bit_length()) if valid >> i & 1])
+            vectors[p] = SparseVec(space, n, v.degree, v.mask ^ 1 << bit)
+        elif edit == "drop" and len(vectors) > 1:
+            del vectors[p]
+        elif edit == "swap":  # two vectors anywhere in the basis
+            d, q = draw([(d, q) for d, chain in enumerate(chains) for q in range(chain.length)])
+            other = list(chains[d].vectors) if d != c else vectors
+            vectors[p], other[q] = other[q], vectors[p]
+            chains[d] = JordanChain(chains[d].s, tuple(other))
+        elif edit == "repeat":
+            chains.append(chains[c])
+            terminals = terminals and terminals + [terminals[c]]
+        elif edit == "borrow":  # another chain's vector of the same degree
+            same = [w for d, chain in enumerate(chains) if d != c
+                    for w in chain.vectors if w.degree == vectors[p].degree]
+            if same:
+                vectors[p] = draw(same)
+        elif edit == "regrade":  # the same mask one degree up or down, where it is valid
+            v = vectors[p]
+            degree = v.degree + draw([-1, 1])
+            if not v.mask & ~_valid_mask(space, n, degree):
+                vectors[p] = SparseVec(space, n, degree, v.mask)
+        elif edit == "toggle":  # one entry from degree d into degree d - 1
+            keys = basis_keys(space, n)
+            graded = [(k, l) for k in keys for l in keys if sum(l) == sum(k) - 1]
+            if graded:
+                edits.append(draw(graded))
+        chains[c] = JordanChain(chains[c].s, tuple(vectors))
+        images = action_images(space, n, *edits)
+        assert verify_basis(chains, images, terminals) == dense_report(chains, images, terminals)
 
     def test_images_must_cover_the_space(self):
         chains = build_tensor_basis(4)

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import io
 import json
@@ -541,6 +542,20 @@ class TestBasis:
         code, out, err = run_cli("basis", "--n", str(n), "--functor", functor, "--dump")
         assert (code, err) == (0, "")
         assert out.splitlines() == expected
+
+    def test_verified_dumps_golden(self):
+        # one digest over the stdout of basis --verify --dump for n <= 64, 96
+        # and 128, both functors: the chains, their dump and the verdict must
+        # not move when the frame or the verification is rebuilt
+        digest = hashlib.sha256()
+        for functor in ("tensor", "sym2"):
+            for n in (*range(1, 65), 96, 128):
+                code, out, err = run_cli("basis", "--n", str(n), "--functor", functor,
+                                         "--verify", "--dump")
+                assert (code, err) == (0, ""), (functor, n)
+                digest.update(out.encode())
+        assert digest.hexdigest() == (
+            "ce2667058ccf3bb101355af2e949929b55ad6f05a17e9d3f4b7b2e055f4a0414")
 
     def test_cap(self, monkeypatch):
         code, _, _ = run_cli(

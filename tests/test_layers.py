@@ -108,9 +108,10 @@ def test_cli_routes_never_touch_the_dense_views(monkeypatch):
 
 
 def test_graded_paths_map_masks_by_their_diagonals(monkeypatch):
-    # verify_basis and the graded sweep move masks down a degree with
-    # gf2._apply_form; a walk over their bits would call gf2._support, which
-    # only the chain builders (project_to_sym) and SparseVec.terms still use
+    # verify_basis maps whole chains by the packed diagonals of the forms and
+    # the graded sweep moves masks down a degree with gf2._apply_form; a walk
+    # over their bits would call gf2._support, which only the chain builders
+    # (project_to_sym) and SparseVec.terms still use
     from char2squares import basis, gf2, oracle
     from char2squares.core import square_expr
 
@@ -158,6 +159,28 @@ def test_one_walk_reads_the_grading(monkeypatch):
         calls.clear()
         assert oracle.oracle_expr_jordan_type(square_expr("sym2", kind, n)).total_dim == 45
         assert calls == [45]
+
+
+def test_verify_ranks_only_the_last_vectors(monkeypatch):
+    # when every link holds, the chains' last vectors are independent exactly
+    # when all the vectors are, so gf2.rank sees one row per chain, not n^2
+    from char2squares import basis, oracle
+    from char2squares.core import square_expr
+
+    rows, real = [], basis.gf2_rank
+
+    def counted(m):
+        rows.append(m.rows)
+        return real(m)
+
+    monkeypatch.setattr(basis, "gf2_rank", counted)
+    n = 16
+    for functor, build in (("tensor", basis.build_tensor_basis), ("sym2", basis.build_sym_basis)):
+        rows.clear()
+        images = oracle.expr_images(square_expr(functor, "nilpotent", n))[0]
+        report = basis.verify_basis(build(n), images)
+        assert report.ok and report.rank == report.vector_count == len(images)
+        assert sum(rows) == n
 
 
 def test_tracer_hooks_count_a_basis_verify(monkeypatch):
