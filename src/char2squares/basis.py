@@ -7,24 +7,26 @@ vector z_s.  Projecting to the symmetric square yields its Jordan basis.
 
 Every chain vector is homogeneous: all its monomials v_i v_j share one
 degree i + j, and the derivation lowers that degree by exactly 1.  A vector
-is a checked tuple (space, n, degree, mask); a chain is built from its top
-in one loop that lowers the mask by _lower, the one definition of e on a
-mask, and keeps the bits valid in each degree from a table made once per
-basis.  Those vectors are valid by construction and skip the check.  The
-builders read every chain's band from one walk, _bands, over one expansion
-of n, so nothing is cached between calls.
+is a checked tuple (space, n, degree, mask), and a chain holds its square,
+its top degree and one mask per degree going down, so its shape is checked
+where it is made.  A chain is built from its top in one loop that lowers
+the mask by _lower, the one definition of e on a mask, and keeps the bits
+valid in each degree from a table made once per basis.  Those masks are
+valid by construction and skip the checks.  The builders read every
+chain's band from one walk, _bands, over one expansion of n, so nothing is
+cached between calls.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import count, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .core import JordanType, _trusted, cones_expansion
-from .gf2 import Form, Gf2Matrix, _apply_form, _degree_forms, _support, rank as gf2_rank
+from .gf2 import Gf2Matrix, _degree_forms, _support, rank as gf2_rank
 from .oracle import basis_keys
 
 Space = str  # "tensor" or "sym2"
@@ -108,24 +110,50 @@ def _unchecked(fields: tuple[Space, int, int, int]) -> SparseVec:
     return tuple.__new__(SparseVec, fields)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class JordanChain:
-    """Chain [top, e top, e^2 top, ...]; the derivation kills the last vector."""
+    """Chain [top, e top, e^2 top, ...]; the derivation kills the last vector.
+
+    Held as one mask per vector of one square, top first, vector pos in
+    degree degree - pos.  JordanChain(s, vectors) raises ValueError, naming
+    s and the position, for no vectors, vectors of two squares, or degrees
+    that do not fall by one or fall below 0.  vectors and top are views.
+    """
 
     s: int  # source index of the chain (1..n)
-    vectors: tuple[SparseVec, ...]
+    space: Space
+    n: int
+    degree: int  # of the top
+    masks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.vectors:
-            raise ValueError(f"chain for s={self.s} has no vectors")
+    def __init__(self, s: int, vectors: Sequence[SparseVec]) -> None:
+        if not vectors:
+            raise ValueError(f"chain for s={s} has no vectors")
+        space, n, degree, _ = vectors[0]
+        for pos, (vspace, vn, vdegree, _) in enumerate(vectors):
+            if vspace != space or vn != n:
+                raise ValueError(f"chain for s={s}: vector {pos} is not in the {space} square for n={n}")
+            if vdegree != degree - pos:
+                raise ValueError(f"chain for s={s}: vector {pos} has degree {vdegree}, not {degree - pos}")
+            if vdegree < 0:
+                raise ValueError(f"chain for s={s}: vector {pos} has degree {vdegree}, below 0")
+        masks = tuple(mask for _, _, _, mask in vectors)
+        for name, value in zip(("s", "space", "n", "degree", "masks"), (s, space, n, degree, masks)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def vectors(self) -> tuple[SparseVec, ...]:
+        space, n = self.space, self.n
+        return tuple(_unchecked((space, n, degree, mask))
+                     for degree, mask in zip(count(self.degree, -1), self.masks))
 
     @property
     def top(self) -> SparseVec:
-        return self.vectors[0]
+        return _unchecked((self.space, self.n, self.degree, self.masks[0]))
 
     @property
     def length(self) -> int:
-        return len(self.vectors)
+        return len(self.masks)
 
 
 def build_z(s: int, n: int) -> SparseVec:
@@ -195,15 +223,16 @@ def _top(s: int, n: int, beta: int) -> SparseVec:
 def _chain_from_top(top: SparseVec, s: int, valid: list[int]) -> JordanChain:
     """The chain from top down to degree s + 1, the degree of z_s.
 
-    valid is _valid_masks of top's square.
+    valid is _valid_masks of top's square.  The masks are valid and their
+    degrees fall by one by construction, so the chain skips the checks.
     """
     space, n, degree, mask = top
     sym2 = space == "sym2"
-    vectors = [top]
-    for degree in range(degree - 1, s, -1):
-        mask = _lower(mask, degree + 1, sym2, valid[degree])
-        vectors.append(_unchecked((space, n, degree, mask)))
-    return JordanChain(s, tuple(vectors))
+    masks = [mask]
+    for below in range(degree - 1, s, -1):
+        mask = _lower(mask, below + 1, sym2, valid[below])
+        masks.append(mask)
+    return _trusted(JordanChain, s=s, space=space, n=n, degree=degree, masks=tuple(masks))
 
 
 def build_tensor_basis(n: int) -> list[JordanChain]:
@@ -256,54 +285,14 @@ class VerificationReport:
         return not self.failures
 
 
-def _walk(chain: JordanChain, where: str, space: Space, n: int,
-          forms: dict[int, Form], failures: list[str]) -> None:
-    """Check chain link by link, vector by vector, adding its failures in order.
-
-    A vector outside the space's square for n raises ValueError.
-    """
-    # the image of the vector before, in degree below; a zero mask is the
-    # zero vector in every degree, so a zero image matches any zero vector
-    image = below = None
-    for pos, (vspace, vn, degree, mask) in enumerate(chain.vectors):
-        if vspace != space or vn != n:
-            raise ValueError(f"{where}: vector {pos} is not in the {space} square for n={n}")
-        if pos and not (mask == image and (degree == below or not mask)):
-            failures.append(f"{where}: link {pos - 1} -> {pos} broken")
-        if not mask:
-            failures.append(f"{where}: vector {pos} is zero")
-        image = mask and _apply_form(forms[degree], mask)
-        below = degree - 1
-    if image:
-        failures.append(f"{where}: terminal vector not killed")
-
-
-def _rank(vectors: Iterable[SparseVec], n: int) -> int:
-    """Rank of vectors of the square for n, one gf2_rank per degree."""
+def _rank(vectors: Iterable[tuple[int, int]], n: int) -> int:
+    """Rank of (degree, mask) vectors of the square for n, one gf2_rank per degree."""
     by_degree: defaultdict[int, list[int]] = defaultdict(list)
-    for _, _, degree, mask in vectors:
+    for degree, mask in vectors:
         by_degree[degree].append(mask)
     # the masks were checked against (space, n), so the matrices are built unchecked
     return sum(gf2_rank(_trusted(Gf2Matrix, rows=len(r), cols=n + 1, data=tuple(r)))
                for r in by_degree.values())
-
-
-def _chain_holds(masks: tuple[int, ...], low: int, packed: list[tuple[int, int]], width: int) -> bool:
-    """Whether masks, of degrees low + len(masks) - 1 down to low, form a chain.
-
-    packed holds (shift, sources) per diagonal, the sources of degree d in
-    slot d of width bytes.  Each mask goes into its degree's slot, and the
-    image of every slot, an AND and a shift per diagonal, must be the next
-    mask, raised one slot, or 0 below the last.
-    """
-    bits = 8 * width
-    x = int.from_bytes(b"".join(map(int.to_bytes, masks, repeat(width), repeat("big"))),
-                       "big") << low * bits
-    image = 0
-    for shift, sources in packed:
-        image ^= (x & sources) << shift if shift >= 0 else (x & sources) >> -shift
-    top = low + len(masks) - 1
-    return image == (x ^ masks[0] << top * bits) << bits
 
 
 def verify_basis(
@@ -318,7 +307,8 @@ def verify_basis(
     mapped to.  Each chain must satisfy action.v_t = v_{t+1} with the last
     vector killed, all vectors together must be linearly independent, and
     when terminals are supplied, one per chain (ValueError otherwise), the
-    last vector of chain i must equal expected_terminals[i].  One walk,
+    last vector of chain i must equal expected_terminals[i].  Every chain
+    must lie in the first one's square (ValueError otherwise).  One walk,
     gf2._degree_forms, reads the images into one map per degree, in shift
     form over the vectors' masks, in a frame taken from basis_keys (v_i v_j
     has degree i + j and bit i); the action must lower the degree of every
@@ -326,27 +316,27 @@ def verify_basis(
     are reported and left out.
 
     The forms of all degrees are packed side by side, one int per diagonal,
-    and a chain of nonzero vectors in consecutive degrees is checked whole
-    by _chain_holds: one comparison of packed ints covers all its links and
-    its terminal kill.  Only a chain that fails it, or does not fit it, is
-    walked vector by vector, with gf2._apply_form, to name its failures.
+    the sources of degree d in slot d, and so is each chain, a mask per slot
+    (its degrees fall by one, as its constructor checks).  Its image, an AND
+    and a shift per diagonal, must be the chain without its top raised one
+    slot: one comparison covers every link and the terminal kill.  Where it
+    fails, slot d of the difference is the link from the vector of degree d,
+    the last degree's slot the terminal kill; zero masks are zero vectors.
 
     When every chain passes, the vectors are independent if and only if
     the chains' last vectors are: in a relation, apply the action h times,
     h the largest distance to its chain's end of a vector in it, and only
     last vectors remain.  So the rank then runs over the last vectors, and
-    over all vectors only when a chain was walked or they are dependent.
+    over all vectors only when a chain failed or they are dependent.
     """
     if expected_terminals is not None and len(expected_terminals) != len(chains):
         raise ValueError(f"{len(expected_terminals)} expected terminals for {len(chains)} chains")
     if not chains:
         return VerificationReport(0, 0)
-    space = chains[0].top.space
-    n = chains[0].top.n
+    space, n = chains[0].space, chains[0].n
     keys = basis_keys(space, n)
-    dim = len(keys)
-    if len(images) != dim:
-        raise ValueError(f"action has {len(images)} images, expected {dim}")
+    if len(images) != len(keys):
+        raise ValueError(f"action has {len(images)} images, expected {len(keys)}")
     forms, off = _degree_forms(images, [i + j for i, j in keys], [i for i, _ in keys])
 
     failures = []
@@ -358,35 +348,47 @@ def verify_basis(
             f"first v{i}*v{j} -> v{k}*v{l}"
         )
     width = n // 8 + 1  # bytes per degree slot, enough for bits 0..n of a mask
+    bits, slot = 8 * width, (1 << 8 * width) - 1
     packed = [  # (shift, that diagonal's sources of every degree, each in its slot)
         (shift, int.from_bytes(b"".join(forms.get(d, {}).get(shift, 0).to_bytes(width, "big")
                                         for d in range(2 * n, -1, -1)), "big"))
         for shift in {shift for form in forms.values() for shift in form}
     ]
-    count = 0
-    walked = False
+    total, failed = 0, False
     for ci, chain in enumerate(chains):
         where = f"chain {ci} (s={chain.s})"
-        spaces, ns, degrees, masks = zip(*chain.vectors)
-        length = len(masks)
-        count += length
-        degree, mask = degrees[-1], masks[-1]
-        if not (spaces.count(space) == ns.count(n) == length and 0 not in masks
-                and degrees == tuple(range(degrees[0], degree - 1, -1))
-                and _chain_holds(masks, degree, packed, width)):
-            walked = True
-            _walk(chain, where, space, n, forms, failures)
+        if chain.space != space or chain.n != n:
+            raise ValueError(f"{where} is not in the {space} square for n={n}")
+        masks, top = chain.masks, chain.degree
+        low = top - len(masks) + 1
+        total += len(masks)
+        x = int.from_bytes(b"".join(map(int.to_bytes, masks, repeat(width), repeat("big"))),
+                           "big") << low * bits
+        image = 0
+        for shift, sources in packed:
+            image ^= (x & sources) << shift if shift >= 0 else (x & sources) >> -shift
+        diff = image ^ (x ^ masks[0] << top * bits) << bits
+        if diff or 0 in masks:
+            failed = True
+            for pos, mask in enumerate(masks):
+                if pos and diff >> (top - pos + 1) * bits & slot:
+                    failures.append(f"{where}: link {pos - 1} -> {pos} broken")
+                if not mask:
+                    failures.append(f"{where}: vector {pos} is zero")
+            if diff >> low * bits & slot:
+                failures.append(f"{where}: terminal vector not killed")
         if expected_terminals is not None:
             _, _, end_degree, end_mask = expected_terminals[ci]
-            if not (end_mask == mask and (end_degree == degree or not mask)):
+            if not (end_mask == masks[-1] and (end_degree == low or not end_mask)):
                 failures.append(f"{where}: terminal differs from expected vector")
-    if walked or _rank((c.vectors[-1] for c in chains), n) < len(chains):
-        matrix_rank = _rank((v for c in chains for v in c.vectors), n)
+    ends = ((c.degree - c.length + 1, c.masks[-1]) for c in chains)
+    if failed or _rank(ends, n) < len(chains):
+        matrix_rank = _rank(((d, m) for c in chains for d, m in zip(count(c.degree, -1), c.masks)), n)
     else:
-        matrix_rank = count
-    if matrix_rank != count:
-        failures.append(f"chain vectors dependent: rank {matrix_rank} < count {count}")
-    return VerificationReport(count, matrix_rank, failures)
+        matrix_rank = total
+    if matrix_rank != total:
+        failures.append(f"chain vectors dependent: rank {matrix_rank} < count {total}")
+    return VerificationReport(total, matrix_rank, failures)
 
 
 def chain_type(chains: list[JordanChain]) -> JordanType:
@@ -396,9 +398,5 @@ def chain_type(chains: list[JordanChain]) -> JordanType:
 
 def format_chain(chain: JordanChain) -> str:
     """One-line dump: vectors as '+'-joined monomials 'vi*vj', ' | '-separated."""
-
-    def fmt_vec(v: SparseVec) -> str:
-        _, _, degree, mask = v
-        return "+".join(f"v{i}*v{degree - i}" for i in _support(mask)) or "0"
-
-    return " | ".join(fmt_vec(v) for v in chain.vectors)
+    return " | ".join("+".join(f"v{i}*v{degree - i}" for i in _support(mask)) or "0"
+                      for degree, mask in zip(count(chain.degree, -1), chain.masks))

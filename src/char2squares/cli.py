@@ -216,7 +216,7 @@ def _cmd_basis(args, out, err) -> int:
         chains = basis_mod.build_sym_basis(args.n)
         terminals = None
     if args.dump:
-        monomials = sum(v.mask.bit_count() for chain in chains for v in chain.vectors)
+        monomials = sum(mask.bit_count() for chain in chains for mask in chain.masks)
         if monomials > DUMP_MONOMIAL_LIMIT:
             raise LimitExceeded(
                 f"dump has {monomials} monomials, above the limit {DUMP_MONOMIAL_LIMIT}")

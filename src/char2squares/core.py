@@ -39,9 +39,10 @@ def _trusted(cls: type[_T], **fields: object) -> _T:
     """An instance of the frozen dataclass cls with these fields, built without __post_init__.
 
     For values valid by construction: the caller guarantees what
-    __post_init__ would check.  Public constructors keep every check.
-    basis.SparseVec is a tuple, not a dataclass, and has its own
-    unchecked constructor, basis._unchecked.
+    __post_init__, or a checking __init__ such as basis.JordanChain's,
+    would check.  Public constructors keep every check.  basis.SparseVec is
+    a tuple, not a dataclass, and has its own unchecked constructor,
+    basis._unchecked, which also makes a chain's vector views.
     """
     out = object.__new__(cls)
     attrs = out.__dict__

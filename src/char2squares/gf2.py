@@ -14,8 +14,8 @@ verify_basis: it builds each degree's map into the degree below in this
 form and lists the entries that do not lower the degree by exactly 1.
 The graded sweep moves vectors down a degree with _apply_form;
 verify_basis packs the forms of all degrees side by side and checks a
-whole chain at once, and maps vector by vector with _apply_form only the
-chains that fail.  Where the grading does not hold, the kernel reads the type
+whole chain at once, in one comparison of packed ints, which also names
+its failures.  Where the grading does not hold, the kernel reads the type
 off ranks of powers (_nilpotent_ranks).  Those ranks fall by drops that
 never rise, so the loop eliminates only where the drop can change: it
 jumps by the factors m^(2^j), built once by squaring and applied row by

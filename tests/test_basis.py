@@ -88,13 +88,21 @@ def dense_report(chains, images, terminals=None):
 
 
 def corrupt(chains, terminals, edit):
-    """chains with chain 0 (s = 1) corrupted, and the terminals to match."""
+    """chains with chain 0 (s = 1) corrupted, and the terminals to match.
+
+    "swapped" and "dropped" break the fall of its degrees, so JordanChain
+    refuses them.
+    """
     chains = list(chains)
     v = chains[0].vectors
     if edit == "swapped":
         chains[0] = JordanChain(1, v[:-2] + (v[-1], v[-2]))
     elif edit == "dropped":
         chains[0] = JordanChain(1, v[:1] + v[2:])
+    elif edit == "cut":  # the last vector dropped
+        chains[0] = JordanChain(1, v[:-1])
+    elif edit == "zeroed":  # vector 3 made zero in its degree
+        chains[0] = JordanChain(1, v[:3] + (SparseVec(v[3].space, v[3].n, v[3].degree, 0),) + v[4:])
     elif edit == "repeated":
         chains.append(chains[0])
         terminals = terminals and terminals + [terminals[0]]
@@ -234,10 +242,12 @@ class TestTensorBasis:
         assert chain_type(chains) == tensor_decompose(n, n)
 
     def test_corrupted_chain_detected(self):
+        # the top of chain 0 gains one monomial of its degree
         chains = build_tensor_basis(6)
         bad = chains[0]
-        swapped = JordanChain(bad.s, (bad.vectors[1],) + (bad.vectors[0],) + bad.vectors[2:])
-        chains[0] = swapped
+        spare = _valid_mask("tensor", 6, bad.top.degree) & ~bad.top.mask
+        top = SparseVec("tensor", 6, bad.top.degree, bad.top.mask ^ spare & -spare)
+        chains[0] = JordanChain(bad.s, (top,) + bad.vectors[1:])
         report = verify_basis(chains, action_images("tensor", 6))
         assert not report.ok
         assert any("chain 0" in f and "link" in f for f in report.failures)
@@ -250,6 +260,7 @@ class TestTensorBasis:
         for chains in (build_tensor_basis(n), build_sym_basis(n)):
             for chain in chains:
                 vectors = chain.vectors
+                assert JordanChain(chain.s, vectors) == chain
                 for t, v in enumerate(vectors):
                     assert type(v) is SparseVec and SparseVec(*v) == v
                     if t + 1 < len(vectors):
@@ -306,22 +317,28 @@ class TestVerifyFrame:
         report = verify_basis(chains, action)
         assert report.failures and not any("grading" in f for f in report.failures)
 
-    # failure lists of the dense n^2-bit check, recorded before it was replaced
+    # failure lists of the dense n^2-bit check, recorded before it was
+    # replaced ("repeated"), or of the vector-by-vector walk that the packed
+    # check replaced ("cut", "zeroed"); both agreed with dense_report
     DENSE_FAILURES = {
-        ("tensor", "swapped"): [
-            "chain 0 (s=1): link 5 -> 6 broken",
-            "chain 0 (s=1): link 6 -> 7 broken",
+        ("tensor", "cut"): [
             "chain 0 (s=1): terminal vector not killed",
             "chain 0 (s=1): terminal differs from expected vector",
         ],
-        ("tensor", "dropped"): ["chain 0 (s=1): link 0 -> 1 broken"],
-        ("tensor", "repeated"): ["chain vectors dependent: rank 36 < count 44"],
-        ("sym2", "swapped"): [
-            "chain 0 (s=1): link 5 -> 6 broken",
-            "chain 0 (s=1): link 6 -> 7 broken",
-            "chain 0 (s=1): terminal vector not killed",
+        ("tensor", "zeroed"): [
+            "chain 0 (s=1): link 2 -> 3 broken",
+            "chain 0 (s=1): vector 3 is zero",
+            "chain 0 (s=1): link 3 -> 4 broken",
+            "chain vectors dependent: rank 35 < count 36",
         ],
-        ("sym2", "dropped"): ["chain 0 (s=1): link 0 -> 1 broken"],
+        ("tensor", "repeated"): ["chain vectors dependent: rank 36 < count 44"],
+        ("sym2", "cut"): ["chain 0 (s=1): terminal vector not killed"],
+        ("sym2", "zeroed"): [
+            "chain 0 (s=1): link 2 -> 3 broken",
+            "chain 0 (s=1): vector 3 is zero",
+            "chain 0 (s=1): link 3 -> 4 broken",
+            "chain vectors dependent: rank 27 < count 28",
+        ],
         ("sym2", "repeated"): ["chain vectors dependent: rank 28 < count 36"],
     }
 
@@ -349,7 +366,7 @@ class TestVerifyFrame:
         "sym2": (((2, 5), (3, 3)), ((1, 6), (3, 3)), ((2, 6), (3, 4))),
     }
 
-    @pytest.mark.parametrize("edit", [None, "swapped", "dropped", "repeated"])
+    @pytest.mark.parametrize("edit", [None, "cut", "zeroed", "repeated"])
     @pytest.mark.parametrize("action", ["rotated", "raised"])
     @pytest.mark.parametrize("space", ["tensor", "sym2"])
     def test_failures_match_dense_frame_on_other_diagonals(self, space, action, edit):
@@ -396,22 +413,6 @@ class TestVerifyFrame:
         ])
         assert dense_report(chains, action_images(space, n), terminals) == report
 
-    def test_degrees_must_be_consecutive(self):
-        # vector 1 of the chain for s = 1, v1*v3 + v2*v2, moved up to degree 5
-        # keeps its mask (v1*v4 + v2*v3), so the masks alone still chain: the
-        # degrees must be checked too
-        n = 4
-        chains = build_tensor_basis(n)
-        v = chains[0].vectors
-        chains[0] = JordanChain(1, (v[0], SparseVec("tensor", n, 5, v[1].mask)) + v[2:])
-        report = verify_basis(chains, action_images("tensor", n))
-        assert report.failures == [
-            "chain 0 (s=1): link 0 -> 1 broken",
-            "chain 0 (s=1): link 1 -> 2 broken",
-            "chain vectors dependent: rank 15 < count 16",  # five vectors in degree 5
-        ]
-        assert dense_report(chains, action_images("tensor", n)) == report
-
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(["tensor", "sym2"]), st.integers(1, 9),
            st.sampled_from(["flip", "drop", "swap", "repeat", "borrow", "regrade", "toggle"]),
@@ -428,6 +429,7 @@ class TestVerifyFrame:
         draw = lambda items: data.draw(st.sampled_from(items))
         c, p = draw([(c, p) for c, chain in enumerate(chains) for p in range(chain.length)])
         vectors = list(chains[c].vectors)
+        rebuilt = {c: vectors}  # the vectors of each chain edited
         if edit == "flip":  # one valid bit of one vector
             v = vectors[p]
             valid = _valid_mask(space, n, v.degree)
@@ -437,9 +439,8 @@ class TestVerifyFrame:
             del vectors[p]
         elif edit == "swap":  # two vectors anywhere in the basis
             d, q = draw([(d, q) for d, chain in enumerate(chains) for q in range(chain.length)])
-            other = list(chains[d].vectors) if d != c else vectors
+            other = rebuilt.setdefault(d, list(chains[d].vectors))
             vectors[p], other[q] = other[q], vectors[p]
-            chains[d] = JordanChain(chains[d].s, tuple(other))
         elif edit == "repeat":
             chains.append(chains[c])
             terminals = terminals and terminals + [terminals[c]]
@@ -458,7 +459,15 @@ class TestVerifyFrame:
             graded = [(k, l) for k in keys for l in keys if sum(l) == sum(k) - 1]
             if graded:
                 edits.append(draw(graded))
-        chains[c] = JordanChain(chains[c].s, tuple(vectors))
+        for e, edited in rebuilt.items():
+            top = edited[0].degree
+            if [v.degree for v in edited] != list(range(top, top - len(edited), -1)):
+                # a chain whose degrees do not fall by one cannot be written
+                assert edit in ("drop", "swap", "regrade")
+                with pytest.raises(ValueError, match=rf"chain for s={chains[e].s}: vector \d+ has degree"):
+                    JordanChain(chains[e].s, tuple(edited))
+                return
+            chains[e] = JordanChain(chains[e].s, tuple(edited))
         images = action_images(space, n, *edits)
         assert verify_basis(chains, images, terminals) == dense_report(chains, images, terminals)
 
@@ -479,7 +488,7 @@ class TestVerifyFrame:
         chains = build_tensor_basis(n)
         terminals = [build_z(c.s, n) for c in chains]
         c = chains[2]
-        chains[2] = JordanChain(c.s, c.vectors + (SparseVec("tensor", n, 2, 0),))
+        chains[2] = JordanChain(c.s, c.vectors + (SparseVec("tensor", n, c.vectors[-1].degree - 1, 0),))
         report = verify_basis(chains, action, terminals)
         assert (report.vector_count, report.rank) == (26, 25)
         assert report.failures == [
@@ -487,7 +496,7 @@ class TestVerifyFrame:
             "chain 2 (s=3): terminal differs from expected vector",
             "chain vectors dependent: rank 25 < count 26",
         ]
-        chains[2] = JordanChain(c.s, (SparseVec("tensor", n, 9, 0),) + c.vectors)
+        chains[2] = JordanChain(c.s, (SparseVec("tensor", n, c.top.degree + 1, 0),) + c.vectors)
         report = verify_basis(chains, action)
         assert report.failures == [
             "chain 2 (s=3): vector 0 is zero",
@@ -503,6 +512,52 @@ class TestBoundary:
     def test_chain_needs_a_vector(self):
         with pytest.raises(ValueError, match="chain for s=3 has no vectors"):
             JordanChain(3, ())
+
+    @staticmethod
+    def build(case):
+        """Make the chain for s = 1 of the tensor square of W_4 with this broken shape."""
+        n = 4
+        chains = build_tensor_basis(n)
+        v = chains[0].vectors  # degrees 5, 4, 3, 2
+        shapes = {
+            "two squares": v[:1] + (SparseVec("sym2", n, 4, 0),),
+            "two sizes": v[:1] + (SparseVec("tensor", n + 1, 4, v[1].mask),),
+            "skipped degree": v[:-2] + v[-1:],
+            # vector 1, v1*v3 + v2*v2, moved up to degree 5 keeps its mask
+            # (v1*v4 + v2*v3), so the masks alone still chain
+            "regraded": (v[0], SparseVec("tensor", n, 5, v[1].mask)) + v[2:],
+            "below 0": tuple(SparseVec("tensor", n, d, 0) for d in (1, 0, -1)),
+        }
+        if case in shapes:
+            return JordanChain(1, shapes[case])
+        return corrupt(chains, None, case)  # "swapped" or "dropped"
+
+    @pytest.mark.parametrize("case, message", [
+        ("two squares", "vector 1 is not in the tensor square for n=4"),
+        ("two sizes", "vector 1 is not in the tensor square for n=4"),
+        ("skipped degree", "vector 2 has degree 2, not 3"),
+        ("regraded", "vector 1 has degree 5, not 4"),
+        ("below 0", "vector 2 has degree -1, below 0"),
+        ("swapped", "vector 2 has degree 2, not 3"),
+        ("dropped", "vector 1 has degree 3, not 4"),
+    ])
+    def test_chain_refuses_a_broken_shape(self, case, message):
+        # the shape is checked where the chain is made, so verify_basis never
+        # sees vectors of two squares or degrees that do not fall by one
+        with pytest.raises(ValueError, match=f"^chain for s=1: {message}$"):
+            self.build(case)
+
+    def test_chain_holds_its_masks(self):
+        # the chain for s = 2 of T(W_2, W_2): v2*v2 -> v1*v2 + v2*v1 = z_2
+        v = (SparseVec("tensor", 2, 4, 0b100), SparseVec("tensor", 2, 3, 0b110))
+        chain = JordanChain(2, v)
+        assert chain == build_tensor_basis(2)[1]
+        assert (chain.s, chain.space, chain.n, chain.degree, chain.masks) == (2, "tensor", 2, 4, (4, 6))
+        assert chain.vectors == v and chain.top == v[0] and chain.length == 2
+        assert all(type(w) is SparseVec for w in (*chain.vectors, chain.top))
+        for name in ("masks", "degree", "vectors", "top"):
+            with pytest.raises(AttributeError):
+                setattr(chain, name, None)
 
     @pytest.mark.parametrize("count", [0, 3, 5])
     def test_one_terminal_per_chain(self, count):
