@@ -33,6 +33,7 @@ from .formulas import (
 )
 from .oracle import (
     OracleCapExceeded,
+    expr_forms,
     expr_images,
     oracle_expr_jordan_type,
     oracle_jordan_type,

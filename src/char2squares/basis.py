@@ -14,7 +14,9 @@ the mask by _lower, the one definition of e on a mask, and keeps the bits
 valid in each degree from a table made once per basis.  Those masks are
 valid by construction and skip the checks.  The builders read every
 chain's band from one walk, _bands, over one expansion of n, so nothing is
-cached between calls.
+cached between calls.  verify_basis checks the chains against e as the
+oracle builds it per degree from the factors (oracle.expr_forms), or as
+gf2.graded reads it off images, never against a map of this module's.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .core import JordanType, _trusted, cones_expansion
-from .gf2 import Gf2Matrix, _degree_forms, _support, rank as gf2_rank
+from .gf2 import Gf2Matrix, Graded, _support, rank as gf2_rank
 from .oracle import basis_keys
 
 Space = str  # "tensor" or "sym2"
@@ -297,23 +299,23 @@ def _rank(vectors: Iterable[tuple[int, int]], n: int) -> int:
 
 def verify_basis(
     chains: list[JordanChain],
-    images: Sequence[Sequence[int]],
+    action: Graded,
     expected_terminals: list[SparseVec] | None = None,
 ) -> VerificationReport:
     """Check chain links, terminal kill, full rank and optional terminal values.
 
-    images is the action as the oracle builds it: images[c] lists the
-    positions, in basis_keys order, of the monomials that monomial c is
-    mapped to.  Each chain must satisfy action.v_t = v_{t+1} with the last
-    vector killed, all vectors together must be linearly independent, and
-    when terminals are supplied, one per chain (ValueError otherwise), the
-    last vector of chain i must equal expected_terminals[i].  Every chain
-    must lie in the first one's square (ValueError otherwise).  One walk,
-    gf2._degree_forms, reads the images into one map per degree, in shift
-    form over the vectors' masks, in a frame taken from basis_keys (v_i v_j
-    has degree i + j and bit i); the action must lower the degree of every
-    monomial by exactly 1, and the entries the walk lists as not doing so
-    are reported and left out.
+    action is e on the square of the chains as a gf2.Graded: what
+    oracle.expr_forms builds, or gf2.graded of images in basis_keys order
+    with the degree i + j of each v_i v_j.  Each chain must satisfy
+    action.v_t = v_{t+1} with the last vector killed, all vectors together
+    must be linearly independent, and when terminals are supplied, one per
+    chain (ValueError otherwise), the last vector of chain i must equal
+    expected_terminals[i].  Every chain must lie in the first one's square,
+    and the action must have as many vectors in each degree as the square
+    (ValueError otherwise).  Position k of degree d stands for bit k + lo of
+    a mask of that degree, lo its lowest valid bit, so each form moves into
+    the masks' frame a diagonal at a time.  The entries in action.off, which
+    do not lower the degree by exactly 1, are reported and left out.
 
     The forms of all degrees are packed side by side, one int per diagonal,
     the sources of degree d in slot d, and so is each chain, a mask per slot
@@ -334,13 +336,20 @@ def verify_basis(
     if not chains:
         return VerificationReport(0, 0)
     space, n = chains[0].space, chains[0].n
-    keys = basis_keys(space, n)
-    if len(images) != len(keys):
-        raise ValueError(f"action has {len(images)} images, expected {len(keys)}")
-    forms, off = _degree_forms(images, [i + j for i, j in keys], [i for i, _ in keys])
+    counts, forms, off = action
+    sym2 = space == "sym2"  # degree d holds v_i v_(d-i) for the bits i of _valid_mask
+    square = {d: min(n, d // 2 if sym2 else d - 1) - max(1, d - n) + 1 for d in range(2, 2 * n + 1)}
+    if counts != square:
+        have, want = sum(counts.values()), sum(square.values())
+        if have == want:
+            d = min(d for d in counts.keys() | square.keys() if counts.get(d) != square.get(d))
+            have, want = counts.get(d, 0), square.get(d, 0)
+            raise ValueError(f"action has {have} images of degree {d}, expected {want}")
+        raise ValueError(f"action has {have} images, expected {want}")
 
     failures = []
     if off:
+        keys = basis_keys(space, n)
         target, source = min(off)  # the first in row order
         (i, j), (k, l) = keys[source], keys[target]
         failures.append(
@@ -349,10 +358,14 @@ def verify_basis(
         )
     width = n // 8 + 1  # bytes per degree slot, enough for bits 0..n of a mask
     bits, slot = 8 * width, (1 << 8 * width) - 1
+    diagonals: defaultdict[int, list[int]] = defaultdict(lambda: [0] * (2 * n + 1))
+    for d, form in forms.items():
+        lo = max(1, d - n)  # the lowest valid bit of degree d; of degree d - 1 it is lo - (d > n + 1)
+        for shift, sources in form.items():
+            diagonals[shift - (d > n + 1)][d] = sources << lo
     packed = [  # (shift, that diagonal's sources of every degree, each in its slot)
-        (shift, int.from_bytes(b"".join(forms.get(d, {}).get(shift, 0).to_bytes(width, "big")
-                                        for d in range(2 * n, -1, -1)), "big"))
-        for shift in {shift for form in forms.values() for shift in form}
+        (shift, int.from_bytes(b"".join(m.to_bytes(width, "big") for m in reversed(column)), "big"))
+        for shift, column in diagonals.items()
     ]
     total, failed = 0, False
     for ci, chain in enumerate(chains):

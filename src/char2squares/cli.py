@@ -208,7 +208,7 @@ def _cmd_basis(args, out, err) -> int:
         raise LimitExceeded(f"basis has {shown_count(vectors)} chain vectors, "
                             f"above the limit {BASIS_VECTOR_LIMIT}")
     if args.verify:  # before any chain or output: a space over the cap builds nothing
-        images, _ = oracle.expr_images(expr)
+        action = oracle.expr_forms(expr)
     if args.functor == "tensor":
         chains = basis_mod.build_tensor_basis(args.n)
         terminals = [basis_mod.build_z(c.s, args.n) for c in chains]
@@ -229,7 +229,7 @@ def _cmd_basis(args, out, err) -> int:
         for chain in chains:
             print(f"s={chain.s}: {basis_mod.format_chain(chain)}", file=out)
     if args.verify:
-        report = basis_mod.verify_basis(chains, images, terminals)
+        report = basis_mod.verify_basis(chains, action, terminals)
         if report.ok:
             print(f"verification passed ({report.vector_count} vectors)", file=out)
         else:

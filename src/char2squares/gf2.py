@@ -8,19 +8,21 @@ columns, the images of the basis vectors as the oracle builds them, so a
 sparse operator never has to be packed whole.  A map between two such
 bit spaces that is applied to many masks is held in shift form, as its
 diagonals: _apply_form then maps a mask with one AND, one shift and one
-XOR per diagonal, however many bits the mask has.  One walk over the
-images, _degree_forms, reads the grading for both the Jordan kernel and
-verify_basis: it builds each degree's map into the degree below in this
-form and lists the entries that do not lower the degree by exactly 1.
-The graded sweep moves vectors down a degree with _apply_form;
-verify_basis packs the forms of all degrees side by side and checks a
-whole chain at once, in one comparison of packed ints, which also names
-its failures.  Where the grading does not hold, the kernel reads the type
-off ranks of powers (_nilpotent_ranks).  Those ranks fall by drops that
-never rise, so the loop eliminates only where the drop can change: it
-jumps by the factors m^(2^j), built once by squaring and applied row by
-row with itemgetter gathers (_gathers, _apply), and the squaring that
-reaches 0 is its nilpotency test.  Gf2Matrix is the packed dense form that
+XOR per diagonal, however many bits the mask has.  A map that lowers
+every degree by exactly 1 is held as a Graded: per degree, the number of
+basis vectors and the map into the degree below in this form.
+oracle.expr_forms builds one from an expression's factors; graded reads
+one off images in one walk (_degree_forms), and lists apart the entries
+that do not lower the degree by exactly 1.  The graded sweep moves
+vectors down a degree with _apply_form; verify_basis packs the forms of
+all degrees side by side and checks a whole chain at once, in one
+comparison of packed ints, which also names its failures.  Where the
+grading does not hold, the kernel reads the type off ranks of powers
+(_nilpotent_ranks).  Those ranks fall by drops that never rise, so the
+loop eliminates only where the drop can change: it jumps by the factors
+m^(2^j), built once by squaring and applied row by row with itemgetter
+gathers (_gathers, _apply), and the squaring that reaches 0 is its
+nilpotency test.  Gf2Matrix is the packed dense form that
 rank reads (verify_basis hands it each degree's masks of the chains' last
 vectors, and of all the vectors only when a chain fails or those are
 dependent) and that jordan_type_of_nilpotent, the dense reference, reads.
@@ -32,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter, lshift, rshift, setitem, xor
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import JordanType
 
@@ -51,6 +53,22 @@ def _support(row: int) -> list[int]:
 # i of it maps bit i to bit i + shift.  Any map has one: each entry, source
 # i to target t, toggles bit i of form[t - i].
 Form = dict[int, int]
+
+
+class Graded(NamedTuple):
+    """A map that lowers degrees, held per degree: what _graded_sweep and
+    verify_basis read.
+
+    counts[d] is the number of basis vectors of degree d, and forms[d], for
+    each such d, the map from degree d into degree d - 1 in shift form, over
+    the positions 0..counts[d]-1 of the vectors within their degrees.  off
+    lists, as (i, c), the entries of the map that forms leaves out because
+    they do not lower the degree by exactly 1: empty for a graded map.
+    """
+
+    counts: dict[int, int]
+    forms: dict[int, Form]
+    off: list[tuple[int, int]]
 
 
 def _apply_form(form: Form, mask: int) -> int:
@@ -154,10 +172,11 @@ def _identity(n: int) -> list[int]:
     return [1 << i for i in range(n)] + [0]
 
 
-def _nilpotent_ranks(supports: Sequence[Sequence[int]]) -> list[int] | None:
+def _nilpotent_ranks(supports: list[Sequence[int]]) -> list[int] | None:
     """[rank(m^0), rank(m^1), ...] up to the first 0, or None if m is not nilpotent.
 
-    supports[i] lists the columns of row i of the square matrix m.  See
+    supports[i] lists the columns of row i of the square matrix m; the list
+    is emptied once the gathers of m are built from it.  See
     jordan_type_of_images for why the loop is correct.  At most two lists of
     n rows are alive at once: a factor and its square or its peeled copy,
     then the power the loop stands on and the next one.
@@ -167,6 +186,7 @@ def _nilpotent_ranks(supports: Sequence[Sequence[int]]) -> list[int] | None:
     width = max(map(len, supports), default=0)
     gathers = [itemgetter(*[bits[t] if t < len(bits) else n for bits in supports], n)
                for t in range(width)]
+    supports.clear()
     factors = []  # factors[j] holds the gathers of m^(2^j)
     rows = _apply(gathers, _identity(n)) if gathers else []  # m, then each square
     while gathers:
@@ -261,7 +281,7 @@ def _graded_sweep(forms: dict[int, Form], counts: dict[int, int]) -> JordanType:
 
     counts[d] is the number of basis vectors of degree d, and forms[d] is
     the map from degree d into degree d - 1 over their positions
-    0..counts[d]-1 within their degrees, as _degree_forms builds it.  The
+    0..counts[d]-1 within their degrees: a Graded's counts and forms.  The
     sweep goes down through the degrees keeping a basis of the current one,
     oldest bar first: the images of the vectors kept one degree higher, then
     the basis vectors at the positions where no kept image has its highest
@@ -303,7 +323,29 @@ def jordan_type_of_nilpotent(m: Gf2Matrix, degrees: Sequence[int] | None = None)
     for i, row in enumerate(m.data):
         for c in _support(row):
             images[c].append(i)
-    return jordan_type_of_images(images, degrees)
+    return _jordan_type(images, degrees)
+
+
+def graded(images: Sequence[Sequence[int]], degrees: Sequence[int]) -> Graded:
+    """The images of a map, with a degree for each basis vector, read as a graded action.
+
+    counts[d] is the number of basis vectors of degree d, and position
+    within the degree is the order of the basis.  forms[d], for every degree
+    d of a basis vector, is the map from degree d into degree d - 1 over
+    those positions, and off lists, column by column as (i, c), the entries
+    that do not lower the degree by exactly 1 (_degree_forms, one walk).  A
+    degree count other than len(images) raises ValueError.
+    """
+    dim = len(images)
+    if len(degrees) != dim:
+        raise ValueError(f"{len(degrees)} degrees for a matrix of size {dim}")
+    counts: dict[int, int] = {}
+    local = [0] * dim  # position of each basis vector within its degree
+    for c, d in enumerate(degrees):
+        k = local[c] = counts.get(d, 0)
+        counts[d] = k + 1
+    forms, off = _degree_forms(images, degrees, local)
+    return Graded(counts, forms, off)
 
 
 def jordan_type_of_images(
@@ -348,23 +390,22 @@ def jordan_type_of_images(
     degrees, if given, holds a degree for each basis vector, and every
     nonzero entry (i, c) must lower it: degrees[i] < degrees[c], or
     ValueError names the first entry, column by column, that does not.  Such
-    an m is nilpotent.  One walk, _degree_forms, reads the grading: it
-    builds each degree's map into the degree below and lists the entries
-    that do not lower the degree by exactly 1.  If there are none, the type
-    comes from _graded_sweep on those maps instead of ranks.  Otherwise the
-    rank loop runs with the basis listed in ascending degree: the
-    highest-bit pivot of each image is then its highest-degree target.
+    an m is nilpotent.  One walk, graded, reads the grading: it builds each
+    degree's map into the degree below and lists the entries that do not
+    lower the degree by exactly 1.  If there are none, the type comes from
+    _graded_sweep on those maps instead of ranks.  Otherwise the rank loop
+    runs with the basis listed in ascending degree: the highest-bit pivot of
+    each image is then its highest-degree target.  images is not changed.
     """
-    dim = len(images)
+    return _jordan_type(list(images), degrees)
+
+
+def _jordan_type(images: list[Sequence[int]], degrees: Sequence[int] | None) -> JordanType:
+    """jordan_type_of_images on a list it may empty: the rank loop empties it
+    once its first gathers are built, so that neither the caller's images
+    nor their copy in ascending degree outlive that point."""
     if degrees is not None:
-        if len(degrees) != dim:
-            raise ValueError(f"{len(degrees)} degrees for a matrix of size {dim}")
-        counts: dict[int, int] = {}  # degree -> number of basis vectors of that degree
-        local = [0] * dim  # position of each basis vector within its degree
-        for c, d in enumerate(degrees):
-            k = local[c] = counts.get(d, 0)
-            counts[d] = k + 1
-        forms, off = _degree_forms(images, degrees, local)
+        counts, forms, off = graded(images, degrees)
         for i, c in off:
             if degrees[i] >= degrees[c]:
                 raise ValueError(
@@ -373,13 +414,13 @@ def jordan_type_of_images(
                 )
         if not off:
             return _graded_sweep(forms, counts)
-        del forms, off, local  # the rank loop reads none of the walk
+        del counts, forms, off  # the rank loop reads none of the walk
         # conjugate by the permutation that lists the basis in ascending degree
-        order = sorted(range(dim), key=degrees.__getitem__)  # stable: by index within a degree
-        position = [0] * dim
+        order = sorted(range(len(images)), key=degrees.__getitem__)  # stable within a degree
+        position = [0] * len(images)
         for p, c in enumerate(order):
             position[c] = p
-        images = [[position[i] for i in images[c]] for c in order]
+        images[:] = [[position[i] for i in images[c]] for c in order]
         del order, position  # freed before the rank loop's peak
     ranks = _nilpotent_ranks(images)
     if ranks is None:

@@ -2,21 +2,25 @@
 
 Builds the nilpotent part N (u - 1 for a unipotent u acting diagonally, e
 for a nilpotent e acting as a derivation) on tensor products, exterior
-squares and symmetric squares, once, from the expression tree, as the
-images of the basis vectors: sparse position lists, built in time and
-memory proportional to the number of nonzero entries.  The same walk
-reads the degree of each basis vector off the tree, and the exact linear
-algebra kernel takes the images as built, with their degrees, to extract
-Jordan types: e lowers every degree by exactly 1, so its type comes from a
-graded sweep, and u - 1 lowers it by at least 1, so its type comes from
-ranks of powers, which pivot on each image's highest-degree target and are
-eliminated only where the drop in rank can change.  The kind and the
-dimension are read off the expression before anything is built, and one
-check of that dimension against the cap bounds every space built on the
-way.  The cap policy lives here alone: every entry point reads the cap
-from the environment (dim_cap), so commands and library calls obey the
-same one.
-expr_action, square_action and tensor_action are dense views of the same
+squares and symmetric squares, once, from the expression tree.  v_i of an
+atom has degree i and a pair the sum of its factors', and two builders
+follow the tree.  expr_forms builds e on a W expression as a Graded, per
+degree the count of basis vectors and the map into the degree below,
+from the factors' maps by the product rule, over runs of degrees with
+one count and one map.  expr_images builds N of either kind as the images
+of the basis vectors, sparse position lists, in time and memory
+proportional to the number of nonzero entries, with the degree of each
+basis vector.  The exact linear algebra kernel extracts Jordan types: e
+lowers every degree by exactly 1, so its type comes from a graded sweep
+over expr_forms, and u - 1 lowers it by at least 1, so its type comes
+from ranks of powers over expr_images, which pivot on each image's
+highest-degree target and are eliminated only where the drop in rank can
+change.  The kind and the dimension are read off the expression before
+anything is built, and one check of that dimension against the cap
+bounds every space built on the way.  The cap policy lives here alone:
+every entry point reads the cap from the environment (dim_cap), so
+commands and library calls obey the same one.
+expr_action, square_action and tensor_action are dense views of the
 images, as bit-packed matrices, and _dense adds u's identity back; no
 command builds them.
 """
@@ -29,7 +33,9 @@ from .core import (
     PRINTABLE_LIMIT, Atom, Ext2, JordanType, Kind, LimitExceeded, ModuleExpr, Scaled, Sum, Tensor,
     expr_kind, shown_count, square_expr,
 )
-from .gf2 import Gf2Matrix, jordan_type_of_images, jordan_type_of_nilpotent  # noqa: F401
+from .gf2 import (  # noqa: F401
+    Form, Gf2Matrix, Graded, _graded_sweep, _jordan_type, jordan_type_of_nilpotent,
+)
 from .parser import IntegerTooLong, to_int
 
 Functor = str  # one of core.FUNCTORS
@@ -92,12 +98,12 @@ def basis_keys(functor: Functor, n: int, m: int | None = None) -> list[tuple[int
     raise ValueError(f"unknown functor {functor!r}")
 
 
-# --- the one action builder ----------------------------------------------
+# --- the images builder --------------------------------------------------
 #
-# An action is held as the images of its basis vectors under its nilpotent
-# part N: images[c] lists, in increasing order, the positions of the basis
-# vectors that basis vector c is mapped to, each once, all below c.  The
-# basis of a product space is ordered as basis_keys lists it.
+# Here an action is held as the images of its basis vectors under its
+# nilpotent part N: images[c] lists, in increasing order, the positions of
+# the basis vectors that basis vector c is mapped to, each once, all below
+# c.  The basis of a product space is ordered as basis_keys lists it.
 
 
 def _pair_images(
@@ -178,6 +184,24 @@ def _dim(expr: ModuleExpr, limit: int) -> int:
     return min(d, limit)
 
 
+def _checked(expr: ModuleExpr) -> bool:
+    """Whether expr is unipotent, once its dimension is checked against the cap.
+
+    The cap is read first (dim_cap), so a malformed one is reported before a
+    mixed kind; then the kind is read off the atoms (MixedKindError if they
+    mix), and the dimension checked against the cap (OracleCapExceeded).
+    That bounds every space built on the way: only E2 of a space of
+    dimension 2 or less is smaller than its input, and a tensor with a zero
+    factor builds neither factor.
+    """
+    cap = dim_cap()
+    unipotent = expr_kind(expr) == "unipotent"
+    dim = _dim(expr, PRINTABLE_LIMIT)
+    if dim > cap:
+        raise OracleCapExceeded(dim, cap)
+    return unipotent
+
+
 def expr_images(expr: ModuleExpr) -> tuple[Images, Degrees]:
     """Images of the basis vectors under the nilpotent part N of the
     operator on a module expression, and the degree of each basis vector.
@@ -185,20 +209,10 @@ def expr_images(expr: ModuleExpr) -> tuple[Images, Degrees]:
     N is e on W expressions and u - 1 on V expressions; only the dense views
     (_dense) add u's identity.  v_i of an atom has degree i, and a pair of
     T, E2 or S2 has the sum of its two factors' degrees: e lowers every
-    degree by exactly 1 and u - 1 lowers it by at least 1.  The cap is read
-    first (dim_cap), so a malformed one is reported before a mixed kind;
-    then the kind is read off the atoms (MixedKindError if they mix), and
-    the dimension checked against the cap (OracleCapExceeded), before
-    anything is built.  That bounds every space built on the way: only E2
-    of a space of dimension 2 or less is smaller than its input, and a
-    tensor with a zero factor builds neither factor.
+    degree by exactly 1 and u - 1 lowers it by at least 1.  Nothing is built
+    before the checks of _checked.
     """
-    cap = dim_cap()
-    unipotent = expr_kind(expr) == "unipotent"
-    dim = _dim(expr, PRINTABLE_LIMIT)
-    if dim > cap:
-        raise OracleCapExceeded(dim, cap)
-    return _images(expr, unipotent)
+    return _images(expr, _checked(expr))
 
 
 def _images(expr: ModuleExpr, unipotent: bool) -> tuple[Images, Degrees]:
@@ -221,9 +235,268 @@ def _images(expr: ModuleExpr, unipotent: bool) -> tuple[Images, Degrees]:
             return [], []
         left, right = _images(expr.left, unipotent), _images(expr.right, unipotent)
         return _pair_images(left, right, unipotent, "tensor")
-    # Ext2 or Sym2: expr_images has checked every node with expr_kind
+    # Ext2 or Sym2: _checked has checked every node with expr_kind
     inner = _images(expr.inner, unipotent)
     return _pair_images(inner, inner, unipotent, "ext2" if isinstance(expr, Ext2) else "sym2")
+
+
+# --- the graded builder --------------------------------------------------
+#
+# On a W expression e lowers every degree by exactly 1, so all the sweep and
+# verify_basis read of it is a Graded: per degree, the number of basis
+# vectors and e's map into the degree below, in shift form over positions
+# within the degree.  Each node builds its Graded from its factors'.  A sum
+# lists the vectors of each degree term by term, in expr_images' order.  A
+# product lists the pairs of degree D by the degree a of their left factor,
+# lowest first: a block of the pairs x (x) y, x of degree a and y of degree
+# D - a, by x's position, then y's, and in E2 and S2, where a <= D - a, the
+# block of a = D - a last, as the pairs x_p x_q with p < q or p <= q in lex
+# order.  That is expr_images' order when each factor has one vector per
+# degree, listed by degree, as a single block does; otherwise the order
+# within a degree differs by a permutation, which keeps the Jordan type.
+#
+# e acts on a pair by the product rule e (x) 1 + 1 (x) e.  On a block, e (x) 1
+# is the left factor's map widened over the right factor's positions, and
+# 1 (x) e the right factor's map repeated once per left position.  The rule
+# works over runs, the maximal ranges of consecutive degrees with one count
+# and one form: along a run of each factor, the blocks of one degree D are
+# consecutive, of one shape, and map to consecutive blocks of one shape, so
+# each run pair gives one range mask per diagonal and degree.  Only a block
+# whose factor sits at the lowest degree of its run maps into another run,
+# and gets masks of its own.  In E2 and S2, 1 (x) e takes a block with
+# deg y = deg x + 1 onto pairs of two vectors of one degree, which fold into
+# the last block; it and the last block itself map pair by pair.
+
+
+_Built = tuple[dict[int, int], dict[int, Form]]  # a node's Graded counts and forms
+_Run = tuple[int, int, int, Form]  # (lowest degree, highest degree, count, form)
+
+
+def _runs(counts: dict[int, int], forms: dict[int, Form]) -> list[_Run]:
+    """The maximal ranges of consecutive degrees with equal count and form, lowest first.
+
+    A degree with no degree below it maps to 0 whatever form it is given,
+    so it joins the range above it on its count alone and takes that
+    range's form: W_n is one range.  _grounded tells such a range apart.
+    """
+    runs: list[_Run] = []
+    for d in sorted(counts):
+        c, form = counts[d], forms[d]
+        if runs and runs[-1][1] == d - 1 and runs[-1][2] == c:
+            lo, _, _, run_form = runs[-1]
+            if run_form == form or lo == d - 1 and lo - 1 not in counts:
+                runs[-1] = (lo, d, c, form)
+                continue
+        runs.append((d, d, c, form))
+    return runs
+
+
+def _grounded(runs: list[_Run], i: int) -> bool:
+    """Whether the lowest degree of runs[i] has a degree below it, and so maps by the form."""
+    return i > 0 and runs[i - 1][1] == runs[i][0] - 1
+
+
+def _repunit(k: int, width: int) -> int:
+    """Bit 0 of each of k consecutive fields of width bits."""
+    return ((1 << k * width) - 1) // ((1 << width) - 1)
+
+
+def _spread(sources: int, width: int) -> int:
+    """sources with each bit p widened to the field of bits p*width .. p*width + width - 1."""
+    spread, field, ones = 0, 0, (1 << width) - 1
+    while sources:
+        if sources & 1:
+            spread |= ones << field
+        sources >>= 1
+        field += width
+    return spread
+
+
+def _targets(form: Form, count: int) -> list[list[int]]:
+    """targets[p]: where source p goes under a map in shift form over count sources."""
+    targets: list[list[int]] = [[] for _ in range(count)]
+    for shift, sources in form.items():
+        for p in range(count):
+            if sources >> p & 1:
+                targets[p].append(p + shift)
+    return targets
+
+
+def _sum_forms(parts: list[_Built]) -> _Built:
+    """The direct sum: in each degree, each part's positions after the parts before it."""
+    counts: dict[int, int] = {}
+    forms: dict[int, Form] = {}
+    for part_counts, part_forms in parts:
+        for d, form in part_forms.items():
+            low, below = counts.get(d, 0), counts.get(d - 1, 0)
+            out = forms.setdefault(d, {})
+            for shift, sources in form.items():
+                key = shift + below - low
+                out[key] = out.get(key, 0) ^ sources << low
+        for d, c in part_counts.items():
+            counts[d] = counts.get(d, 0) + c
+    return counts, forms
+
+
+def _pair_forms(left: _Built, right: _Built, functor: Functor) -> _Built:
+    """e on the pairs of left and right, T(left, right), or on E2 or S2 of left = right."""
+    square, sym2 = functor != "tensor", functor == "sym2"
+    ra = _runs(*left)
+    rb = ra if square else _runs(*right)
+    # segments[D]: (a0, a1, ia, ib), the blocks (a, D - a), a0 <= a <= a1, of runs ia and ib
+    segments: dict[int, list[tuple[int, int, int, int]]] = {}
+    for ia, (la, ha, _, _) in enumerate(ra):
+        for ib in range(ia if square else 0, len(rb)):
+            lb, hb = rb[ib][:2]
+            for d in range(la + lb, ha + hb + 1):
+                a0 = d - hb if d - hb > la else la
+                a1 = d - lb if d - lb < ha else ha
+                if square and 2 * a1 >= d:  # a < D - a; the block a = D - a comes last
+                    a1 = (d - 1) // 2
+                if a0 <= a1:
+                    segments.setdefault(d, []).append((a0, a1, ia, ib))
+    diagonal: dict[int, int] = {}  # D -> the run of a = D / 2, where that block has pairs
+    for i, (lo, hi, c, _) in enumerate(ra if square else ()):
+        if sym2 or c > 1:
+            diagonal.update(dict.fromkeys(range(2 * lo, 2 * hi + 2, 2), i))
+    # the frame: where each segment starts in its degree, and the diagonal block
+    counts: dict[int, int] = {}
+    start: dict[tuple[int, int, int], tuple[int, int]] = {}  # (D, ia, ib) -> (a0, offset)
+    for d in sorted(segments.keys() | diagonal.keys()):
+        offset = 0
+        for a0, a1, ia, ib in sorted(segments.get(d, ())):
+            start[d, ia, ib] = (a0, offset)
+            offset += (a1 - a0 + 1) * ra[ia][2] * rb[ib][2]
+        if d in diagonal:
+            start[d, -1, -1] = (d // 2, offset)
+            c = ra[diagonal[d]][2]
+            offset += c * (c + 1) // 2 if sym2 else c * (c - 1) // 2
+        counts[d] = offset
+    forms: dict[int, Form] = {d: {} for d in counts}
+
+    def pair_index(p: int, q: int, c: int) -> int:
+        """Position of x_p x_q, p <= q, within the diagonal block of c vectors."""
+        return p * c - p * (p - 1) // 2 + q - p if sym2 else p * c - p * (p + 1) // 2 + q - p - 1
+
+    widened: dict[tuple[int, int], list[tuple[int, int]]] = {}  # (ia, ib) -> e (x) 1 on a block
+    folded: dict[int, list[list[int]]] = {}  # ib -> targets of its form, for the fold
+    for d, found in segments.items():
+        form = forms[d]
+        for a0, a1, ia, ib in found:
+            la, _, ca, fa = ra[ia]
+            lb, _, cb, fb = rb[ib]
+            block = ca * cb
+            offset = start[d, ia, ib][1]
+            if fa:  # e (x) 1: block (a, b) -> (a - 1, b), fa widened over b's positions
+                if (ia, ib) not in widened:
+                    widened[ia, ib] = [(shift * cb, _spread(sources, cb))
+                                       for shift, sources in fa.items()]
+                first = max(a0, la + 1)  # a - 1 in run ia: consecutive blocks of one shape
+                if first <= a1:
+                    t0, target = start[d - 1, ia, ib]
+                    src, dst = offset + (first - a0) * block, target + (first - 1 - t0) * block
+                    fill = _repunit(a1 - first + 1, block) << src
+                    for shift, sources in widened[ia, ib]:
+                        key = shift + dst - src
+                        form[key] = form.get(key, 0) ^ sources * fill
+                if a0 == la and _grounded(ra, ia):  # a - 1 in the run below, whose count may differ
+                    t0, target = start[d - 1, ia - 1, ib]
+                    dst = target + (la - 1 - t0) * ra[ia - 1][2] * cb
+                    for shift, sources in widened[ia, ib]:
+                        key = shift + dst - offset
+                        form[key] = form.get(key, 0) ^ sources << offset
+            if not fb:
+                continue
+            # 1 (x) e: block (a, b) -> (a, b - 1), fb repeated over a's positions
+            last = a1 - 1 if square and 2 * a1 + 1 == d else a1  # block a1 folds if b - 1 = a1
+            end = min(last, d - lb - 1)  # b - 1 in run ib
+            if a0 <= end:
+                t0, target = start[d - 1, ia, ib]
+                dst = target + (a0 - t0) * block
+                fill = _repunit((end - a0 + 1) * ca, cb) << offset
+                for shift, sources in fb.items():
+                    key = shift + dst - offset
+                    form[key] = form.get(key, 0) ^ sources * fill
+            a = d - lb  # b - 1 in the run below, whose count may differ
+            if a0 <= a <= last and _grounded(rb, ib):
+                below = rb[ib - 1][2]
+                t0, target = start[d - 1, ia, ib - 1]
+                src, dst = offset + (a - a0) * block, target + (a - t0) * ca * below
+                for p in range(ca):
+                    for shift, sources in fb.items():
+                        key = shift + dst - src + p * (below - cb)
+                        form[key] = form.get(key, 0) ^ sources << src + p * cb
+            if last < a1:  # x_p e(y_q), y of degree a1 + 1, into the block a = D - 1 - a
+                src = offset + (a1 - a0) * block
+                dst = start.get((d - 1, -1, -1), (0, 0))[1]  # E2 of one vector has no such block
+                if ib not in folded:
+                    folded[ib] = _targets(fb, cb)
+                targets = folded[ib]
+                for p in range(ca):
+                    for q, ts in enumerate(targets):
+                        bit = src + p * cb + q
+                        for t in ts:
+                            if p != t or sym2:
+                                key = dst + pair_index(min(p, t), max(p, t), ca) - bit
+                                form[key] = form.get(key, 0) ^ 1 << bit
+    for d, i in diagonal.items():
+        lo, _, c, f = ra[i]
+        if c < 2 or not f or d // 2 == lo and not _grounded(ra, i):
+            continue  # no pairs x_p x_q with p < q, or no degree below
+        # e(x_p x_q) = e(x_p) x_q + x_p e(x_q), in the block (a - 1, a) of degree D - 1;
+        # in S2 it is 0 for p = q, so only p < q maps anywhere
+        form, src = forms[d], start[d, -1, -1][1]
+        below = i if d // 2 > lo else i - 1
+        t0, target = start[d - 1, below, i]
+        base = target + (d // 2 - 1 - t0) * ra[below][2] * c
+        targets = _targets(f, c)
+        for p in range(c):
+            for q in range(p + 1, c):
+                bit = src + pair_index(p, q, c)
+                for x, y in ((p, q), (q, p)):
+                    for t in targets[x]:
+                        key = base + t * c + y - bit
+                        form[key] = form.get(key, 0) ^ 1 << bit
+    return counts, forms
+
+
+def expr_forms(expr: ModuleExpr) -> Graded:
+    """e on a W expression as a Graded: per degree, the count of basis
+    vectors and the map into the degree below, built node by node from the
+    factors' (see the comment above), never from images.
+
+    The checks of expr_images come first, so OracleCapExceeded and
+    MixedKindError are raised before anything is built; a V expression
+    raises ValueError, as u - 1 need not lower degrees by exactly 1.
+    """
+    if _checked(expr):
+        raise ValueError("expr_forms builds e on a W (nilpotent) expression")
+    return Graded(*_forms(expr), [])
+
+
+def _block_forms(n: int) -> _Built:
+    """e on W_n: v_d, of degree d, goes to v_(d-1), bit 0 of each degree to bit 0 of the one below."""
+    forms: dict[int, Form] = {d: {0: 1} for d in range(2, n + 1)}
+    forms[1] = {}
+    return dict.fromkeys(range(1, n + 1), 1), forms
+
+
+def _forms(expr: ModuleExpr) -> _Built:
+    if isinstance(expr, Atom):
+        return _block_forms(expr.dim)
+    if isinstance(expr, Scaled):
+        inner = _forms(expr.inner)
+        if not inner[0]:  # any number of copies of a zero space is that space
+            return inner
+        return _sum_forms([inner] * expr.count)
+    if isinstance(expr, Sum):
+        return _sum_forms([_forms(t) for t in expr.terms])
+    if isinstance(expr, Tensor):
+        if not _dim(expr.left, 3) * _dim(expr.right, 3):
+            return {}, {}
+        return _pair_forms(_forms(expr.left), _forms(expr.right), "tensor")
+    inner = _forms(expr.inner)
+    return _pair_forms(inner, inner, "ext2" if isinstance(expr, Ext2) else "sym2")
 
 
 # --- dense views ---------------------------------------------------------
@@ -275,5 +548,12 @@ def oracle_jordan_type(kind: Kind, functor: Functor, n: int, m: int | None = Non
 
 
 def oracle_expr_jordan_type(expr: ModuleExpr) -> JordanType:
-    """Ground-truth Jordan type of the operator on a module expression."""
-    return jordan_type_of_images(*expr_images(expr))
+    """Ground-truth Jordan type of the operator on a module expression.
+
+    e comes from the graded sweep over expr_forms, u - 1 from the rank loop
+    over expr_images, which empties the images once it no longer needs them.
+    """
+    if _checked(expr):
+        return _jordan_type(*_images(expr, True))
+    counts, forms = _forms(expr)
+    return _graded_sweep(forms, counts)

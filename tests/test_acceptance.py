@@ -4,7 +4,9 @@ import itertools
 import time
 
 from char2squares.basis import build_sym_basis, build_tensor_basis, build_z, chain_type, verify_basis
-from char2squares.core import Atom, Ext2, Scaled, Sum, Sym2, cones_expansion, parse_jordan_type
+from char2squares.core import (
+    Atom, Ext2, Scaled, Sum, Sym2, cones_expansion, parse_jordan_type, square_expr,
+)
 from char2squares.formulas import (
     decompose_expr,
     ext2_block,
@@ -17,8 +19,7 @@ from char2squares.formulas import (
     sym2_unipotent,
     tensor_decompose,
 )
-from char2squares.oracle import oracle_expr_jordan_type, oracle_jordan_type
-from test_basis import action_images
+from char2squares.oracle import expr_forms, oracle_expr_jordan_type, oracle_jordan_type
 
 TABLE_1 = {
     1: ("0", "1", "0", "1"),
@@ -81,14 +82,14 @@ def test_criterion_4_basis_verification(capsys):
     start = time.monotonic()
     for n in range(1, 65):
         chains = build_tensor_basis(n)
-        action = action_images("tensor", n)
+        action = expr_forms(square_expr("tensor", "nilpotent", n))
         terminals = [build_z(c.s, n) for c in chains]
         rep = verify_basis(chains, action, terminals)
         assert rep.ok, (n, rep.failures)
         assert chain_type(chains) == tensor_decompose(n, n), n
 
         sym_chains = build_sym_basis(n)
-        sym_action = action_images("sym2", n)
+        sym_action = expr_forms(square_expr("sym2", "nilpotent", n))
         sym_rep = verify_basis(sym_chains, sym_action)
         assert sym_rep.ok, (n, sym_rep.failures)
         assert chain_type(sym_chains) == sym2_nilpotent(n), n

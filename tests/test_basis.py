@@ -24,7 +24,7 @@ from char2squares.basis import (
 )
 from char2squares.core import parse_jordan_type, square_expr
 from char2squares.formulas import sym2_nilpotent, tensor_decompose
-from char2squares.gf2 import Gf2Matrix, rank
+from char2squares.gf2 import Gf2Matrix, graded, rank
 from char2squares.oracle import basis_keys, expr_images, square_action
 
 
@@ -33,7 +33,7 @@ def jt(text):
 
 
 def action_images(space, n, *edits):
-    """The oracle's images of e on the square of W_n, the form verify_basis reads.
+    """The oracle's images of e on the square of W_n, in basis_keys order.
 
     Each edit (source, target) toggles the entry target <- source: the image
     of monomial source gains target, or loses it.
@@ -44,6 +44,17 @@ def action_images(space, n, *edits):
         hits = set(images[index[source]]) ^ {index[target]}
         images[index[source]] = sorted(hits)
     return images
+
+
+def graded_images(images, space, n):
+    """Images of e on the square of W_n in basis_keys order, as the gf2.Graded
+    verify_basis reads: v_i v_j has degree i + j."""
+    return graded(images, [i + j for i, j in basis_keys(space, n)])
+
+
+def graded_action(space, n, *edits):
+    """action_images(space, n, *edits) as verify_basis reads it."""
+    return graded_images(action_images(space, n, *edits), space, n)
 
 
 def bits(vec, index):
@@ -235,7 +246,7 @@ class TestTensorBasis:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 9, 13, 21])
     def test_verified_against_dense_action(self, n):
         chains = build_tensor_basis(n)
-        action = action_images("tensor", n)
+        action = graded_action("tensor", n)
         terminals = [build_z(c.s, n) for c in chains]
         report = verify_basis(chains, action, terminals)
         assert report.ok, report.failures
@@ -248,7 +259,7 @@ class TestTensorBasis:
         spare = _valid_mask("tensor", 6, bad.top.degree) & ~bad.top.mask
         top = SparseVec("tensor", 6, bad.top.degree, bad.top.mask ^ spare & -spare)
         chains[0] = JordanChain(bad.s, (top,) + bad.vectors[1:])
-        report = verify_basis(chains, action_images("tensor", 6))
+        report = verify_basis(chains, graded_action("tensor", 6))
         assert not report.ok
         assert any("chain 0" in f and "link" in f for f in report.failures)
 
@@ -271,7 +282,7 @@ class TestTensorBasis:
     )
     def test_repeated_chain_dependent(self, build, space):
         chains = build(7)
-        action = action_images(space, 7)
+        action = graded_action(space, 7)
         full = verify_basis(chains, action)
         report = verify_basis(chains + [chains[0]], action)
         assert report.vector_count == full.vector_count + chains[0].length
@@ -290,9 +301,9 @@ class TestVerifyFrame:
         n = 5
         chains = build_tensor_basis(n)
         terminals = [build_z(c.s, n) for c in chains]
-        action = action_images("tensor", n)
+        action = graded_action("tensor", n)
         assert verify_basis(chains, action, terminals).ok
-        bad = action_images("tensor", n, ((2, 3), target))
+        bad = graded_action("tensor", n, ((2, 3), target))
         report = verify_basis(chains, bad, terminals)
         k, l = target
         assert report.failures == [
@@ -303,7 +314,7 @@ class TestVerifyFrame:
     def test_first_ungraded_entry_in_row_order(self):
         # the dense frame met entries row by row: by target, then by source
         n = 5
-        bad = action_images("tensor", n, ((2, 3), (1, 4)), ((3, 3), (1, 1)))
+        bad = graded_action("tensor", n, ((2, 3), (1, 4)), ((3, 3), (1, 1)))
         report = verify_basis(build_tensor_basis(n), bad)
         assert report.failures == [
             "action breaks the grading in 2 of its entries, first v3*v3 -> v1*v1"
@@ -313,7 +324,7 @@ class TestVerifyFrame:
         # an entry that keeps the grading is read like any other
         n = 5
         chains = build_tensor_basis(n)
-        action = action_images("tensor", n, ((5, 5), (5, 4)))
+        action = graded_action("tensor", n, ((5, 5), (5, 4)))
         report = verify_basis(chains, action)
         assert report.failures and not any("grading" in f for f in report.failures)
 
@@ -355,7 +366,7 @@ class TestVerifyFrame:
         n, chains, terminals = self.basis_of(space)
         chains, terminals = corrupt(chains, terminals, edit)
         action = action_images(space, n)
-        report = verify_basis(chains, action, terminals)
+        report = verify_basis(chains, graded_images(action, space, n), terminals)
         assert report.failures == self.DENSE_FAILURES[space, edit]
         assert dense_report(chains, action, terminals) == report
 
@@ -384,7 +395,7 @@ class TestVerifyFrame:
             images = action_images(space, n, *self.RAISED[space])
         assert diagonals(images, space, n) - {-1, 0}
         chains, terminals = corrupt(chains, terminals, edit)
-        report = verify_basis(chains, images, terminals)
+        report = verify_basis(chains, graded_images(images, space, n), terminals)
         expected = dense_report(chains, images, terminals)
         assert report == expected
         if edit is None:  # the rotated chains verify; the raised entries break links
@@ -404,8 +415,8 @@ class TestVerifyFrame:
         chains[a] = JordanChain(chains[a].s, (chains[b].vectors[q],) + chains[a].vectors[1:])
         ends = [c.vectors[-1] for c in chains]
         assert verify_basis([JordanChain(c.s, (v,)) for c, v in zip(chains, ends)],
-                            action_images(space, n)).rank == len(chains)
-        report = verify_basis(chains, action_images(space, n), terminals)
+                            graded_action(space, n)).rank == len(chains)
+        report = verify_basis(chains, graded_action(space, n), terminals)
         count = n * n if space == "tensor" else n * (n + 1) // 2
         assert report == VerificationReport(count, count - 1, [
             f"chain {a} (s={chains[a].s}): link 0 -> 1 broken",
@@ -469,22 +480,31 @@ class TestVerifyFrame:
                 return
             chains[e] = JordanChain(chains[e].s, tuple(edited))
         images = action_images(space, n, *edits)
-        assert verify_basis(chains, images, terminals) == dense_report(chains, images, terminals)
+        report = verify_basis(chains, graded_images(images, space, n), terminals)
+        assert report == dense_report(chains, images, terminals)
 
     def test_images_must_cover_the_space(self):
         chains = build_tensor_basis(4)
+        images, degrees = expr_images(square_expr("tensor", "nilpotent", 4))
         with pytest.raises(ValueError, match="action has 15 images, expected 16"):
-            verify_basis(chains, action_images("tensor", 4)[:-1])
+            verify_basis(chains, graded(images[:-1], degrees[:-1]))
+
+    def test_each_degree_must_hold_its_square(self):
+        # 16 images, but v1*v1 moved from degree 2 into degree 3
+        chains = build_tensor_basis(4)
+        images, degrees = expr_images(square_expr("tensor", "nilpotent", 4))
+        with pytest.raises(ValueError, match="action has 0 images of degree 2, expected 1"):
+            verify_basis(chains, graded(images, [3] + degrees[1:]))
 
     def test_vectors_must_share_the_square(self):
         chains = build_tensor_basis(5) + build_tensor_basis(4)[:1]
         with pytest.raises(ValueError, match="chain 5 .* not in the tensor square for n=5"):
-            verify_basis(chains, action_images("tensor", 5))
+            verify_basis(chains, graded_action("tensor", 5))
 
     def test_zero_vectors_match_dense_frame(self):
         # a zero vector equals the zero image in any degree
         n = 5
-        action = action_images("tensor", n)
+        action = graded_action("tensor", n)
         chains = build_tensor_basis(n)
         terminals = [build_z(c.s, n) for c in chains]
         c = chains[2]
@@ -565,7 +585,7 @@ class TestBoundary:
         chains = build_tensor_basis(n)
         terminals = [build_z(c.s, n) for c in chains + chains][:count]
         with pytest.raises(ValueError, match=f"{count} expected terminals for {n} chains"):
-            verify_basis(chains, action_images("tensor", n), terminals)
+            verify_basis(chains, graded_action("tensor", n), terminals)
 
     def test_terminals_without_chains(self):
         with pytest.raises(ValueError, match="1 expected terminals for 0 chains"):
@@ -591,7 +611,7 @@ class TestSymBasis:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 9, 13, 21])
     def test_verified_against_dense_action(self, n):
         chains = build_sym_basis(n)
-        action = action_images("sym2", n)
+        action = graded_action("sym2", n)
         report = verify_basis(chains, action)
         assert report.ok, report.failures
         assert chain_type(chains) == sym2_nilpotent(n)

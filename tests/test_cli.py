@@ -609,8 +609,8 @@ class TestBasis:
         assert out.startswith(f"{argv[1]} square of W_512: 512 chains, type ")
 
     def test_verify_memory_is_sparse(self):
-        # the oracle hands over sparse images, not 16,384 rows of 16,384 bits
-        # (the dense layout peaked at 23.6 MB here, the sparse one near 8 MB)
+        # the oracle hands over per-degree forms, not 16,384 rows of 16,384 bits
+        # (the dense layout peaked at 23.6 MB here, sparse images near 8 MB)
         tracemalloc.start()
         try:
             code, out, _ = run_cli("basis", "--n", "128", "--functor", "tensor", "--verify")

@@ -441,6 +441,31 @@ class TestDegreeForms:
         assert forms == {0: {}, 1: {0: 1}, 2: {}}
 
 
+class TestGraded:
+    """graded reads images with their degrees into the record the graded
+    sweep and verify_basis read: positions count within each degree."""
+
+    def test_positions_count_within_each_degree(self):
+        # v1 -> v0 and v3 -> v2 from degree 1 into 0; v4 -> v1 + v3 from 2 into 1
+        images = [[], [0], [], [2], [1, 3]]
+        assert gf2.graded(images, [0, 1, 0, 1, 2]) == gf2.Graded(
+            {0: 2, 1: 2, 2: 1}, {0: {}, 1: {0: 0b11}, 2: {0: 1, 1: 1}}, [])
+
+    def test_entries_off_the_grading_are_listed(self):
+        assert gf2.graded([[2], [0, 1], [0]], [0, 1, 2]).off == [(2, 0), (1, 1), (0, 2)]
+
+    def test_one_degree_per_basis_vector(self):
+        with pytest.raises(ValueError, match="2 degrees for a matrix of size 3"):
+            gf2.graded([[], [0], [1]], [0, 1])
+
+    def test_images_are_not_changed(self):
+        # the rank loop empties a list it is given; the public kernel copies first
+        images = [[], [0], [1]]
+        assert jordan_type_of_images(images) == JordanType.from_sizes([3])
+        assert jordan_type_of_images(images, [0, 1, 3]) == JordanType.from_sizes([3])  # rank loop
+        assert images == [[], [0], [1]]
+
+
 @st.composite
 def degree_lowering(draw, graded):
     """(m, degrees): a basis of random degrees, gaps allowed, in random order,

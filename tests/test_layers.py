@@ -55,6 +55,13 @@ def test_oracle_side_does_not_import_formulas(module):
     assert "formulas" not in sibling_imports(source)
 
 
+@pytest.mark.parametrize("module", ["oracle", "gf2"])
+def test_oracle_does_not_import_the_basis_route(module):
+    # verify_basis checks the chains against the oracle's e; built from the
+    # basis route, it would check the chains against a copy of themselves
+    assert "basis" not in sibling_imports((PACKAGE / f"{module}.py").read_text())
+
+
 def test_formulas_do_not_import_oracle_side():
     source = (PACKAGE / "formulas.py").read_text()
     assert not sibling_imports(source) & set(ORACLE_SIDE)
@@ -117,8 +124,8 @@ def test_graded_paths_map_masks_by_their_diagonals(monkeypatch):
 
     n = 16
     cases = [
-        (basis.build_tensor_basis(n), oracle.expr_images(square_expr("tensor", "nilpotent", n))[0]),
-        (basis.build_sym_basis(n), oracle.expr_images(square_expr("sym2", "nilpotent", n))[0]),
+        (basis.build_tensor_basis(n), oracle.expr_forms(square_expr("tensor", "nilpotent", n))),
+        (basis.build_sym_basis(n), oracle.expr_forms(square_expr("sym2", "nilpotent", n))),
     ]
     terminals = [basis.build_z(c.s, n) for c in cases[0][0]]
     expected = [basis.chain_type(chains) for chains, _ in cases]
@@ -128,19 +135,36 @@ def test_graded_paths_map_masks_by_their_diagonals(monkeypatch):
 
     monkeypatch.setattr(gf2, "_support", refuse)
     monkeypatch.setattr(basis, "_support", refuse)
-    for (chains, images), ends in zip(cases, (terminals, None)):
-        assert basis.verify_basis(chains, images, ends).ok
+    for (chains, action), ends in zip(cases, (terminals, None)):
+        assert basis.verify_basis(chains, action, ends).ok
     for functor, jordan_type in zip(("tensor", "sym2"), expected):
         assert oracle.oracle_expr_jordan_type(square_expr(functor, "nilpotent", n)) == jordan_type
     assert oracle.oracle_expr_jordan_type(square_expr("ext2", "nilpotent", n)).total_dim == 120
 
 
-def test_one_walk_reads_the_grading(monkeypatch):
-    # gf2._degree_forms is the one place that reads a shift form off images;
-    # verify_basis and the kernel each walk the entries once, whichever of
-    # the sweep (W) or the rank loop (V) follows
-    from char2squares import basis, gf2, oracle
+def test_nilpotent_routes_never_walk_images(monkeypatch):
+    # e lowers every degree by exactly 1, so basis --verify and the W oracle
+    # build their per-degree forms from the factors' (oracle.expr_forms) and
+    # never build images of e or walk them; the V oracle walks its images
+    # once (gf2._degree_forms), which finds the entries that lower by 2 or more
+    from char2squares import gf2, oracle
     from char2squares.core import square_expr
+
+    routes = [
+        ["basis", "--n", "9", "--verify"],
+        ["decompose", "--functor", "sym2", "--kind", "nilpotent", "--n", "9", "--method", "both"],
+        ["expr", "S2(W5 + 2*W3)", "--method", "both"],
+    ]
+    expected = [run_main(argv) for argv in routes]
+    assert all(code == 0 for code, _, _ in expected)
+
+    def refuse(*args):
+        raise AssertionError("a nilpotent route built or walked images")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(oracle, "_pair_images", refuse)
+        patched.setattr(gf2, "_degree_forms", refuse)
+        assert [run_main(argv) for argv in routes] == expected
 
     calls, real = [], gf2._degree_forms
 
@@ -149,16 +173,8 @@ def test_one_walk_reads_the_grading(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(gf2, "_degree_forms", counted)
-    monkeypatch.setattr(basis, "_degree_forms", counted)
-    n = 9
-    images = oracle.expr_images(square_expr("tensor", "nilpotent", n))[0]
-    ends = [basis.build_z(s, n) for s in range(1, n + 1)]
-    assert basis.verify_basis(basis.build_tensor_basis(n), images, ends).ok
-    assert calls == [81]
-    for kind in ("nilpotent", "unipotent"):
-        calls.clear()
-        assert oracle.oracle_expr_jordan_type(square_expr("sym2", kind, n)).total_dim == 45
-        assert calls == [45]
+    assert oracle.oracle_expr_jordan_type(square_expr("sym2", "unipotent", 9)).total_dim == 45
+    assert calls == [45]
 
 
 def test_verify_ranks_only_the_last_vectors(monkeypatch):
@@ -177,9 +193,9 @@ def test_verify_ranks_only_the_last_vectors(monkeypatch):
     n = 16
     for functor, build in (("tensor", basis.build_tensor_basis), ("sym2", basis.build_sym_basis)):
         rows.clear()
-        images = oracle.expr_images(square_expr(functor, "nilpotent", n))[0]
-        report = basis.verify_basis(build(n), images)
-        assert report.ok and report.rank == report.vector_count == len(images)
+        action = oracle.expr_forms(square_expr(functor, "nilpotent", n))
+        report = basis.verify_basis(build(n), action)
+        assert report.ok and report.rank == report.vector_count == sum(action.counts.values())
         assert sum(rows) == n
 
 

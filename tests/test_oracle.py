@@ -8,18 +8,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from char2squares.basis import SparseVec
-from char2squares.core import Atom, Ext2, MixedKindError, Sum, Sym2, expr_kind, parse_jordan_type
+from char2squares.core import (
+    Atom, Ext2, MixedKindError, Scaled, Sum, Sym2, expr_kind, parse_jordan_type, square_expr,
+)
 from char2squares.formulas import (
     decompose_expr,
     ext2_block,
     sym2_block,
     tensor_decompose,
 )
-from char2squares.gf2 import _support, jordan_type_of_nilpotent, rank
+from char2squares.gf2 import (
+    Graded, _graded_sweep, _support, graded, jordan_type_of_images, jordan_type_of_nilpotent, rank,
+)
 from char2squares.oracle import (
     OracleCapExceeded,
     basis_keys,
     expr_action,
+    expr_forms,
     expr_images,
     oracle_expr_jordan_type,
     oracle_jordan_type,
@@ -429,6 +434,125 @@ class TestImages:
             return basis_keys(*args)
 
         monkeypatch.setattr(oracle, "basis_keys", counted)
-        expr = parse_expr("S2(W6)")
+        expr = parse_expr("S2(V6)")
         assert oracle_expr_jordan_type(expr) == decompose_expr(expr)
         assert len(calls) == 1
+
+
+@st.composite
+def w_expr(draw):
+    """A random W expression of dimension at most 400."""
+    text, _ = draw(module_text("W", 400, 3))
+    return parse_expr(text)
+
+
+def images_route(expr):
+    """The Graded read off expr_images, the reference for expr_forms."""
+    return graded(*expr_images(expr))
+
+
+class TestExprForms:
+    """expr_forms builds e's per-degree forms from the factors' forms: on
+    single blocks they are the forms read off expr_images, frame and all, and
+    on any W expression they sweep to the type the images give."""
+
+    @pytest.mark.parametrize("functor", ["tensor", "ext2", "sym2"])
+    def test_squares_of_one_block_equal_the_images_route(self, functor):
+        # n <= 100 covers every W input of acceptance criterion 2
+        for n in range(1, 101 if functor != "tensor" else 65):
+            expr = square_expr(functor, "nilpotent", n)
+            assert expr_forms(expr) == images_route(expr), n
+
+    def test_mixed_tensors_equal_the_images_route(self):
+        # every W input of acceptance criterion 3
+        for n in range(1, 49):
+            for m in range(1, n + 1):
+                expr = square_expr("tensor", "nilpotent", n, m)
+                assert expr_forms(expr) == images_route(expr), (m, n)
+
+    def test_every_partition_sweeps_to_the_images_type(self):
+        # the W inputs of acceptance criterion 9: a degree can hold many vectors
+        from test_acceptance import partitions
+
+        for n in range(1, 17):
+            for parts in partitions(n):
+                space = Sum(tuple(Scaled(count, Atom("nilpotent", part)) for part, count in parts))
+                for square in (Ext2(space), Sym2(space)):
+                    counts, forms, off = expr_forms(square)
+                    reference = images_route(square)
+                    assert counts == reference.counts and off == [], (parts, square)
+                    assert _graded_sweep(forms, counts) == jordan_type_of_images(*expr_images(square))
+
+    @settings(max_examples=300, deadline=None)
+    @given(w_expr())
+    @example(parse_expr("S2(2*(W2 + W3) + T(W2, 2*W2))"))  # runs of two vectors in a degree
+    @example(parse_expr("E2(3*W2 + W4)"))
+    @example(parse_expr("T(E2(W4), S2(W3 + W1))"))
+    def test_random_trees_sweep_to_the_images_type(self, expr):
+        counts, forms, off = expr_forms(expr)
+        assert counts == images_route(expr).counts and off == []
+        assert set(forms) == set(counts)
+        for d, form in forms.items():  # every entry maps a position of d to one of d - 1
+            for shift, sources in form.items():
+                assert sources.bit_length() <= min(counts[d], counts.get(d - 1, 0) - shift)
+                assert sources and not sources & ((1 << -shift) - 1 if shift < 0 else 0)
+        expected = jordan_type_of_images(*expr_images(expr))
+        assert _graded_sweep(forms, counts) == expected
+        assert oracle_expr_jordan_type(expr) == expected
+
+    def test_runs_join_a_degree_with_nothing_below(self):
+        # v_1 of W_n maps to 0 whatever its form says, so W_n is one run and
+        # a product of blocks needs one run pair, not four
+        from char2squares import oracle
+
+        assert oracle._runs(*oracle._block_forms(5)) == [(1, 5, 1, {0: 1})]
+        runs = oracle._runs(*expr_forms(parse_expr("W3 + W1"))[:2])
+        assert runs == [(1, 1, 2, {}), (2, 3, 1, {0: 1})]
+        assert not oracle._grounded(runs, 0) and oracle._grounded(runs, 1)
+
+    def test_many_copies_of_a_zero_space_build_nothing(self, monkeypatch):
+        from char2squares import oracle
+
+        monkeypatch.setattr(oracle, "_sum_forms", None)  # a copy would call it
+        expr = parse_expr("99999999999999999999*E2(W1)")
+        assert expr_forms(expr) == Graded({}, {}, [])
+        assert oracle_expr_jordan_type(expr).parts == ()
+
+    def test_zero_spaces_add_nothing(self):
+        assert expr_forms(parse_expr("E2(W1)")) == Graded({}, {}, [])
+        assert expr_forms(parse_expr("E2(W1) + W2")) == Graded({1: 1, 2: 1}, {1: {}, 2: {0: 1}}, [])
+
+    @pytest.mark.parametrize("text, mixed", [
+        ("T(E2(W1), W30000)", "T(E2(W1), V30000)"),
+        ("T(S2(W30000), E2(S2(E2(W2))))", "T(S2(W30000), E2(S2(E2(V2))))"),
+    ])
+    def test_zero_factor_tensor_builds_nothing(self, monkeypatch, text, mixed):
+        # and still checks the kind of every atom
+        from char2squares import oracle
+
+        monkeypatch.setattr(oracle, "_block_forms", None)  # building an atom would call it
+        assert expr_forms(parse_expr(text)) == Graded({}, {}, [])
+        with pytest.raises(MixedKindError, match="mixes V \\(unipotent\\) and W"):
+            expr_forms(parse_expr(mixed))
+
+    def test_cap_is_checked_before_anything_is_built(self, monkeypatch):
+        from char2squares import oracle
+
+        monkeypatch.setattr(oracle, "_block_forms", None)
+        monkeypatch.setenv("CHAR2SQUARES_ORACLE_CAP", "20000")
+        with pytest.raises(OracleCapExceeded, match="dimension 60000, above the cap 20000"):
+            expr_forms(parse_expr("W15000 + W15000 + W15000 + W15000"))
+        monkeypatch.setenv("CHAR2SQUARES_ORACLE_CAP", "9")
+        with pytest.raises(OracleCapExceeded, match="dimension 10, above the cap 9"):
+            expr_forms(Ext2(Atom("nilpotent", 5)))
+
+    def test_malformed_cap_is_reported_before_the_kind(self, monkeypatch):
+        monkeypatch.setenv("CHAR2SQUARES_ORACLE_CAP", "12k")
+        with pytest.raises(ValueError) as info:
+            expr_forms(parse_expr("T(V2, W2)"))
+        assert str(info.value) == "CHAR2SQUARES_ORACLE_CAP must be an integer, not '12k'"
+
+    def test_unipotent_expression_is_refused(self):
+        # u - 1 lowers degrees by 1 or more, so it has no forms of one step
+        with pytest.raises(ValueError, match="W \\(nilpotent\\) expression"):
+            expr_forms(parse_expr("S2(V3)"))
