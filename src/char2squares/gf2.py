@@ -4,8 +4,8 @@ Each row of a matrix is a Python int: bit j holds the entry in column j.
 Row XOR is then a single word-parallel operation, which is all Gaussian
 elimination needs over GF(2).  The Jordan-type kernel,
 jordan_type_of_images, takes a square matrix as the row lists of its
-columns, the images of the basis vectors as the oracle builds them, so a
-sparse operator never has to be packed whole.  A map between two such
+columns, the images of the basis vectors as oracle.expr_images gives
+them, so a sparse operator never has to be packed whole.  A map between two such
 bit spaces that is applied to many masks is held in shift form, as its
 diagonals: _apply_form then maps a mask with one AND, one shift and one
 XOR per diagonal, however many bits the mask has.  A map that lowers
@@ -18,14 +18,17 @@ vectors down a degree with _apply_form; verify_basis packs the forms of
 all degrees side by side and checks a whole chain at once, in one
 comparison of packed ints, which also names its failures.  Where the
 grading does not hold, the kernel reads the type off ranks of powers
-(_nilpotent_ranks).  Those ranks fall by drops that never rise, so the
-loop eliminates only where the drop can change: it jumps by the factors
-m^(2^j), built once by squaring and applied row by row with itemgetter
-gathers (_gathers, _apply), and the squaring that reaches 0 is its
-nilpotency test.  Gf2Matrix is the packed dense form that
-rank reads (verify_basis hands it each degree's masks of the chains' last
-vectors, and of all the vectors only when a chain fails or those are
-dependent) and that jordan_type_of_nilpotent, the dense reference, reads.
+(_ranks).  Those ranks fall by drops that never rise, so the loop
+eliminates only where the drop can change: it jumps by the factors
+m^(2^j), each applied row by row with itemgetter gathers (_apply).  The
+loop takes its factors as given.  For any matrix they come from squaring
+(_squared_factors, each square peeled into gathers by _gathers), and the
+squaring that reaches 0 is its nilpotency test; for u - 1 the oracle
+builds them from u itself (oracle._unipotent_factors).  Gf2Matrix is the
+packed dense form that rank reads (verify_basis hands it each degree's
+masks of the chains' last vectors, and of all the vectors only when a
+chain fails or those are dependent) and that jordan_type_of_nilpotent,
+the dense reference, reads.
 """
 
 from __future__ import annotations
@@ -172,14 +175,16 @@ def _identity(n: int) -> list[int]:
     return [1 << i for i in range(n)] + [0]
 
 
-def _nilpotent_ranks(supports: list[Sequence[int]]) -> list[int] | None:
-    """[rank(m^0), rank(m^1), ...] up to the first 0, or None if m is not nilpotent.
+def _squared_factors(supports: list[Sequence[int]]) -> list[list[itemgetter]] | None:
+    """The gathers of m, m^2, m^4, ... up to the last nonzero power, or None if m is not nilpotent.
 
     supports[i] lists the columns of row i of the square matrix m; the list
-    is emptied once the gathers of m are built from it.  See
-    jordan_type_of_images for why the loop is correct.  At most two lists of
-    n rows are alive at once: a factor and its square or its peeled copy,
-    then the power the loop stands on and the next one.
+    is emptied once the gathers of m are built from it.  Each factor is the
+    square of the one before, peeled into gathers (_gathers), and the
+    squaring stops at the first zero power.  A power m^(2^j) that is still
+    nonzero with 2^j >= len(supports) shows that m is not nilpotent.  At
+    most two lists of n rows are alive at once: a factor and its square or
+    its peeled copy.
     """
     n = len(supports)
     index = [n, *range(n)]  # index[b] = b - 1, and index[0] = n, the zero row
@@ -195,9 +200,19 @@ def _nilpotent_ranks(supports: list[Sequence[int]]) -> list[int] | None:
         factors.append(gathers)
         rows = _apply(gathers, rows)
         gathers = _gathers(rows, index)
-    # powers above k of measured rank, nearest last: m^(2^len(factors)) = 0
-    # and the jumps that left the line
-    known = [(1 << len(factors), 0)]
+    return factors
+
+
+def _ranks(n: int, factors: list[list[itemgetter]]) -> list[int]:
+    """[rank(m^0), rank(m^1), ...] up to the first 0, for an n x n matrix m
+    whose factors[j] holds the gathers of m^(2^j), the last of them nonzero
+    and m^(2^len(factors)) = 0.  See jordan_type_of_images for why the loop
+    is correct.  Beside the factors, it keeps the power it stands on and the
+    next one.
+    """
+    # powers above k of measured rank, nearest last, with the indices whose
+    # rows span them: m^(2^len(factors)) = 0 and the jumps that left the line
+    known: list[tuple[int, int, Sequence[int]]] = [(1 << len(factors), 0, ())]
     power = _identity(n)  # the rows of m^k
     spanning: Sequence[int] = range(n)
     ranks = [n]
@@ -207,7 +222,7 @@ def _nilpotent_ranks(supports: list[Sequence[int]]) -> list[int] | None:
         while known[-1][0] <= k:
             known.pop()
         free = k  # the ranks up to m^free lie on the line r - (i - k) d
-        for p, r_p in reversed(known):
+        for p, r_p, kept_p in reversed(known):
             short = r_p - (r - (p - k) * d)
             if short:  # p is the nearest known power off the line
                 # each drop after the line is at least 1 short of d, so the
@@ -229,8 +244,8 @@ def _nilpotent_ranks(supports: list[Sequence[int]]) -> list[int] | None:
         line = r - h * d
         if k + h <= free:
             rank, kept = line, spanning
-        elif k + h == p:
-            rank, kept = r_p, spanning
+        elif k + h == p:  # the rows its elimination kept span m^p
+            rank, kept = r_p, kept_p
         else:
             kept = _independent_rows(candidate, spanning, [0] * (n + 1))
             rank = len(kept)
@@ -241,12 +256,29 @@ def _nilpotent_ranks(supports: list[Sequence[int]]) -> list[int] | None:
             d = r - rank
             ranks.append(rank)
         else:
-            known.append((k + h, rank))
+            known.append((k + h, rank, kept))
             j = 0
             continue
         k += h
         power, spanning = candidate, kept
     return ranks
+
+
+def _nilpotent_ranks(supports: list[Sequence[int]]) -> list[int] | None:
+    """[rank(m^0), rank(m^1), ...] up to the first 0, or None if m is not
+    nilpotent: the rank loop over the factors that squaring gives, for
+    supports as _squared_factors reads (and empties) them."""
+    n = len(supports)
+    factors = _squared_factors(supports)
+    return None if factors is None else _ranks(n, factors)
+
+
+def _type_of_ranks(ranks: list[int]) -> JordanType:
+    """The Jordan type whose blocks of size >= k number ranks[k - 1] - ranks[k]."""
+    ranks = [*ranks, 0]
+    return JordanType.from_pairs(
+        (k, ranks[k - 1] - 2 * ranks[k] + ranks[k + 1]) for k in range(1, len(ranks) - 1)
+    )
 
 
 def _degree_forms(
@@ -323,7 +355,7 @@ def jordan_type_of_nilpotent(m: Gf2Matrix, degrees: Sequence[int] | None = None)
     for i, row in enumerate(m.data):
         for c in _support(row):
             images[c].append(i)
-    return _jordan_type(images, degrees)
+    return jordan_type_of_images(images, degrees)
 
 
 def graded(images: Sequence[Sequence[int]], degrees: Sequence[int]) -> Graded:
@@ -376,56 +408,60 @@ def jordan_type_of_images(
     Row c of t^(k+h) is row c of t^k times t^h.  So the rows of t^(k+h) at
     the indices whose rows of t^k span the row space of t^k span the row
     space of t^(k+h): each elimination visits only those rows, and the
-    indices that give pivots are kept for the next one.
+    indices that give pivots are kept for the next one, also beside a rank
+    kept as known, for the step that reaches it.
 
-    The factors t, t^2, t^4, ... come from squaring, each applied by
-    gathers, one per set bit of its fullest row (_gathers).  In
-    characteristic 2, (u - 1)^(2^j) = u^(2^j) - 1, so on the oracle's
-    unipotent operators every factor is as sparse as t; correctness does not
-    depend on it.  The squaring stops at the first zero factor.  A factor
-    t^(2^j) that is still nonzero with 2^j >= len(images) shows that m is not
-    nilpotent, and ValueError is raised.  Otherwise t^(2^J) = 0 is a known
-    rank 0, which ends the last line without an elimination.
+    Here the factors t, t^2, t^4, ... come from squaring (_squared_factors),
+    each applied by gathers, one per set bit of its fullest row (_gathers).
+    The squaring stops at the first zero factor.  A factor t^(2^j) that is
+    still nonzero with 2^j >= len(images) shows that m is not nilpotent, and
+    ValueError is raised.  Otherwise t^(2^J) = 0 is a known rank 0, which
+    ends the last line without an elimination.  The oracle runs the same
+    loop (_ranks) on factors of u - 1 that it builds without squaring.
 
     degrees, if given, holds a degree for each basis vector, and every
     nonzero entry (i, c) must lower it: degrees[i] < degrees[c], or
     ValueError names the first entry, column by column, that does not.  Such
-    an m is nilpotent.  One walk, graded, reads the grading: it builds each
-    degree's map into the degree below and lists the entries that do not
-    lower the degree by exactly 1.  If there are none, the type comes from
+    an m is nilpotent.  The degrees are compared first (_lowers_by_one).  If
+    every entry lowers the degree by exactly 1, graded reads each degree's
+    map into the degree below in one walk, and the type comes from
     _graded_sweep on those maps instead of ranks.  Otherwise the rank loop
     runs with the basis listed in ascending degree: the highest-bit pivot of
     each image is then its highest-degree target.  images is not changed.
     """
-    return _jordan_type(list(images), degrees)
-
-
-def _jordan_type(images: list[Sequence[int]], degrees: Sequence[int] | None) -> JordanType:
-    """jordan_type_of_images on a list it may empty: the rank loop empties it
-    once its first gathers are built, so that neither the caller's images
-    nor their copy in ascending degree outlive that point."""
+    images = list(images)  # the rank loop empties it once the gathers of m are built
     if degrees is not None:
-        counts, forms, off = graded(images, degrees)
-        for i, c in off:
-            if degrees[i] >= degrees[c]:
-                raise ValueError(
-                    f"entry ({i}, {c}) does not lower the degree: it maps "
-                    f"degree {degrees[c]} to degree {degrees[i]}"
-                )
-        if not off:
+        if len(degrees) != len(images):
+            raise ValueError(f"{len(degrees)} degrees for a matrix of size {len(images)}")
+        if _lowers_by_one(images, degrees):
+            counts, forms, _ = graded(images, degrees)
             return _graded_sweep(forms, counts)
-        del counts, forms, off  # the rank loop reads none of the walk
         # conjugate by the permutation that lists the basis in ascending degree
         order = sorted(range(len(images)), key=degrees.__getitem__)  # stable within a degree
         position = [0] * len(images)
         for p, c in enumerate(order):
             position[c] = p
-        images[:] = [[position[i] for i in images[c]] for c in order]
+        images = [[position[i] for i in images[c]] for c in order]
         del order, position  # freed before the rank loop's peak
     ranks = _nilpotent_ranks(images)
     if ranks is None:
         raise ValueError("matrix is not nilpotent")
-    ranks.append(0)
-    return JordanType.from_pairs(
-        (k, ranks[k - 1] - 2 * ranks[k] + ranks[k + 1]) for k in range(1, len(ranks) - 1)
-    )
+    return _type_of_ranks(ranks)
+
+
+def _lowers_by_one(images: Sequence[Sequence[int]], degrees: Sequence[int]) -> bool:
+    """Whether every entry (i, c) lowers the degree by exactly 1.  The first
+    entry, column by column, that does not lower it raises ValueError."""
+    exact = True
+    for c, hits in enumerate(images):
+        if hits:
+            below = degrees[c] - 1
+            targets = list(map(degrees.__getitem__, hits))
+            if max(targets) > below:
+                i = next(i for i, d in zip(hits, targets) if d > below)
+                raise ValueError(
+                    f"entry ({i}, {c}) does not lower the degree: it maps "
+                    f"degree {degrees[c]} to degree {degrees[i]}"
+                )
+            exact = exact and min(targets) == below
+    return exact

@@ -7,14 +7,18 @@ atom has degree i and a pair the sum of its factors', and two builders
 follow the tree.  expr_forms builds e on a W expression as a Graded, per
 degree the count of basis vectors and the map into the degree below,
 from the factors' maps by the product rule, over runs of degrees with
-one count and one map.  expr_images builds N of either kind as the images
-of the basis vectors, sparse position lists, in time and memory
-proportional to the number of nonzero entries, with the degree of each
-basis vector.  The exact linear algebra kernel extracts Jordan types: e
-lowers every degree by exactly 1, so its type comes from a graded sweep
-over expr_forms, and u - 1 lowers it by at least 1, so its type comes
-from ranks of powers over expr_images, which pivot on each image's
-highest-degree target and are eliminated only where the drop in rank can
+one count and one map.  The factor builder (_builder) builds, for any h,
+the operator with each atom's N replaced by N^h, as columns of gathers
+made by C-level passes over tables each node builds once.  With h = 2^j
+on a V expression that is (u - 1)^(2^j), by functoriality and Frobenius,
+so _unipotent_factors hands gf2's rank loop every factor it applies,
+with no squaring; expr_images reads N of either kind off h = 1, as the
+images of the basis vectors, with the degree of each.  The exact linear
+algebra kernel extracts Jordan types: e lowers every degree by exactly
+1, so its type comes from a graded sweep over expr_forms, and u - 1
+lowers it by at least 1, so its type comes from ranks of powers, with
+the basis listed by degree so that each image pivots on its
+highest-degree target, eliminated only where the drop in rank can
 change.  The kind and the dimension are read off the expression before
 anything is built, and one check of that dimension against the cap
 bounds every space built on the way.  The cap policy lives here alone:
@@ -28,13 +32,16 @@ command builds them.
 from __future__ import annotations
 
 import os
+from itertools import repeat
+from operator import getitem, itemgetter
+from typing import Callable
 
 from .core import (
     PRINTABLE_LIMIT, Atom, Ext2, JordanType, Kind, LimitExceeded, ModuleExpr, Scaled, Sum, Tensor,
     expr_kind, shown_count, square_expr,
 )
 from .gf2 import (  # noqa: F401
-    Form, Gf2Matrix, Graded, _graded_sweep, _jordan_type, jordan_type_of_nilpotent,
+    Form, Gf2Matrix, Graded, _graded_sweep, _ranks, _type_of_ranks, jordan_type_of_nilpotent,
 )
 from .parser import IntegerTooLong, to_int
 
@@ -76,12 +83,6 @@ def dim_cap() -> int:
     return cap
 
 
-def _block_images(n: int) -> Images:
-    """Images of v_1, ..., v_n under the nilpotent part N of a single block,
-    in upper-shift convention: N v_1 = 0 and N v_i = v_{i-1}."""
-    return [[]] + [[c - 1] for c in range(1, n)]
-
-
 def basis_keys(functor: Functor, n: int, m: int | None = None) -> list[tuple[int, int]]:
     """Canonical ordered basis, as 1-based index pairs in lex order.
 
@@ -98,69 +99,162 @@ def basis_keys(functor: Functor, n: int, m: int | None = None) -> list[tuple[int
     raise ValueError(f"unknown functor {functor!r}")
 
 
-# --- the images builder --------------------------------------------------
+# --- the factor builder --------------------------------------------------
 #
-# Here an action is held as the images of its basis vectors under its
-# nilpotent part N: images[c] lists, in increasing order, the positions of
-# the basis vectors that basis vector c is mapped to, each once, all below
-# c.  The basis of a product space is ordered as basis_keys lists it.
+# Here a map is held in gather form, as columns: lists of dim + 1 positions,
+# where column[c] is one target of basis vector c, or dim for none, and
+# column[dim] = dim.  Basis vector c goes to the sum over GF(2) of its
+# targets in all the columns, so a target listed twice cancels, and
+# itemgetter(*column) is one gather of gf2's rank loop.  A node's builder
+# maps h to the columns of its operator's nilpotent part with each atom's N
+# replaced by N^h; for u, and h = 2^j, that is (u - 1)^(2^j), since
+# (u - 1)^(2^j) = u^(2^j) - 1 in characteristic 2, F(u)^(2^j) = F(u^(2^j))
+# for each functor F, and u^(2^j) = 1 + N^(2^j) on an atom.  Its tables are
+# built once, where the node is, and each call of a builder makes its
+# columns with C-level itemgetter and map passes over them.  The basis of
+# a product space is ordered as basis_keys lists it, and that of the top
+# node of the rank loop by degree, ascending and stable in that order.
 
 
-def _pair_images(
-    left: tuple[Images, Degrees], right: tuple[Images, Degrees], unipotent: bool, functor: Functor
-) -> tuple[Images, Degrees]:
-    """Images of N on the pairs v_i (x) v_j of left and right, reduced to the
-    functor's quotient, and the degree of each pair: the sum of its factors'.
-
-    left and right hold images of N.  e acts as N (x) 1 + 1 (x) N, and
-    u - 1 as that plus N (x) N: (1 + N) (x) (1 + N) - 1.  ext2 and sym2 take
-    right = left and identify (k, l) with (l, k); the pairs (k, k), which
-    ext2 alone leaves out, go to a spare position that is dropped.
-    """
-    (a, a_degrees), (b, b_degrees) = left, right
-    pairs = [(i - 1, j - 1) for i, j in basis_keys(functor, len(b), len(a))]
-    degrees = [a_degrees[i] + b_degrees[j] for i, j in pairs]
-    spare = len(pairs)
-    row_of = [[spare] * len(b) for _ in a]
-    for pos, (i, j) in enumerate(pairs):
-        row_of[i][j] = pos
-        if functor != "tensor":
-            row_of[j][i] = pos
-    in_row = [row.__getitem__ for row in row_of]  # in_row[k](l) = row_of[k][l]
-    in_col = [col.__getitem__ for col in zip(*row_of)]  # in_col[l](k) = row_of[k][l]
-    # N maps every basis vector below itself, so N(v_i) v_j and v_i N(v_j)
-    # share no pair, except on a pair (i, i) of sym2, where they are equal;
-    # for u, transposed terms of N (x) N on ext2 and sym2 share pairs too
-    cancels = unipotent and functor != "tensor"
-    diagonal = functor == "sym2"
-    images = []
-    for i, j in pairs:
-        hits = [*map(in_col[j], a[i]), *map(in_row[i], b[j])]
-        if unipotent:
-            for k in a[i]:
-                hits += map(in_row[k], b[j])
-        hits.sort()
-        if cancels or (i == j and diagonal):
-            odd: list[int] = []  # GF(2) sums: the positions hit an odd number of times
-            for p in hits:
-                if odd and odd[-1] == p:
-                    odd.pop()
-                else:
-                    odd.append(p)
-            hits = odd
-        if hits and hits[-1] == spare:
-            hits.pop()
-        images.append(hits)
-    return images, degrees
+Columns = list[list[int]]
+_Node = tuple[Degrees, Callable[[int], Columns]]  # degrees, and h -> columns
 
 
-def _direct_sum(parts: list[Images]) -> Images:
-    images: Images = []
+def _nothing(h: int) -> Columns:
+    return []
+
+
+def _listing(degrees: Degrees, ascending: bool) -> tuple[list[int], list[int] | None]:
+    """Where each basis vector is listed, and the vectors in listed order:
+    by degree, ascending and stable, or, with order None, as built."""
+    if not ascending:
+        return list(range(len(degrees))), None
+    order = sorted(range(len(degrees)), key=degrees.__getitem__)
+    position = [0] * len(order)
+    for p, c in enumerate(order):
+        position[c] = p
+    return position, order
+
+
+def _block_builder(n: int) -> _Node:
+    """V_n or W_n: N^h maps v_(c+1) to v_(c+1-h), in upper-shift convention."""
+    def build(h: int) -> Columns:
+        return [[n] * h + list(range(n - h)) + [n]] if h < n else []
+    return list(range(1, n + 1)), build
+
+
+def _sum_builder(parts: list[tuple[_Node, int]], ascending: bool) -> _Node:
+    """The direct sum of copies of parts, (node, copies): in the order built,
+    each copy's basis after the copies before it."""
+    degrees = [d for (part, _), copies in parts for d in part * copies]
+    dim = len(degrees)
+    if not dim:
+        return [], _nothing
+    position, order = _listing(degrees, ascending)
+    rows = None if order is None else itemgetter(*order, dim)
+    tables = []  # per part, per copy: where its vectors, and its none, are listed
     offset = 0
-    for part in parts:
-        images.extend([p + offset for p in hits] for hits in part)
-        offset += len(part)
-    return images
+    for (part, _), copies in parts:
+        size = len(part)
+        tables.append([position[offset + k * size:offset + (k + 1) * size] + [dim]
+                       for k in range(copies)])
+        offset += size * copies
+    if order is not None:
+        degrees = [degrees[c] for c in order]
+
+    def build(h: int) -> Columns:
+        built = [part_build(h) for (_, part_build), _ in parts]
+        columns = []
+        for t in range(max(map(len, built))):
+            column: list[int] = []
+            for part_columns, copies in zip(built, tables):
+                for table in copies:
+                    if t < len(part_columns):
+                        column += map(table.__getitem__, part_columns[t])
+                        column.pop()  # the part's none
+                    else:
+                        column += repeat(dim, len(table) - 1)
+            column.append(dim)
+            columns.append(column if rows is None else list(rows(column)))
+        return columns
+
+    return degrees, build
+
+
+def _pair_builder(left: _Node, right: _Node, unipotent: bool, functor: Functor,
+                  ascending: bool) -> _Node:
+    """The pairs v_i (x) v_j of left and right, reduced to the functor's
+    quotient: ext2 and sym2 take right = left and identify (k, l) with
+    (l, k), and ext2 leaves out (k, k).  A pair's degree is the sum of its
+    factors'.
+
+    With X and Y the factors' columns for h, e acts as X (x) 1 + 1 (x) Y,
+    and u - 1 as that plus X (x) Y: (1 + X) (x) (1 + Y) - 1.  Each term is a
+    column per column of X, of Y, or pair of them, read off the table at[x][y]
+    of where the pair of x and y is listed.  On a pair (i, i) of sym2 the two
+    terms of e cancel, so both leave it out; in a column that keeps no
+    target at all, every pair went to the none of the quotient, and it is
+    dropped.
+    """
+    (a_degrees, build_a), (b_degrees, build_b) = left, right
+    a, b = len(a_degrees), len(b_degrees)
+    pairs = [(i - 1, j - 1) for i, j in basis_keys(functor, b, a)]
+    if not pairs:
+        return [], _nothing
+    degrees = [a_degrees[i] + b_degrees[j] for i, j in pairs]
+    dim = len(pairs)
+    position, order = _listing(degrees, ascending)
+    square = functor != "tensor"
+    at = [[dim] * (b + 1) for _ in range(a + 1)]  # at[a] and at[x][b] are nones
+    for (i, j), p in zip(pairs, position):
+        at[i][j] = p
+        if square:
+            at[j][i] = p
+    if order is not None:
+        pairs = [pairs[c] for c in order]
+        degrees = [degrees[c] for c in order]
+    first = itemgetter(*[i for i, _ in pairs], a)
+    second = itemgetter(*[j for _, j in pairs], b)
+    diagonal = functor == "sym2"
+    with_second = [b if diagonal and i == j else j for i, j in pairs] + [b]  # for X (x) 1
+    with_first = [at[a] if diagonal and i == j else at[i] for i, j in pairs] + [at[a]]  # 1 (x) Y
+
+    def build(h: int) -> Columns:
+        xs = build_a(h)
+        ys = xs if square else build_b(h)
+        lefts = [first(list(map(at.__getitem__, x))) for x in xs]  # at[x] of each pair's x
+        rights = [second(y) for y in ys]  # each pair's y
+        columns = [list(map(getitem, row, with_second)) for row in lefts]
+        columns += [list(map(getitem, with_first, y)) for y in rights]
+        if unipotent:
+            columns += [list(map(getitem, row, y)) for row in lefts for y in rights]
+        return [column for column in columns if column.count(dim) <= dim]
+
+    return degrees, build
+
+
+def _builder(expr: ModuleExpr, unipotent: bool, ascending: bool = False) -> _Node:
+    """The builder of expr's operator: u - 1 if unipotent, else e.  With
+    ascending, its basis is listed by degree, and its factors' bases in the
+    order built."""
+    if isinstance(expr, Atom):
+        return _block_builder(expr.dim)  # already listed by degree
+    if isinstance(expr, Scaled):
+        inner = _builder(expr.inner, unipotent)
+        if not inner[0]:  # any number of copies of a zero space is that space
+            return inner
+        return _sum_builder([(inner, expr.count)], ascending)
+    if isinstance(expr, Sum):
+        return _sum_builder([(_builder(t, unipotent), 1) for t in expr.terms], ascending)
+    if isinstance(expr, Tensor):
+        if not _dim(expr.left, 3) * _dim(expr.right, 3):
+            return [], _nothing
+        left, right = _builder(expr.left, unipotent), _builder(expr.right, unipotent)
+        return _pair_builder(left, right, unipotent, "tensor", ascending)
+    # Ext2 or Sym2: _checked has checked every node with expr_kind
+    inner = _builder(expr.inner, unipotent)
+    functor = "ext2" if isinstance(expr, Ext2) else "sym2"
+    return _pair_builder(inner, inner, unipotent, functor, ascending)
 
 
 def _dim(expr: ModuleExpr, limit: int) -> int:
@@ -209,35 +303,34 @@ def expr_images(expr: ModuleExpr) -> tuple[Images, Degrees]:
     N is e on W expressions and u - 1 on V expressions; only the dense views
     (_dense) add u's identity.  v_i of an atom has degree i, and a pair of
     T, E2 or S2 has the sum of its two factors' degrees: e lowers every
-    degree by exactly 1 and u - 1 lowers it by at least 1.  Nothing is built
-    before the checks of _checked.
+    degree by exactly 1 and u - 1 lowers it by at least 1.  N is read off
+    the builder's columns for h = 1.  Nothing is built before the checks of
+    _checked.
     """
-    return _images(expr, _checked(expr))
+    degrees, build = _builder(expr, _checked(expr))
+    columns = build(1)
+    images = []
+    for c in range(len(degrees)):
+        hits: list[int] = []  # the targets listed an odd number of times
+        for p in sorted(column[c] for column in columns):
+            if hits and hits[-1] == p:
+                hits.pop()
+            else:
+                hits.append(p)
+        if hits and hits[-1] == len(degrees):
+            hits.pop()
+        images.append(hits)
+    return images, degrees
 
 
-def _images(expr: ModuleExpr, unipotent: bool) -> tuple[Images, Degrees]:
-    if isinstance(expr, Atom):
-        return _block_images(expr.dim), list(range(1, expr.dim + 1))
-    if isinstance(expr, Scaled):
-        images, degrees = _images(expr.inner, unipotent)
-        if not images:  # any number of copies of a zero space is that space
-            return images, degrees
-        return _direct_sum([images] * expr.count), degrees * expr.count
-    if isinstance(expr, Sum):
-        parts, degrees = [], []
-        for t in expr.terms:
-            images, term_degrees = _images(t, unipotent)
-            parts.append(images)
-            degrees += term_degrees
-        return _direct_sum(parts), degrees
-    if isinstance(expr, Tensor):
-        if not _dim(expr.left, 3) * _dim(expr.right, 3):
-            return [], []
-        left, right = _images(expr.left, unipotent), _images(expr.right, unipotent)
-        return _pair_images(left, right, unipotent, "tensor")
-    # Ext2 or Sym2: _checked has checked every node with expr_kind
-    inner = _images(expr.inner, unipotent)
-    return _pair_images(inner, inner, unipotent, "ext2" if isinstance(expr, Ext2) else "sym2")
+def _unipotent_factors(expr: ModuleExpr) -> tuple[int, list[list[itemgetter]]]:
+    """The dimension of a V expression, and the gathers of (u - 1)^(2^j), j = 0, 1, ...,
+    up to the last nonzero one, for gf2._ranks, with the basis listed by degree."""
+    degrees, build = _builder(expr, True, ascending=True)
+    factors = []
+    while columns := build(1 << len(factors)):
+        factors.append([itemgetter(*column) for column in columns])
+    return len(degrees), factors
 
 
 # --- the graded builder --------------------------------------------------
@@ -551,9 +644,9 @@ def oracle_expr_jordan_type(expr: ModuleExpr) -> JordanType:
     """Ground-truth Jordan type of the operator on a module expression.
 
     e comes from the graded sweep over expr_forms, u - 1 from the rank loop
-    over expr_images, which empties the images once it no longer needs them.
+    over the factors (u - 1)^(2^j) that _unipotent_factors builds.
     """
     if _checked(expr):
-        return _jordan_type(*_images(expr, True))
+        return _type_of_ranks(_ranks(*_unipotent_factors(expr)))
     counts, forms = _forms(expr)
     return _graded_sweep(forms, counts)

@@ -521,6 +521,26 @@ class TestDegrees:
         with pytest.raises(ValueError, match=rf"entry \({i}, {j}\) does not lower the degree"):
             jordan_type_of_nilpotent(bad, degrees)
 
+    @settings(max_examples=100, deadline=None)
+    @given(degree_lowering(graded=False))
+    def test_forms_are_read_only_for_a_graded_input(self, case):
+        # the degrees are compared first: the walk that fills each degree's
+        # forms runs only when every entry lowers the degree by exactly 1
+        m, degrees = case
+        images = [[i for i in range(m.rows) if m.data[i] >> c & 1] for c in range(m.cols)]
+        exact = all(degrees[c] - degrees[i] == 1 for c, hits in enumerate(images) for i in hits)
+        walks, real = [], gf2._degree_forms
+        with mock.patch.object(gf2, "_degree_forms", lambda *args: walks.append(1) or real(*args)):
+            assert jordan_type_of_images(images, degrees) == type_from_full_powers(m)
+        assert len(walks) == exact
+
+    def test_first_entry_that_does_not_lower_is_named(self):
+        # column by column, and within a column in the order listed
+        images = [[], [0, 2, 1], [2]]
+        with pytest.raises(ValueError, match=r"entry \(2, 1\) does not lower the degree: "
+                                             r"it maps degree 1 to degree 2"):
+            jordan_type_of_images(images, [0, 1, 2])
+
     def test_empty(self):
         assert jordan_type_of_nilpotent(zero(0, 0), []).parts == ()
 

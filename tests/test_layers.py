@@ -145,10 +145,8 @@ def test_graded_paths_map_masks_by_their_diagonals(monkeypatch):
 def test_nilpotent_routes_never_walk_images(monkeypatch):
     # e lowers every degree by exactly 1, so basis --verify and the W oracle
     # build their per-degree forms from the factors' (oracle.expr_forms) and
-    # never build images of e or walk them; the V oracle walks its images
-    # once (gf2._degree_forms), which finds the entries that lower by 2 or more
+    # never build images of e or walk them
     from char2squares import gf2, oracle
-    from char2squares.core import square_expr
 
     routes = [
         ["basis", "--n", "9", "--verify"],
@@ -161,20 +159,34 @@ def test_nilpotent_routes_never_walk_images(monkeypatch):
     def refuse(*args):
         raise AssertionError("a nilpotent route built or walked images")
 
-    with monkeypatch.context() as patched:
-        patched.setattr(oracle, "_pair_images", refuse)
-        patched.setattr(gf2, "_degree_forms", refuse)
-        assert [run_main(argv) for argv in routes] == expected
+    monkeypatch.setattr(oracle, "_pair_builder", refuse)
+    monkeypatch.setattr(gf2, "_degree_forms", refuse)
+    assert [run_main(argv) for argv in routes] == expected
 
-    calls, real = [], gf2._degree_forms
 
-    def counted(*args):
-        calls.append(len(args[0]))  # the number of basis vectors walked
-        return real(*args)
+def test_unipotent_routes_build_their_factors(monkeypatch):
+    # the V oracle builds each factor (u - 1)^(2^j) node by node from the
+    # atoms' shifts, listed by degree, so it builds no images, walks none,
+    # squares nothing and peels no rows into gathers
+    from char2squares import gf2, oracle
 
-    monkeypatch.setattr(gf2, "_degree_forms", counted)
-    assert oracle.oracle_expr_jordan_type(square_expr("sym2", "unipotent", 9)).total_dim == 45
-    assert calls == [45]
+    routes = [
+        *(["decompose", "--functor", functor, "--kind", "unipotent", "--n", "9", "--method", "both"]
+          for functor in ("ext2", "sym2", "tensor")),
+        ["decompose", "--functor", "tensor", "--kind", "unipotent", "--n", "7", "--m", "1",
+         "--method", "both"],
+        ["expr", "S2(V5 + 2*V3)", "--method", "both"],
+    ]
+    expected = [run_main(argv) for argv in routes]
+    assert all(code == 0 for code, _, _ in expected)
+
+    def refuse(*args):
+        raise AssertionError("a unipotent route built images, walked them or squared a factor")
+
+    monkeypatch.setattr(oracle, "expr_images", refuse)
+    for name in ("_degree_forms", "_gathers", "_squared_factors", "jordan_type_of_images"):
+        monkeypatch.setattr(gf2, name, refuse)
+    assert [run_main(argv) for argv in routes] == expected
 
 
 def test_verify_ranks_only_the_last_vectors(monkeypatch):
@@ -247,20 +259,21 @@ def test_rank_loop_gallops_over_equal_drops(monkeypatch):
 
 
 def test_rank_loop_eliminations_pinned(monkeypatch):
-    # the rank loop's eliminations on E2 and S2 of V_n, n <= 40, and T(V_m, V_n),
-    # m <= n <= 16: each bound the loop keeps saves some, so a lost rule shows here
+    # the rank loop's eliminations and visited rows on E2 and S2 of V_n,
+    # n <= 40, and T(V_m, V_n), m <= n <= 16: each bound the loop keeps saves
+    # some, and each basis it keeps some rows, so a lost rule shows here
     from char2squares import gf2, oracle
     from char2squares.core import square_expr
 
     calls, real = [], gf2._independent_rows
 
-    def counted(*args):
-        calls.append(1)
-        return real(*args)
+    def counted(rows, indices, pivots):
+        calls.append(len(indices))
+        return real(rows, indices, pivots)
 
     monkeypatch.setattr(gf2, "_independent_rows", counted)
     exprs = [square_expr(f, "unipotent", n) for f in ("ext2", "sym2") for n in range(1, 41)]
     exprs += [square_expr("tensor", "unipotent", n, m) for n in range(1, 17) for m in range(1, n + 1)]
     for expr in exprs:
         oracle.oracle_expr_jordan_type(expr)
-    assert len(calls) == 1372
+    assert (len(calls), sum(calls)) == (1249, 216786)

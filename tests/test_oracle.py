@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from char2squares import gf2, oracle
 from char2squares.basis import SparseVec
 from char2squares.core import (
     Atom, Ext2, MixedKindError, Scaled, Sum, Sym2, expr_kind, parse_jordan_type, square_expr,
@@ -221,8 +222,8 @@ class TestExprOracle:
         from char2squares.parser import parse_expr
 
         calls = []
-        pair_images = oracle._pair_images
-        monkeypatch.setattr(oracle, "_pair_images", lambda *a: calls.append(a) or pair_images(*a))
+        pair_builder = oracle._pair_builder
+        monkeypatch.setattr(oracle, "_pair_builder", lambda *a: calls.append(a) or pair_builder(*a))
         expr = parse_expr("4*S2(W6)")
         assert expr_action(expr).rows == 4 * 21
         assert len(calls) == 1
@@ -233,7 +234,7 @@ class TestExprOracle:
         from char2squares import oracle
         from char2squares.parser import parse_expr
 
-        monkeypatch.setattr(oracle, "_block_images", None)  # building an atom would call it
+        monkeypatch.setattr(oracle, "_block_builder", None)  # building an atom would call it
         monkeypatch.setenv("CHAR2SQUARES_ORACLE_CAP", "20000")
         expr = parse_expr("W15000 + W15000 + W15000 + W15000")
         with pytest.raises(OracleCapExceeded, match="dimension 60000, above the cap 20000"):
@@ -332,8 +333,8 @@ class TestExprDegrees:
 
 
 class TestImages:
-    """expr_images is the one builder: the kernel reads the images as built,
-    and they are the columns of expr_action, its dense view."""
+    """expr_images reads N off the factor builder: the images are the columns
+    of expr_action, its dense view, and the oracle's type is the dense one's."""
 
     @settings(max_examples=150, deadline=None)
     @given(oracle_expr())
@@ -369,7 +370,7 @@ class TestImages:
     def test_many_copies_of_a_zero_space_build_nothing(self, monkeypatch):
         from char2squares import oracle
 
-        monkeypatch.setattr(oracle, "_direct_sum", None)  # a copy would call it
+        monkeypatch.setattr(oracle, "_sum_builder", None)  # a copy would call it
         expr = parse_expr("99999999999999999999*E2(W1)")
         assert expr_images(expr) == ([], [])
         assert oracle_expr_jordan_type(expr).parts == ()
@@ -401,11 +402,14 @@ class TestImages:
                 return out
             return wrapper
 
+        def degrees(node):
+            return len(node[0])
+
         with mock.patch.multiple(
             oracle,
-            _block_images=recorded(oracle._block_images, len),
-            _pair_images=recorded(oracle._pair_images, lambda out: len(out[1])),
-            _direct_sum=recorded(oracle._direct_sum, len),
+            _block_builder=recorded(oracle._block_builder, degrees),
+            _pair_builder=recorded(oracle._pair_builder, degrees),
+            _sum_builder=recorded(oracle._sum_builder, degrees),
         ):
             root = len(expr_images(expr)[1])
         assert all(size <= max(root, 2) for size in sizes)
@@ -418,13 +422,14 @@ class TestImages:
         # and still checks the kind of every atom
         from char2squares import oracle
 
-        monkeypatch.setattr(oracle, "_block_images", None)  # building an atom would call it
+        monkeypatch.setattr(oracle, "_block_builder", None)  # building an atom would call it
         assert expr_images(parse_expr(text)) == ([], [])
         with pytest.raises(MixedKindError, match="mixes V \\(unipotent\\) and W"):
             expr_images(parse_expr(mixed))
 
     def test_one_walk_builds_images_and_degrees(self, monkeypatch):
-        # each pair node lays out its basis once, for the images and the degrees
+        # each pair node lays out its basis once, for the degrees and every
+        # factor (u - 1)^(2^j) the rank loop reads
         from char2squares import oracle
 
         calls = []
@@ -437,6 +442,86 @@ class TestImages:
         expr = parse_expr("S2(V6)")
         assert oracle_expr_jordan_type(expr) == decompose_expr(expr)
         assert len(calls) == 1
+
+
+@st.composite
+def v_expr(draw):
+    """A random V expression of dimension at most 400."""
+    text, _ = draw(module_text("V", 400, 3))
+    return parse_expr(text)
+
+
+def squared_factors(expr):
+    """The dimension and the factors of the rank loop by squaring, gf2's
+    producer for any matrix, over expr_images listed by degree (stable):
+    the reference for the factors the oracle builds."""
+    images, degrees = expr_images(expr)
+    order = sorted(range(len(images)), key=degrees.__getitem__)
+    position = [0] * len(order)
+    for p, c in enumerate(order):
+        position[c] = p
+    return len(images), gf2._squared_factors([[position[i] for i in images[c]] for c in order])
+
+
+def factor_rows(n, factors):
+    """Each factor as rows, applied to the rows of the identity."""
+    return [gf2._apply(factor, gf2._identity(n)) for factor in factors]
+
+
+class TestFactors:
+    """The oracle builds (u - 1)^(2^j) node by node, each atom's N replaced by
+    N^(2^j); each factor must equal the square of the one before, and both
+    lists end at the last nonzero factor."""
+
+    @staticmethod
+    def assert_built_equals_squared(expr):
+        n, built = oracle._unipotent_factors(expr)
+        size, squared = squared_factors(expr)
+        assert n == size and squared is not None, expr
+        assert len(built) == len(squared), expr
+        assert factor_rows(n, built) == factor_rows(n, squared), expr
+
+    @pytest.mark.parametrize("functor", ["ext2", "sym2"])
+    def test_squares_of_one_block(self, functor):
+        for n in range(1, 41):
+            self.assert_built_equals_squared(square_expr(functor, "unipotent", n))
+
+    def test_mixed_tensors(self):
+        for n in range(1, 25):
+            for m in range(1, n + 1):
+                self.assert_built_equals_squared(square_expr("tensor", "unipotent", n, m))
+
+    def test_every_partition(self):
+        # the V inputs of acceptance criterion 9: sums with many vectors in a degree
+        from test_acceptance import partitions
+
+        for n in range(1, 13):
+            for parts in partitions(n):
+                space = Sum(tuple(Scaled(count, Atom("unipotent", part)) for part, count in parts))
+                for square in (Ext2(space), Sym2(space)):
+                    self.assert_built_equals_squared(square)
+
+    @settings(max_examples=150, deadline=None)
+    @given(v_expr())
+    @example(parse_expr("S2(E2(V4))"))  # transposed terms of N (x) N cancel
+    @example(parse_expr("E2(T(V2, V3)) + 2*S2(V3 + V1)"))
+    def test_random_trees(self, expr):
+        self.assert_built_equals_squared(expr)
+
+    @pytest.mark.parametrize("text, dim, count", [
+        ("E2(V1)", 0, 0),
+        ("99999999999999999999*E2(V1)", 0, 0),
+        ("T(E2(V1), V9)", 0, 0),
+        ("V1", 1, 0),
+        ("5*V1 + E2(V2)", 6, 0),  # u = 1: no nonzero factor
+        ("S2(V1) + V2", 3, 1),
+        ("T(V1, V5)", 5, 3),
+    ])
+    def test_zero_spaces_and_trivial_atoms(self, text, dim, count):
+        expr = parse_expr(text)
+        self.assert_built_equals_squared(expr)
+        n, factors = oracle._unipotent_factors(expr)
+        assert (n, len(factors)) == (dim, count)
 
 
 @st.composite
