@@ -17,6 +17,8 @@ chain's band from one walk, _bands, over one expansion of n, so nothing is
 cached between calls.  verify_basis checks the chains against e as the
 oracle builds it per degree from the factors (oracle.expr_forms), or as
 gf2.graded reads it off images, never against a map of this module's.
+gf2.graded checks the grading where it reads images, so this module
+imports nothing from the oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .core import JordanType, _trusted, cones_expansion
 from .gf2 import Gf2Matrix, Graded, _support, rank as gf2_rank
-from .oracle import basis_keys
 
 Space = str  # "tensor" or "sym2"
 
@@ -314,8 +315,7 @@ def verify_basis(
     and the action must have as many vectors in each degree as the square
     (ValueError otherwise).  Position k of degree d stands for bit k + lo of
     a mask of that degree, lo its lowest valid bit, so each form moves into
-    the masks' frame a diagonal at a time.  The entries in action.off, which
-    do not lower the degree by exactly 1, are reported and left out.
+    the masks' frame a diagonal at a time.
 
     The forms of all degrees are packed side by side, one int per diagonal,
     the sources of degree d in slot d, and so is each chain, a mask per slot
@@ -336,7 +336,7 @@ def verify_basis(
     if not chains:
         return VerificationReport(0, 0)
     space, n = chains[0].space, chains[0].n
-    counts, forms, off = action
+    counts, forms = action
     sym2 = space == "sym2"  # degree d holds v_i v_(d-i) for the bits i of _valid_mask
     square = {d: min(n, d // 2 if sym2 else d - 1) - max(1, d - n) + 1 for d in range(2, 2 * n + 1)}
     if counts != square:
@@ -348,14 +348,6 @@ def verify_basis(
         raise ValueError(f"action has {have} images, expected {want}")
 
     failures = []
-    if off:
-        keys = basis_keys(space, n)
-        target, source = min(off)  # the first in row order
-        (i, j), (k, l) = keys[source], keys[target]
-        failures.append(
-            f"action breaks the grading in {len(off)} of its entries, "
-            f"first v{i}*v{j} -> v{k}*v{l}"
-        )
     width = n // 8 + 1  # bytes per degree slot, enough for bits 0..n of a mask
     bits, slot = 8 * width, (1 << 8 * width) - 1
     diagonals: defaultdict[int, list[int]] = defaultdict(lambda: [0] * (2 * n + 1))

@@ -2,33 +2,29 @@
 
 Each row of a matrix is a Python int: bit j holds the entry in column j.
 Row XOR is then a single word-parallel operation, which is all Gaussian
-elimination needs over GF(2).  The Jordan-type kernel,
-jordan_type_of_images, takes a square matrix as the row lists of its
-columns, the images of the basis vectors as oracle.expr_images gives
-them, so a sparse operator never has to be packed whole.  A map between two such
-bit spaces that is applied to many masks is held in shift form, as its
-diagonals: _apply_form then maps a mask with one AND, one shift and one
-XOR per diagonal, however many bits the mask has.  A map that lowers
-every degree by exactly 1 is held as a Graded: per degree, the number of
-basis vectors and the map into the degree below in this form.
-oracle.expr_forms builds one from an expression's factors; graded reads
-one off images in one walk (_degree_forms), and lists apart the entries
-that do not lower the degree by exactly 1.  The graded sweep moves
-vectors down a degree with _apply_form; verify_basis packs the forms of
-all degrees side by side and checks a whole chain at once, in one
-comparison of packed ints, which also names its failures.  Where the
-grading does not hold, the kernel reads the type off ranks of powers
-(_ranks).  Those ranks fall by drops that never rise, so the loop
-eliminates only where the drop can change: it jumps by the factors
-m^(2^j), each applied row by row with itemgetter gathers (_apply).  The
-loop takes its factors as given.  For any matrix they come from squaring
-(_squared_factors, each square peeled into gathers by _gathers), and the
-squaring that reaches 0 is its nilpotency test; for u - 1 the oracle
-builds them from u itself (oracle._unipotent_factors).  Gf2Matrix is the
-packed dense form that rank reads (verify_basis hands it each degree's
-masks of the chains' last vectors, and of all the vectors only when a
-chain fails or those are dependent) and that jordan_type_of_nilpotent,
-the dense reference, reads.
+elimination needs over GF(2).  A map between two such bit spaces that is
+applied to many masks is held in shift form, as its diagonals:
+_apply_form then maps a mask with one AND, one shift and one XOR per
+diagonal, however many bits the mask has.  Each input has one route to
+its Jordan type.  A map that lowers every degree by exactly 1 is held as
+a Graded: per degree, the number of basis vectors and the map into the
+degree below in this form.  oracle.expr_forms builds one from an
+expression's factors, and graded reads one off images, checking each
+entry where it reads it.  The graded sweep moves vectors down a degree
+with _apply_form; verify_basis packs the forms of all degrees side by
+side and checks a whole chain at once, in one comparison of packed ints,
+which also names its failures.  Any other nilpotent matrix, given as the
+images of its basis vectors (jordan_type_of_images, which takes no
+degrees), has its type read off the ranks of its powers (_ranks).  Those
+ranks fall by drops that never rise, so the loop eliminates only where
+the drop can change: it jumps by the factors m^(2^j), each applied row
+by row with itemgetter gathers (_apply).  The loop takes its factors as
+given.  For any matrix they come from squaring (_squared_factors, each
+square peeled into gathers by _gathers), and the squaring that reaches 0
+is its nilpotency test; for u - 1 the oracle builds them from u itself
+(oracle._unipotent_factors).  Gf2Matrix is the packed dense form that
+rank reads, a degree at a time from verify_basis, and that
+jordan_type_of_nilpotent, the dense reference, reads.
 """
 
 from __future__ import annotations
@@ -59,19 +55,16 @@ Form = dict[int, int]
 
 
 class Graded(NamedTuple):
-    """A map that lowers degrees, held per degree: what _graded_sweep and
-    verify_basis read.
+    """A map that lowers every degree by exactly 1, held per degree: what
+    _graded_sweep and verify_basis read.
 
     counts[d] is the number of basis vectors of degree d, and forms[d], for
     each such d, the map from degree d into degree d - 1 in shift form, over
-    the positions 0..counts[d]-1 of the vectors within their degrees.  off
-    lists, as (i, c), the entries of the map that forms leaves out because
-    they do not lower the degree by exactly 1: empty for a graded map.
+    the positions 0..counts[d]-1 of the vectors within their degrees.
     """
 
     counts: dict[int, int]
     forms: dict[int, Form]
-    off: list[tuple[int, int]]
 
 
 def _apply_form(form: Form, mask: int) -> int:
@@ -264,15 +257,6 @@ def _ranks(n: int, factors: list[list[itemgetter]]) -> list[int]:
     return ranks
 
 
-def _nilpotent_ranks(supports: list[Sequence[int]]) -> list[int] | None:
-    """[rank(m^0), rank(m^1), ...] up to the first 0, or None if m is not
-    nilpotent: the rank loop over the factors that squaring gives, for
-    supports as _squared_factors reads (and empties) them."""
-    n = len(supports)
-    factors = _squared_factors(supports)
-    return None if factors is None else _ranks(n, factors)
-
-
 def _type_of_ranks(ranks: list[int]) -> JordanType:
     """The Jordan type whose blocks of size >= k number ranks[k - 1] - ranks[k]."""
     ranks = [*ranks, 0]
@@ -281,39 +265,12 @@ def _type_of_ranks(ranks: list[int]) -> JordanType:
     )
 
 
-def _degree_forms(
-    images: Sequence[Sequence[int]], degrees: Sequence[int], position: Sequence[int]
-) -> tuple[dict[int, Form], list[tuple[int, int]]]:
-    """Each degree's map into the degree below, in shift form, and the entries off the grading.
-
-    Entry (i, c) maps basis vector c into basis vector i, and position[c] is
-    the bit of c within its degree.  forms[d], for every degree d of a basis
-    vector, holds the entries from degree d into degree d - 1 over those bits;
-    every entry that does not lower the degree by exactly 1 is listed in off
-    instead, column by column, as (i, c).  One walk over the entries.
-    """
-    forms: dict[int, Form] = {d: {} for d in degrees}
-    off = []
-    for c, hits in enumerate(images):
-        form = forms[degrees[c]]
-        below = degrees[c] - 1
-        source = position[c]
-        bit = 1 << source
-        for i in hits:
-            if degrees[i] == below:
-                shift = position[i] - source
-                form[shift] = form.get(shift, 0) ^ bit
-            else:
-                off.append((i, c))
-    return forms, off
-
-
-def _graded_sweep(forms: dict[int, Form], counts: dict[int, int]) -> JordanType:
+def _graded_sweep(counts: dict[int, int], forms: dict[int, Form]) -> JordanType:
     """Jordan type of a matrix whose every entry lowers the degree by exactly 1.
 
     counts[d] is the number of basis vectors of degree d, and forms[d] is
     the map from degree d into degree d - 1 over their positions
-    0..counts[d]-1 within their degrees: a Graded's counts and forms.  The
+    0..counts[d]-1 within their degrees: the fields of a Graded.  The
     sweep goes down through the degrees keeping a basis of the current one,
     oldest bar first: the images of the vectors kept one degree higher, then
     the basis vectors at the positions where no kept image has its highest
@@ -344,7 +301,7 @@ def _graded_sweep(forms: dict[int, Form], counts: dict[int, int]) -> JordanType:
     return JordanType.from_sizes(sizes)
 
 
-def jordan_type_of_nilpotent(m: Gf2Matrix, degrees: Sequence[int] | None = None) -> JordanType:
+def jordan_type_of_nilpotent(m: Gf2Matrix) -> JordanType:
     """Jordan type of a nilpotent dense matrix: jordan_type_of_images on its columns.
 
     A non-square m raises ValueError; a 0x0 matrix has the empty type.
@@ -355,39 +312,49 @@ def jordan_type_of_nilpotent(m: Gf2Matrix, degrees: Sequence[int] | None = None)
     for i, row in enumerate(m.data):
         for c in _support(row):
             images[c].append(i)
-    return jordan_type_of_images(images, degrees)
+    return jordan_type_of_images(images)
 
 
 def graded(images: Sequence[Sequence[int]], degrees: Sequence[int]) -> Graded:
-    """The images of a map, with a degree for each basis vector, read as a graded action.
+    """The images of a map, with a degree for each basis vector, read as a Graded.
 
     counts[d] is the number of basis vectors of degree d, and position
     within the degree is the order of the basis.  forms[d], for every degree
     d of a basis vector, is the map from degree d into degree d - 1 over
-    those positions, and off lists, column by column as (i, c), the entries
-    that do not lower the degree by exactly 1 (_degree_forms, one walk).  A
-    degree count other than len(images) raises ValueError.
+    those positions, read in one walk over the entries.  Every entry (i, c),
+    basis vector c to basis vector i, must lower the degree by exactly 1:
+    ValueError names the first, column by column, that does not, with both
+    its degrees.  A degree count other than len(images) raises ValueError.
     """
     dim = len(images)
     if len(degrees) != dim:
         raise ValueError(f"{len(degrees)} degrees for a matrix of size {dim}")
     counts: dict[int, int] = {}
-    local = [0] * dim  # position of each basis vector within its degree
+    position = [0] * dim  # of each basis vector within its degree
     for c, d in enumerate(degrees):
-        k = local[c] = counts.get(d, 0)
+        k = position[c] = counts.get(d, 0)
         counts[d] = k + 1
-    forms, off = _degree_forms(images, degrees, local)
-    return Graded(counts, forms, off)
+    forms: dict[int, Form] = {d: {} for d in counts}
+    for c, hits in enumerate(images):
+        form, below, source = forms[degrees[c]], degrees[c] - 1, position[c]
+        bit = 1 << source
+        for i in hits:
+            if degrees[i] != below:
+                raise ValueError(
+                    f"entry ({i}, {c}) does not lower the degree by exactly 1: "
+                    f"it maps degree {degrees[c]} to degree {degrees[i]}"
+                )
+            shift = position[i] - source
+            form[shift] = form.get(shift, 0) ^ bit
+    return Graded(counts, forms)
 
 
-def jordan_type_of_images(
-    images: Sequence[Sequence[int]], degrees: Sequence[int] | None = None
-) -> JordanType:
+def jordan_type_of_images(images: Sequence[Sequence[int]]) -> JordanType:
     """Jordan block sizes of a nilpotent square matrix m from its rank sequence.
 
     images[c] lists the rows of the nonzero entries of column c, each once:
-    where basis vector c goes.  The rank loop reads them as the rows of the
-    transpose t, which has the ranks of powers of m.
+    where basis vector c goes; images is not changed.  The rank loop reads
+    them as the rows of the transpose t, which has the ranks of powers of m.
 
     The number of blocks of size >= k is the drop d_k = rank(t^(k-1)) -
     rank(t^k), so the multiplicity of size k is d_k - d_(k+1).  The drops
@@ -418,50 +385,9 @@ def jordan_type_of_images(
     ValueError is raised.  Otherwise t^(2^J) = 0 is a known rank 0, which
     ends the last line without an elimination.  The oracle runs the same
     loop (_ranks) on factors of u - 1 that it builds without squaring.
-
-    degrees, if given, holds a degree for each basis vector, and every
-    nonzero entry (i, c) must lower it: degrees[i] < degrees[c], or
-    ValueError names the first entry, column by column, that does not.  Such
-    an m is nilpotent.  The degrees are compared first (_lowers_by_one).  If
-    every entry lowers the degree by exactly 1, graded reads each degree's
-    map into the degree below in one walk, and the type comes from
-    _graded_sweep on those maps instead of ranks.  Otherwise the rank loop
-    runs with the basis listed in ascending degree: the highest-bit pivot of
-    each image is then its highest-degree target.  images is not changed.
     """
-    images = list(images)  # the rank loop empties it once the gathers of m are built
-    if degrees is not None:
-        if len(degrees) != len(images):
-            raise ValueError(f"{len(degrees)} degrees for a matrix of size {len(images)}")
-        if _lowers_by_one(images, degrees):
-            counts, forms, _ = graded(images, degrees)
-            return _graded_sweep(forms, counts)
-        # conjugate by the permutation that lists the basis in ascending degree
-        order = sorted(range(len(images)), key=degrees.__getitem__)  # stable within a degree
-        position = [0] * len(images)
-        for p, c in enumerate(order):
-            position[c] = p
-        images = [[position[i] for i in images[c]] for c in order]
-        del order, position  # freed before the rank loop's peak
-    ranks = _nilpotent_ranks(images)
-    if ranks is None:
+    n = len(images)
+    factors = _squared_factors(list(images))  # which empties the list it reads
+    if factors is None:
         raise ValueError("matrix is not nilpotent")
-    return _type_of_ranks(ranks)
-
-
-def _lowers_by_one(images: Sequence[Sequence[int]], degrees: Sequence[int]) -> bool:
-    """Whether every entry (i, c) lowers the degree by exactly 1.  The first
-    entry, column by column, that does not lower it raises ValueError."""
-    exact = True
-    for c, hits in enumerate(images):
-        if hits:
-            below = degrees[c] - 1
-            targets = list(map(degrees.__getitem__, hits))
-            if max(targets) > below:
-                i = next(i for i, d in zip(hits, targets) if d > below)
-                raise ValueError(
-                    f"entry ({i}, {c}) does not lower the degree: it maps "
-                    f"degree {degrees[c]} to degree {degrees[i]}"
-                )
-            exact = exact and min(targets) == below
-    return exact
+    return _type_of_ranks(_ranks(n, factors))

@@ -24,7 +24,7 @@ from char2squares.basis import (
 )
 from char2squares.core import parse_jordan_type, square_expr
 from char2squares.formulas import sym2_nilpotent, tensor_decompose
-from char2squares.gf2 import Gf2Matrix, graded, rank
+from char2squares.gf2 import Gf2Matrix, Graded, graded, rank
 from char2squares.oracle import basis_keys, expr_images, square_action
 
 
@@ -297,28 +297,27 @@ class TestVerifyFrame:
 
     @pytest.mark.parametrize("target", [(1, 4), (1, 2), (4, 1)])
     def test_grading_checked(self, target):
-        # v2*v3 has degree 5; its image must lie in degree 4 only
+        # v2*v3 has degree 5; its image must lie in degree 4 only, or graded
+        # refuses the images before verify_basis can read them
         n = 5
         chains = build_tensor_basis(n)
         terminals = [build_z(c.s, n) for c in chains]
-        action = graded_action("tensor", n)
-        assert verify_basis(chains, action, terminals).ok
-        bad = graded_action("tensor", n, ((2, 3), target))
-        report = verify_basis(chains, bad, terminals)
-        k, l = target
-        assert report.failures == [
-            f"action breaks the grading in 1 of its entries, first v2*v3 -> v{k}*v{l}"
-        ]
-        assert (report.vector_count, report.rank) == (25, 25)
+        assert verify_basis(chains, graded_action("tensor", n), terminals).ok
+        index = {k: i for i, k in enumerate(basis_keys("tensor", n))}
+        with pytest.raises(ValueError, match=rf"^entry \({index[target]}, {index[2, 3]}\) does not "
+                                             rf"lower the degree by exactly 1: it maps degree 5 "
+                                             rf"to degree {sum(target)}$"):
+            graded_action("tensor", n, ((2, 3), target))
 
-    def test_first_ungraded_entry_in_row_order(self):
-        # the dense frame met entries row by row: by target, then by source
+    def test_first_ungraded_entry_column_by_column(self):
+        # graded meets the entries column by column, by source and then by
+        # target: v2*v3 comes before v3*v3 in basis_keys order
         n = 5
-        bad = graded_action("tensor", n, ((2, 3), (1, 4)), ((3, 3), (1, 1)))
-        report = verify_basis(build_tensor_basis(n), bad)
-        assert report.failures == [
-            "action breaks the grading in 2 of its entries, first v3*v3 -> v1*v1"
-        ]
+        index = {k: i for i, k in enumerate(basis_keys("tensor", n))}
+        with pytest.raises(ValueError, match=rf"^entry \({index[1, 4]}, {index[2, 3]}\) does not "
+                                             r"lower the degree by exactly 1: it maps degree 5 "
+                                             r"to degree 5$"):
+            graded_action("tensor", n, ((2, 3), (1, 4)), ((3, 3), (1, 1)))
 
     def test_graded_corruption_breaks_a_link(self):
         # an entry that keeps the grading is read like any other
@@ -492,9 +491,10 @@ class TestVerifyFrame:
     def test_each_degree_must_hold_its_square(self):
         # 16 images, but v1*v1 moved from degree 2 into degree 3
         chains = build_tensor_basis(4)
-        images, degrees = expr_images(square_expr("tensor", "nilpotent", 4))
+        counts, forms = graded_action("tensor", 4)
+        counts = {**counts, 2: counts[2] - 1, 3: counts[3] + 1}
         with pytest.raises(ValueError, match="action has 0 images of degree 2, expected 1"):
-            verify_basis(chains, graded(images, [3] + degrees[1:]))
+            verify_basis(chains, Graded(counts, forms))
 
     def test_vectors_must_share_the_square(self):
         chains = build_tensor_basis(5) + build_tensor_basis(4)[:1]

@@ -1,5 +1,4 @@
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +6,9 @@ from hypothesis import strategies as st
 
 from char2squares import gf2
 from char2squares.core import JordanType
-from char2squares.gf2 import Gf2Matrix, jordan_type_of_images, jordan_type_of_nilpotent, rank
+from char2squares.gf2 import (
+    Gf2Matrix, _graded_sweep, graded, jordan_type_of_images, jordan_type_of_nilpotent, rank,
+)
 from gf2_dense import identity, mul
 
 
@@ -284,6 +285,13 @@ class TestFactorGathers:
         assert self.product_by_gathers(zero(5, 5), random_matrix(random.Random(3), 5, 5)) == [0] * 5
 
 
+def ranks_by_squaring(rows):
+    """The rank loop's ranks for the matrix with these rows, over the factors
+    that squaring gives, or None if it is not nilpotent."""
+    factors = gf2._squared_factors([gf2._support(row) for row in rows])
+    return None if factors is None else gf2._ranks(len(rows), factors)
+
+
 class TestGallop:
     """The rank loop jumps over powers where the drops of rank stay equal: its
     ranks must be the ranks of every power, for n up to 48."""
@@ -297,14 +305,14 @@ class TestGallop:
     def test_block_sums(self, case):
         sizes, rows = case
         m = Gf2Matrix(len(rows), len(rows), tuple(rows))
-        assert gf2._nilpotent_ranks([gf2._support(row) for row in rows]) == ranks_of_full_powers(m)
+        assert ranks_by_squaring(rows) == ranks_of_full_powers(m)
         assert jordan_type_of_nilpotent(m) == JordanType.from_sizes(sizes)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**30), st.integers(11, 48))
     def test_random_nilpotent(self, seed, n):
         m = random_nilpotent(random.Random(seed), n)
-        assert gf2._nilpotent_ranks([gf2._support(row) for row in m.data]) == ranks_of_full_powers(m)
+        assert ranks_by_squaring(m.data) == ranks_of_full_powers(m)
         assert jordan_type_of_nilpotent(m) == type_from_full_powers(m)
 
     @pytest.mark.parametrize("block, ones", [(40, 1), (40, 8), (31, 2), (47, 1), (17, 31)])
@@ -332,8 +340,8 @@ class TestGallop:
         assert calls == [43] * 6  # m^2, ..., m^64
 
     def test_one_by_one(self):
-        assert gf2._nilpotent_ranks([[]]) == [1, 0]
-        assert gf2._nilpotent_ranks([[0]]) is None
+        assert gf2._ranks(1, gf2._squared_factors([[]])) == [1, 0]
+        assert gf2._squared_factors([[0]]) is None
         assert jordan_type_of_nilpotent(zero(1, 1)) == JordanType.from_sizes([1])
         with pytest.raises(ValueError, match="not nilpotent"):
             jordan_type_of_nilpotent(identity(1))
@@ -402,70 +410,6 @@ class TestShiftForm:
         assert gf2._apply_form(form, 0) == 0
 
 
-class TestDegreeForms:
-    """_degree_forms reads a graded or filtered map in one walk: each degree's
-    forms[d] maps a mask as the bit-by-bit XOR of the images of the entries
-    that lower the degree by exactly 1, and off lists every other entry."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.booleans(), st.data())
-    def test_forms_and_off_list_split_the_entries(self, graded, data):
-        m, degrees = data.draw(degree_lowering(graded=graded))
-        images = [[i for i in range(m.rows) if m.data[i] >> c & 1] for c in range(m.cols)]
-        members = {}
-        for c, d in enumerate(degrees):
-            members.setdefault(d, []).append(c)
-        # any frame will do: distinct bits within each degree, gaps allowed
-        position = [0] * len(degrees)
-        for indices in members.values():
-            bits = data.draw(st.permutations(range(2 * len(indices))))
-            for c, bit in zip(indices, bits):
-                position[c] = bit
-        forms, off = gf2._degree_forms(images, degrees, position)
-        assert off == [(i, c) for c, hits in enumerate(images) for i in hits
-                       if degrees[i] != degrees[c] - 1]
-        assert set(forms) == set(members)
-        for d, sources in members.items():
-            # bit position[c] of degree d goes to the bits of its exactly-one targets
-            exact = [[] for _ in range(2 * len(sources))]
-            for c in sources:
-                exact[position[c]] = [position[i] for i in images[c] if degrees[i] == d - 1]
-            mask = data.draw(st.integers(0, (1 << len(exact)) - 1))
-            assert gf2._apply_form(forms[d], mask) == map_bit_by_bit(exact, mask)
-
-    def test_entries_that_raise_or_keep_the_degree_are_off(self):
-        # v1 -> v0 lowers by 1, v2 -> v0 by 2, v0 -> v2 raises, v1 -> v1 keeps
-        images = [[2], [0, 1], [0]]
-        forms, off = gf2._degree_forms(images, [0, 1, 2], [0, 0, 0])
-        assert off == [(2, 0), (1, 1), (0, 2)]
-        assert forms == {0: {}, 1: {0: 1}, 2: {}}
-
-
-class TestGraded:
-    """graded reads images with their degrees into the record the graded
-    sweep and verify_basis read: positions count within each degree."""
-
-    def test_positions_count_within_each_degree(self):
-        # v1 -> v0 and v3 -> v2 from degree 1 into 0; v4 -> v1 + v3 from 2 into 1
-        images = [[], [0], [], [2], [1, 3]]
-        assert gf2.graded(images, [0, 1, 0, 1, 2]) == gf2.Graded(
-            {0: 2, 1: 2, 2: 1}, {0: {}, 1: {0: 0b11}, 2: {0: 1, 1: 1}}, [])
-
-    def test_entries_off_the_grading_are_listed(self):
-        assert gf2.graded([[2], [0, 1], [0]], [0, 1, 2]).off == [(2, 0), (1, 1), (0, 2)]
-
-    def test_one_degree_per_basis_vector(self):
-        with pytest.raises(ValueError, match="2 degrees for a matrix of size 3"):
-            gf2.graded([[], [0], [1]], [0, 1])
-
-    def test_images_are_not_changed(self):
-        # the rank loop empties a list it is given; the public kernel copies first
-        images = [[], [0], [1]]
-        assert jordan_type_of_images(images) == JordanType.from_sizes([3])
-        assert jordan_type_of_images(images, [0, 1, 3]) == JordanType.from_sizes([3])  # rank loop
-        assert images == [[], [0], [1]]
-
-
 @st.composite
 def degree_lowering(draw, graded):
     """(m, degrees): a basis of random degrees, gaps allowed, in random order,
@@ -486,30 +430,68 @@ def degree_lowering(draw, graded):
     return Gf2Matrix(n, n, tuple(rows)), degrees
 
 
+def images_of(m):
+    """The images of m's basis vectors: images[c] lists the rows of column c's ones."""
+    return [[i for i in range(m.rows) if m.data[i] >> c & 1] for c in range(m.cols)]
+
+
+class TestGraded:
+    """graded reads images with their degrees into the record the graded
+    sweep and verify_basis read: positions count within each degree, and
+    each degree's form maps a mask as the bit-by-bit XOR of the images."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(degree_lowering(graded=True), st.data())
+    def test_forms_map_as_the_entries(self, case, data):
+        m, degrees = case
+        images = images_of(m)
+        counts, forms = graded(images, degrees)
+        members = {}
+        for c, d in enumerate(degrees):
+            members.setdefault(d, []).append(c)
+        assert counts == {d: len(indices) for d, indices in members.items()}
+        assert set(forms) == set(members)
+        for d, sources in members.items():
+            # position p of degree d goes to the positions of its targets in d - 1
+            below = {c: p for p, c in enumerate(members.get(d - 1, ()))}
+            exact = [[below[i] for i in images[c]] for c in sources]
+            mask = data.draw(st.integers(0, (1 << len(exact)) - 1))
+            assert gf2._apply_form(forms[d], mask) == map_bit_by_bit(exact, mask)
+
+    def test_positions_count_within_each_degree(self):
+        # v1 -> v0 and v3 -> v2 from degree 1 into 0; v4 -> v1 + v3 from 2 into 1
+        images = [[], [0], [], [2], [1, 3]]
+        assert gf2.graded(images, [0, 1, 0, 1, 2]) == gf2.Graded(
+            {0: 2, 1: 2, 2: 1}, {0: {}, 1: {0: 0b11}, 2: {0: 1, 1: 1}})
+
+    def test_one_degree_per_basis_vector(self):
+        with pytest.raises(ValueError, match="2 degrees for a matrix of size 3"):
+            gf2.graded([[], [0], [1]], [0, 1])
+
+    def test_images_are_not_changed(self):
+        # the rank loop empties a list it is given; the public kernel copies first
+        images = [[], [0], [1]]
+        assert jordan_type_of_images(images) == JordanType.from_sizes([3])
+        assert images == [[], [0], [1]]
+
+
 class TestDegrees:
-    """With degrees, the graded sweep and the degree-ordered rank loop must
-    give the type the plain rank loop gives."""
+    """The graded sweep over what graded reads must give the type of the rank
+    loop and of the full powers, and graded must name the first entry,
+    column by column, that does not lower the degree by exactly 1."""
 
     @settings(max_examples=200, deadline=None)
     @given(degree_lowering(graded=True))
     def test_graded_sweep_equals_rank_loop(self, case):
         m, degrees = case
-        expected = jordan_type_of_nilpotent(m)
-        # the sweep must not fall back on ranks of powers
-        with mock.patch.object(gf2, "_nilpotent_ranks", side_effect=AssertionError):
-            assert jordan_type_of_nilpotent(m, degrees) == expected
-
-    @settings(max_examples=200, deadline=None)
-    @given(degree_lowering(graded=False))
-    def test_filtered_equals_rank_loop(self, case):
-        m, degrees = case
-        got = jordan_type_of_nilpotent(m, degrees)
+        got = _graded_sweep(*graded(images_of(m), degrees))
         assert got == jordan_type_of_nilpotent(m)
         assert got == type_from_full_powers(m)
 
     @settings(max_examples=100, deadline=None)
     @given(degree_lowering(graded=False), st.data())
     def test_entry_that_does_not_lower_is_named(self, case, data):
+        # on top of entries that may lower by more than 1, one that does not lower
         m, degrees = case
         pairs = [(i, j) for i in range(m.rows) for j in range(m.rows) if degrees[j] <= degrees[i]]
         if not pairs:  # only when m is 0x0
@@ -517,36 +499,27 @@ class TestDegrees:
         i, j = data.draw(st.sampled_from(pairs))
         rows = list(m.data)
         rows[i] |= 1 << j
-        bad = Gf2Matrix(m.rows, m.cols, tuple(rows))
-        with pytest.raises(ValueError, match=rf"entry \({i}, {j}\) does not lower the degree"):
-            jordan_type_of_nilpotent(bad, degrees)
-
-    @settings(max_examples=100, deadline=None)
-    @given(degree_lowering(graded=False))
-    def test_forms_are_read_only_for_a_graded_input(self, case):
-        # the degrees are compared first: the walk that fills each degree's
-        # forms runs only when every entry lowers the degree by exactly 1
-        m, degrees = case
-        images = [[i for i in range(m.rows) if m.data[i] >> c & 1] for c in range(m.cols)]
-        exact = all(degrees[c] - degrees[i] == 1 for c, hits in enumerate(images) for i in hits)
-        walks, real = [], gf2._degree_forms
-        with mock.patch.object(gf2, "_degree_forms", lambda *args: walks.append(1) or real(*args)):
-            assert jordan_type_of_images(images, degrees) == type_from_full_powers(m)
-        assert len(walks) == exact
+        images = images_of(Gf2Matrix(m.rows, m.cols, tuple(rows)))
+        t, c = next((t, c) for c, hits in enumerate(images) for t in hits
+                    if degrees[t] != degrees[c] - 1)
+        with pytest.raises(ValueError, match=rf"^entry \({t}, {c}\) does not lower the degree by "
+                                             rf"exactly 1: it maps degree {degrees[c]} to degree "
+                                             rf"{degrees[t]}$"):
+            graded(images, degrees)
 
     def test_first_entry_that_does_not_lower_is_named(self):
         # column by column, and within a column in the order listed
         images = [[], [0, 2, 1], [2]]
-        with pytest.raises(ValueError, match=r"entry \(2, 1\) does not lower the degree: "
+        with pytest.raises(ValueError, match=r"entry \(2, 1\) does not lower the degree by exactly 1: "
                                              r"it maps degree 1 to degree 2"):
-            jordan_type_of_images(images, [0, 1, 2])
+            graded(images, [0, 1, 2])
 
     def test_empty(self):
-        assert jordan_type_of_nilpotent(zero(0, 0), []).parts == ()
+        assert _graded_sweep(*graded([], [])).parts == ()
 
     def test_zero_matrix(self):
-        t = jordan_type_of_nilpotent(zero(4, 4), [3, 1, 3, 0])
-        assert t == JordanType.from_pairs([(1, 4)])
+        t = _graded_sweep(*graded(images_of(zero(4, 4)), [3, 1, 3, 0]))
+        assert t == JordanType.from_pairs([(1, 4)]) == type_from_full_powers(zero(4, 4))
 
     def test_degree_gap_ends_blocks(self):
         # v0 -> v1 -> v2 in degrees 3, 2, 1 and v3 -> v4 in degrees 6, 5:
@@ -555,27 +528,32 @@ class TestDegrees:
         for source, target in [(0, 1), (1, 2), (3, 4)]:
             rows[target] |= 1 << source
         m = Gf2Matrix(5, 5, tuple(rows))
-        assert jordan_type_of_nilpotent(m, [3, 2, 1, 6, 5]) == JordanType.from_sizes([3, 2])
-        assert jordan_type_of_nilpotent(m, [9, 6, 1, 5, 4]).sizes() == [3, 2]  # filtered
+        got = _graded_sweep(*graded(images_of(m), [3, 2, 1, 6, 5]))
+        assert got == JordanType.from_sizes([3, 2]) == jordan_type_of_nilpotent(m)
 
     def test_shift_block_graded_and_filtered(self):
         m = shift_matrix(6)  # e v_(i+1) = v_i
-        assert jordan_type_of_nilpotent(m, list(range(6))) == JordanType.from_sizes([6])
-        assert jordan_type_of_nilpotent(m, [0, 1, 3, 4, 6, 10]) == JordanType.from_sizes([6])
+        assert _graded_sweep(*graded(images_of(m), list(range(6)))) == JordanType.from_sizes([6])
+        # filtered degrees are refused at the first entry that lowers by 2;
+        # the rank loop, which takes no degrees, reads the type
+        with pytest.raises(ValueError, match=r"entry \(1, 2\) does not lower the degree by exactly 1: "
+                                             r"it maps degree 3 to degree 1"):
+            graded(images_of(m), [0, 1, 3, 4, 6, 10])
+        assert jordan_type_of_nilpotent(m) == JordanType.from_sizes([6])
 
     def test_images_entry_that_does_not_lower_is_named(self):
         # column lists: v2 -> v1 -> v0 in degrees 2, 1, 0, and v0 -> v2 raises
         images = [[2], [0], [1]]
-        with pytest.raises(ValueError, match=r"entry \(2, 0\) does not lower the degree: "
+        with pytest.raises(ValueError, match=r"entry \(2, 0\) does not lower the degree by exactly 1: "
                                              r"it maps degree 0 to degree 2"):
-            jordan_type_of_images(images, [0, 1, 2])
+            graded(images, [0, 1, 2])
         images[0] = []
-        assert jordan_type_of_images(images, [0, 1, 2]) == JordanType.from_sizes([3])
+        assert _graded_sweep(*graded(images, [0, 1, 2])) == JordanType.from_sizes([3])
 
     def test_diagonal_entry_is_named(self):
         with pytest.raises(ValueError, match=r"entry \(0, 0\)"):
-            jordan_type_of_nilpotent(identity(1), [0])
+            graded(images_of(identity(1)), [0])
 
     def test_degree_count_must_match(self):
-        with pytest.raises(ValueError):
-            jordan_type_of_nilpotent(shift_matrix(3), [0, 1])
+        with pytest.raises(ValueError, match="2 degrees for a matrix of size 3"):
+            graded(images_of(shift_matrix(3)), [0, 1])

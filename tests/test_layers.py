@@ -62,6 +62,12 @@ def test_oracle_does_not_import_the_basis_route(module):
     assert "basis" not in sibling_imports((PACKAGE / f"{module}.py").read_text())
 
 
+def test_basis_does_not_import_the_oracle():
+    # gf2.graded checks the grading where it reads images, so verify_basis
+    # needs nothing of the oracle's to name an entry off the grading
+    assert "oracle" not in sibling_imports((PACKAGE / "basis.py").read_text())
+
+
 def test_formulas_do_not_import_oracle_side():
     source = (PACKAGE / "formulas.py").read_text()
     assert not sibling_imports(source) & set(ORACLE_SIDE)
@@ -160,7 +166,7 @@ def test_nilpotent_routes_never_walk_images(monkeypatch):
         raise AssertionError("a nilpotent route built or walked images")
 
     monkeypatch.setattr(oracle, "_pair_builder", refuse)
-    monkeypatch.setattr(gf2, "_degree_forms", refuse)
+    monkeypatch.setattr(gf2, "graded", refuse)
     assert [run_main(argv) for argv in routes] == expected
 
 
@@ -184,7 +190,7 @@ def test_unipotent_routes_build_their_factors(monkeypatch):
         raise AssertionError("a unipotent route built images, walked them or squared a factor")
 
     monkeypatch.setattr(oracle, "expr_images", refuse)
-    for name in ("_degree_forms", "_gathers", "_squared_factors", "jordan_type_of_images"):
+    for name in ("graded", "_gathers", "_squared_factors", "jordan_type_of_images"):
         monkeypatch.setattr(gf2, name, refuse)
     assert [run_main(argv) for argv in routes] == expected
 
