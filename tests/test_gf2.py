@@ -468,6 +468,18 @@ class TestGraded:
         with pytest.raises(ValueError, match="2 degrees for a matrix of size 3"):
             gf2.graded([[], [0], [1]], [0, 1])
 
+    @pytest.mark.parametrize("images, entry, source, target", [
+        ([[], [], [0]], (0, 2), 2, 0),  # v2 -> v0 lowers the degree by 2
+        ([[2], [], []], (2, 0), 0, 2),  # v0 -> v2 raises it
+        ([[], [1], []], (1, 1), 1, 1),  # v1 -> v1 keeps it
+    ], ids=["lowers-by-two", "raises", "keeps"])
+    def test_each_way_off_the_grading_is_refused(self, images, entry, source, target):
+        # the entries the graded sweep cannot read, one at a time, in degrees 0, 1, 2
+        with pytest.raises(ValueError, match=rf"^entry \({entry[0]}, {entry[1]}\) does not lower "
+                                             rf"the degree by exactly 1: it maps degree {source} "
+                                             rf"to degree {target}$"):
+            gf2.graded(images, [0, 1, 2])
+
     def test_images_are_not_changed(self):
         # the rank loop empties a list it is given; the public kernel copies first
         images = [[], [0], [1]]
@@ -485,6 +497,16 @@ class TestDegrees:
     def test_graded_sweep_equals_rank_loop(self, case):
         m, degrees = case
         got = _graded_sweep(*graded(images_of(m), degrees))
+        assert got == jordan_type_of_nilpotent(m)
+        assert got == type_from_full_powers(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(degree_lowering(graded=False))
+    def test_filtered_input_reads_the_type_of_the_full_powers(self, case):
+        # graded refuses entries that lower by more than 1; the rank loop,
+        # which takes no degrees, reads such an input as any other
+        m, degrees = case
+        got = jordan_type_of_images(images_of(m))
         assert got == jordan_type_of_nilpotent(m)
         assert got == type_from_full_powers(m)
 
