@@ -24,7 +24,7 @@ from operator import itemgetter
 from . import basis as basis_mod
 from . import formulas, oracle
 from .core import (
-    FUNCTORS, KINDS, PRINTABLE_LIMIT, LimitExceeded, format_jordan_type, format_parts, shown_count,
+    FUNCTORS, KINDS, PRINTABLE_LIMIT, LimitExceeded, format_jordan_type, shown_count,
     square_expr,
 )
 from .parser import ExprSyntaxError, IntegerTooLong, parse_expr, to_int
@@ -178,9 +178,9 @@ def _decompose(expr, input_desc: dict, args, out, err) -> int:
 
 
 def table_rows(max_n: int) -> list[tuple[int, str, str, str, str]]:
-    """Rows (n, ext2(V_n), sym2(V_n), ext2(W_n), sym2(W_n)) for n = 1, ..., max_n."""
-    return [(n, format_parts(e2v), format_parts(s2v), format_parts(e2w), format_parts(s2w))
-            for n, e2v, s2v, e2w, s2w in formulas.square_rows(max_n)]
+    """Rows (n, ext2(V_n), sym2(V_n), ext2(W_n), sym2(W_n)) for n = 1, ..., max_n,
+    as the text formulas.square_rows builds from the text of row q - n."""
+    return list(formulas.square_rows(max_n))
 
 
 def _cmd_table(args, out, err) -> int:

@@ -174,45 +174,60 @@ def sym2_nilpotent_rec(n: int) -> JordanType:
     return JordanType.from_pairs(pairs)
 
 
-def square_rows(max_n: int) -> Iterator[tuple[int, Parts, Parts, Parts, Parts]]:
-    """(n, ext2(V_n), sym2(V_n), ext2(W_n), sym2(W_n)) as parts, for n = 1, ..., max_n.
+def square_rows(max_n: int) -> Iterator[tuple[int, str, str, str, str]]:
+    """(n, ext2(V_n), sym2(V_n), ext2(W_n), sym2(W_n)) as canonical strings, for n = 1, ..., max_n.
 
-    Each square of n >= 2 is the head its step gives, then a row already
-    built: the same square of q - n < n, or ext2(V_{q-n}) for sym2(V_n).
-    Equal sizes merge where its step says so.  The parts equal those of the
-    per-n functions, which evaluate one n without building the rows below
-    it.  The rows that later rows read are held only while the generator runs.
+    Row n >= 2 is built as text: each square is the text of the head that
+    its step function above gives, then the text of a row already built,
+    the same square of q - n < n, or ext2(V_{q-n}) for sym2(V_n).  The rows
+    below _q(max_n)/2, which later rows read, are kept as the strings
+    yielded, and held only while the generator runs.  Two steps merge equal
+    sizes: sym2(V_n)'s (q/2, 1) adds to a first part of size q/2 of
+    ext2(V_{q-n}), so a kept ext2(V) row also holds its first part, and
+    sym2(W_n)'s ones add to the ones that end sym2(W_{q-n}), so a kept
+    sym2(W) row also holds their count.  The strings equal
+    format_jordan_type of the per-n functions, which evaluate one n without
+    building the rows below it.
     """
-    one = ((1, 1),)
-    ext2_v: list[Parts] = [(), ()]
-    ext2_w: list[Parts] = [(), ()]
-    sym2_w: list[Parts] = [(), one]
+    # a kept empty square is "", though yielded as "0"
+    ext2_v = [(0, 0, ""), (0, 0, "")]  # (size, multiplicity of the first part, text)
+    ext2_w = ["", ""]
+    sym2_w = [("", 0), ("1", 1)]  # (text, count of ones)
     # later rows read only rows below _q(max_n)/2, as q - n < q/2 <= _q(max_n)/2
     read = _q(max_n) // 2
     if max_n >= 1:
-        yield 1, (), one, (), one
+        yield 1, "0", "1", "0", "1"
     for n in range(2, max_n + 1):
-        head, rest = _ext2_unipotent_step(n)
-        e2v = head + ext2_v[rest]
-        head, rest = _sym2_unipotent_step(n)
-        below = ext2_v[rest]
-        size, mult = head[-1]
-        if below and below[0][0] == size:
-            s2v = head[:-1] + ((size, mult + below[0][1]),) + below[1:]
+        q = 1 << (n - 1).bit_length()
+        half, rest, k = q >> 1, q - n, n - (q >> 1)
+        top = f"{q}^{k}" if k > 1 else str(q)  # (q, n - q/2) heads both sym2 squares
+        # ext2(V_n): (q, k - 1), (q - k, 1), then ext2(V_{q-n}); no (q, 0) at k = 1
+        size, mult, text = ext2_v[rest]
+        below = " " + text if text else ""
+        if k > 1:
+            first = (q, k - 1)
+            e2v = f"{q}^{k - 1} {q - k}{below}" if k > 2 else f"{q} {q - k}{below}"
         else:
-            s2v = head + below
-        head, rest = _ext2_nilpotent_step(n)
-        e2w = head + ext2_w[rest]
-        (band, (_, ones)), rest = _sym2_nilpotent_step(n)
-        below = sym2_w[rest]
-        if below:
-            s2w = (band,) + below[:-1] + ((1, ones + below[-1][1]),)
+            first = (q - 1, 1)
+            e2v = f"{q - 1}{below}"
+        # sym2(V_n): (q, k), (q/2, 1), then ext2(V_{q-n})
+        if size == half:
+            _, space, after = text.partition(" ")
+            s2v = f"{top} {half}^{mult + 1}{space}{after}"
         else:
-            s2w = (band, (1, ones))
+            s2v = f"{top} {half}{below}"
+        # ext2(W_n): (q - 1, k), then ext2(W_{q-n})
+        e2w = f"{q - 1}^{k}" if k > 1 else str(q - 1)
+        if ext2_w[rest]:
+            e2w = f"{e2w} {ext2_w[rest]}"
+        # sym2(W_n): (q, k), then sym2(W_{q-n}) with k more ones
+        text, ones = sym2_w[rest]
+        ones += k
+        s2w = f"{top} {text[:text.rfind(' ') + 1]}" + (f"1^{ones}" if ones > 1 else "1")
         if n < read:
-            ext2_v.append(e2v)
+            ext2_v.append((*first, e2v))
             ext2_w.append(e2w)
-            sym2_w.append(s2w)
+            sym2_w.append((s2w, ones))
         yield n, e2v, s2v, e2w, s2w
 
 
@@ -285,21 +300,24 @@ def _blocks(expr: ModuleExpr, kind: Kind) -> list[tuple[int, int]]:
 
 def _add_tensor(acc: dict[int, int], m: int, n: int, c: int) -> None:
     """Add c copies of V_m tensor V_n into acc, by the recursion on q - n; m, n >= 1."""
-    m, n = min(m, n), max(m, n)
+    if m > n:
+        m, n = n, m
+    get = acc.get
     # sizes of the current smaller product are emitted as offset + sign * s
     offset, sign = 0, 1
     while True:
-        q = _q(n)
+        q = 1 << (n - 1).bit_length()  # _q(n), inline: this loop is the formula route's hot spot
         size = offset + sign * q
         if n == q:
-            acc[size] = acc.get(size, 0) + m * c
+            acc[size] = get(size, 0) + m * c
             return
         if m + n > q:
             # peel off m+n-q blocks of size q; the remainder is the smaller
-            # tensor product of the complementary block sizes
-            acc[size] = acc.get(size, 0) + (m + n - q) * c
+            # tensor product of the complementary block sizes, q - n <= q - m
+            acc[size] = get(size, 0) + (m + n - q) * c
             m, n = q - n, q - m
         else:
-            # m + n <= q: complement every part of the smaller product in q
-            offset, sign = offset + sign * q, -sign
-            m, n = min(m, q - n), max(m, q - n)
+            # m + n <= q: complement every part of the smaller product in q,
+            # which is V_m tensor V_{q-n}, m <= q - n
+            offset, sign = size, -sign
+            n = q - n

@@ -309,17 +309,20 @@ def expr_images(expr: ModuleExpr) -> tuple[Images, Degrees]:
     """
     degrees, build = _builder(expr, _checked(expr))
     columns = build(1)
-    images = []
-    for c in range(len(degrees)):
-        hits: list[int] = []  # the targets listed an odd number of times
-        for p in sorted(column[c] for column in columns):
-            if hits and hits[-1] == p:
-                hits.pop()
-            else:
-                hits.append(p)
-        if hits and hits[-1] == len(degrees):
-            hits.pop()
-        images.append(hits)
+    zero = len(degrees)  # where a column sends a vector it maps to 0
+    # with no columns, N is 0; a column also maps the index zero itself
+    images = [[p for p in row if p != zero] for row in zip(*columns)] or [[] for _ in degrees]
+    del images[zero:]
+    for c, listed in enumerate(images):
+        listed.sort()
+        if len(set(listed)) < len(listed):  # keep the targets listed an odd number of times
+            hits: list[int] = []
+            for p in listed:
+                if hits and hits[-1] == p:
+                    hits.pop()
+                else:
+                    hits.append(p)
+            images[c] = hits
     return images, degrees
 
 

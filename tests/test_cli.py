@@ -481,6 +481,13 @@ class TestTable:
         for n, *cells in rows:
             assert cells == [format_jordan_type(square(n)) for square in squares], n
 
+    def test_output_pinned(self):
+        # every cell, merge, width and space of 4,096 rows, byte for byte
+        code, out, err = run_cli("table", "--max", "4096")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "7f5eaebac0448c17d5c221bbf52d6c396f44fb959a86a52db5dfd6f8dac6b148")
+
     def test_columns_as_wide_as_their_widest_cell(self):
         code, out, _ = run_cli("table", "--max", "10")
         lines = out.splitlines()

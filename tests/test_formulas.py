@@ -12,6 +12,7 @@ from char2squares.core import (
     Sum,
     Sym2,
     Tensor,
+    format_jordan_type,
     parse_jordan_type,
 )
 from char2squares.formulas import (
@@ -84,8 +85,21 @@ class TestTensor:
                 assert tensor_decompose(m, n).parts == expected, (m, n)
                 assert tensor_decompose(n, m).parts == expected, (m, n)
 
-    @given(st.integers(1, 200), st.integers(1, 200), st.integers(1, 10**30),
-           st.dictionaries(st.integers(1, 256), st.integers(1, 10**6), min_size=1))
+    def test_boundaries_up_to_the_sizes_formula_expr_draws(self):
+        # n in 257..1024: m + n in {q - 1, q, q + 1}, and every m at n = q and n = q/2 + 1
+        pairs = set()
+        for n in range(257, 1025):
+            q = _q(n)
+            pairs.update((s - n, n) for s in (q - 1, q, q + 1) if s - n >= 1)
+            if n in (q, q // 2 + 1):
+                pairs.update((m, n) for m in range(1, n + 1))
+        for m, n in sorted(pairs):
+            expected = tuple(sorted(tensor_reference(*sorted((m, n))).items(), reverse=True))
+            assert tensor_decompose(m, n).parts == expected, (m, n)
+            assert tensor_decompose(n, m).parts == expected, (m, n)
+
+    @given(st.integers(1, 1000), st.integers(1, 1000), st.integers(1, 10**30),
+           st.dictionaries(st.integers(1, 1024), st.integers(1, 10**6), min_size=1))
     def test_add_tensor_adds_c_copies_into_the_table(self, m, n, c, table):
         # the formula route adds into a table that already holds other blocks
         expected = Counter(table)
@@ -136,9 +150,11 @@ class TestSquares:
         assert sym2_nilpotent_rec(1) == jt("1")
 
     def test_rows_equal_the_per_n_functions(self):
-        # every table size keeps the rows that its later rows read
+        # every table size keeps the rows that its later rows read; the
+        # canonical string determines the parts, so text equality is parts equality
         squares = (ext2_unipotent, sym2_unipotent, ext2_nilpotent, sym2_nilpotent)
-        expected = [(n, *(square(n).parts for square in squares)) for n in range(1, 301)]
+        expected = [(n, *(format_jordan_type(square(n)) for square in squares))
+                    for n in range(1, 301)]
         for max_n in range(301):
             assert list(square_rows(max_n)) == expected[:max_n], max_n
 
