@@ -7,25 +7,18 @@ vector z_s.  Projecting to the symmetric square yields its Jordan basis.
 
 Every chain vector is homogeneous: all its monomials v_i v_j share one
 degree i + j, and the derivation lowers that degree by exactly 1.  A vector
-is a checked tuple (space, n, degree, mask), and a chain holds its square,
-its top degree and one mask per degree going down, so its shape is checked
-where it is made.  A chain is built from its top in one loop that lowers
-the mask by _lower, the one definition of e on a mask, and keeps the bits
-valid in each degree from a table made once per basis.  Those masks are
-valid by construction and skip the checks.  The builders read every
-chain's band from one walk, _bands, over one expansion of n, so nothing is
-cached between calls.  verify_basis checks the chains against e as the
-oracle builds it per degree from the factors (oracle.expr_forms), or as
-gf2.graded reads it off images, never against a map of this module's.
-gf2.graded checks the grading where it reads images, so this module
-imports nothing from the oracle.
+is a checked tuple (space, n, degree, mask), a chain one packed int with a
+slot per degree, built from its top by doubling.  verify_basis checks the
+chains against e as the oracle builds it per degree (oracle.expr_forms), or
+as gf2.graded reads it off images, never against a map of this module's,
+so this module imports nothing from the oracle.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import count, repeat
+from itertools import count
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -42,20 +35,9 @@ def _valid_mask(space: Space, n: int, degree: int) -> int:
     return 0 if hi < lo else (2 << hi) - (1 << lo)
 
 
-def _valid_masks(space: Space, n: int) -> list[int]:
-    """_valid_mask(space, n, degree) for every degree from 0 to 2n, indexed by degree."""
-    return [_valid_mask(space, n, degree) for degree in range(2 * n + 1)]
-
-
-def _lower(mask: int, degree: int, sym2: bool, valid: int) -> int:
-    """e on a mask of this degree: the mask of its image in degree - 1.
-
-    Bit i goes to bits i - 1 and i, of which only the bits of valid, the
-    valid mask of degree - 1, are kept; in sym2, e(v_i v_i) = 0.
-    """
-    if sym2 and not degree & 1:
-        mask &= ~(1 << (degree >> 1))
-    return ((mask >> 1) ^ mask) & valid
+def _slot_width(n: int) -> int:
+    """Bytes per degree slot of a packed chain: enough for bits 0..n of a mask."""
+    return n // 8 + 1
 
 
 class SparseVec(tuple):
@@ -99,17 +81,18 @@ class SparseVec(tuple):
         return not self.mask
 
     def apply_e(self) -> "SparseVec":
-        """Derivation action: v_i v_j -> v_{i-1} v_j + v_i v_{j-1} over GF(2)."""
+        """Derivation action: v_i v_j -> v_{i-1} v_j + v_i v_{j-1} over GF(2),
+        bit i to the bits i - 1 and i valid in degree - 1; in sym2, e(v_i v_i) = 0."""
         space, n, degree, mask = self
-        valid = _valid_mask(space, n, degree - 1)
-        return _unchecked((space, n, degree - 1, _lower(mask, degree, space == "sym2", valid)))
+        if space == "sym2" and not degree & 1:
+            mask &= ~(1 << (degree >> 1))
+        mask = ((mask >> 1) ^ mask) & _valid_mask(space, n, degree - 1)
+        return _unchecked((space, n, degree - 1, mask))
 
 
 def _unchecked(fields: tuple[Space, int, int, int]) -> SparseVec:
-    """The SparseVec (space, n, degree, mask) built without the constructor's check.
-
-    For masks valid by construction, such as images under _lower.
-    """
+    """The SparseVec (space, n, degree, mask) built without the constructor's
+    check, for masks valid by construction, such as images under apply_e."""
     return tuple.__new__(SparseVec, fields)
 
 
@@ -117,17 +100,19 @@ def _unchecked(fields: tuple[Space, int, int, int]) -> SparseVec:
 class JordanChain:
     """Chain [top, e top, e^2 top, ...]; the derivation kills the last vector.
 
-    Held as one mask per vector of one square, top first, vector pos in
-    degree degree - pos.  JordanChain(s, vectors) raises ValueError, naming
-    s and the position, for no vectors, vectors of two squares, or degrees
-    that do not fall by one or fall below 0.  vectors and top are views.
+    Held as one packed int of length slots of _slot_width(n) bytes, the
+    top in the highest and the last vector in the lowest.  JordanChain(s,
+    vectors) packs the vectors and raises ValueError, naming s and the
+    position, for no vectors, vectors of two squares, or degrees that do not
+    fall by one or fall below 0.  masks, vectors and top are views.
     """
 
     s: int  # source index of the chain (1..n)
     space: Space
     n: int
     degree: int  # of the top
-    masks: tuple[int, ...]
+    length: int
+    packed: int
 
     def __init__(self, s: int, vectors: Sequence[SparseVec]) -> None:
         if not vectors:
@@ -140,9 +125,16 @@ class JordanChain:
                 raise ValueError(f"chain for s={s}: vector {pos} has degree {vdegree}, not {degree - pos}")
             if vdegree < 0:
                 raise ValueError(f"chain for s={s}: vector {pos} has degree {vdegree}, below 0")
-        masks = tuple(mask for _, _, _, mask in vectors)
-        for name, value in zip(("s", "space", "n", "degree", "masks"), (s, space, n, degree, masks)):
+        packed = int.from_bytes(b"".join(mask.to_bytes(_slot_width(n), "big") for *_, mask in vectors), "big")
+        for name, value in zip(("s", "space", "n", "degree", "length", "packed"),
+                               (s, space, n, degree, len(vectors), packed)):
             object.__setattr__(self, name, value)
+
+    @property
+    def masks(self) -> tuple[int, ...]:  # top first
+        width = _slot_width(self.n)
+        raw = self.packed.to_bytes(self.length * width, "big")
+        return tuple(int.from_bytes(raw[i:i + width], "big") for i in range(0, len(raw), width))
 
     @property
     def vectors(self) -> tuple[SparseVec, ...]:
@@ -153,10 +145,6 @@ class JordanChain:
     @property
     def top(self) -> SparseVec:
         return _unchecked((self.space, self.n, self.degree, self.masks[0]))
-
-    @property
-    def length(self) -> int:
-        return len(self.masks)
 
 
 def build_z(s: int, n: int) -> SparseVec:
@@ -204,13 +192,13 @@ def find_j0(s: int, n: int, beta: int) -> int:
 
 def build_w(s: int, n: int) -> SparseVec:
     """Chain top w_s; equals z_s in the beta = 0 band."""
-    return _top(s, n, cones_expansion(n).betas[band_index(s, n) - 1])
+    return SparseVec("tensor", n, *_top(s, n, cones_expansion(n).betas[band_index(s, n) - 1]))
 
 
-def _top(s: int, n: int, beta: int) -> SparseVec:
-    """w_s for s in the band of exponent beta."""
+def _top(s: int, n: int, beta: int) -> tuple[int, int]:
+    """(degree, mask) of w_s for s in the band of exponent beta, valid by construction."""
     if beta == 0:
-        return build_z(s, n)
+        return s + 1, (2 << s) - 2  # z_s
     half = 1 << (beta - 1)
     step = 1 << beta
     j0 = find_j0(s, n, beta)
@@ -220,22 +208,58 @@ def _top(s: int, n: int, beta: int) -> SparseVec:
         i = s // 2 + half + j * step
         if 1 <= i <= n and 1 <= degree - i <= n:
             mask ^= 1 << i
-    return SparseVec("tensor", n, degree, mask)
+    return degree, mask
 
 
-def _chain_from_top(top: SparseVec, s: int, valid: list[int]) -> JordanChain:
-    """The chain from top down to degree s + 1, the degree of z_s.
+def _basis(space: Space, n: int) -> list[JordanChain]:
+    """One packed chain per s: from w_s, or in sym2 from pi(w_s), alone for an even s.
 
-    valid is _valid_masks of top's square.  The masks are valid and their
-    degrees fall by one by construction, so the chain skips the checks.
+    In characteristic 2, e^h for h = 2^j acts on a tensor mask x of degree d
+    as ((x >> h) ^ x) & valid[d - h], as C(h, k) is even for 0 < k < h, so
+    log2(length) doublings build a tensor chain from its top: the h vectors
+    built go up h slots, and e^h of them fills the h slots below.  A bit i
+    that shifts out of the slot of degree d + 1 into the top of the slot of
+    d lands at bit 8 * width - h + i >= d - h + 2, as i >= d + 1 - n, above
+    the bits valid in degree d - h: the valid masks clear it.  pi and the
+    transpose tau (bit i of degree d to bit d - i) commute with e, so the
+    sym2 chain is pi(X) = X ^ tau X below the centre of each degree and X at
+    it, X the tensor chain of w_s and tau X that of tau(w_s).
     """
-    space, n, degree, mask = top
-    sym2 = space == "sym2"
-    masks = [mask]
-    for below in range(degree - 1, s, -1):
-        mask = _lower(mask, below + 1, sym2, valid[below])
-        masks.append(mask)
-    return _trusted(JordanChain, s=s, space=space, n=n, degree=degree, masks=tuple(masks))
+    if n < 1:
+        raise ValueError("n must be positive")
+    width = _slot_width(n)
+    bits = 8 * width
+    # tables of masks by degree, bytes d * width onward little-endian for degree d:
+    # the valid tensor masks, bits max(1, d - n)..min(n, d - 1) of degree d, and in
+    # sym2 the bits i <= d / 2 of degree d, so i < d / 2 in the slot of d - 1
+    valid = b"".join(m.to_bytes(width, "little") for m in [0, 0, *((1 << d) - 2 for d in range(2, n + 2)),
+                     *((2 << n) - (1 << d - n) for d in range(n + 2, 2 * n + 1))])
+    if space == "sym2":
+        upto = b"".join(((2 << d // 2) - 1).to_bytes(width, "little") for d in range(2 * n + 1))
+    bands = list(_bands(n))
+    # (h, h slots in bits, 2h slots in bits) up to the first band's, the longest, chains
+    steps = [(1 << j, bits << j, bits << j + 1) for j in range(bands[0][2])]
+
+    def tensor(top: int, length: int, ok: int) -> int:
+        """The tensor chain from the mask top, ok the valid masks of its degrees."""
+        x, end = top, length * bits
+        for h, shift, double in steps[:length.bit_length() - 1]:
+            x = x << shift | (x >> h ^ x) & ok >> end - double
+        return x
+
+    chains = []
+    for s, _, beta in bands:
+        degree, top = _top(s, n, beta)
+        length = 1 if space == "sym2" and s % 2 == 0 else 1 << beta
+        a, b = (degree - length + 1) * width, (degree + 1) * width  # its degrees' bytes
+        ok = int.from_bytes(valid[a:b], "little")
+        x = tensor(top, length, ok)
+        if space == "sym2":
+            y = tensor(sum(1 << degree - i for i in _support(top)), length, ok)
+            bounds = int.from_bytes(upto[a - width:b], "little")  # its degrees and the one below
+            x = x & bounds >> bits ^ y & bounds
+        chains.append(_trusted(JordanChain, s=s, space=space, n=n, degree=degree, length=length, packed=x))
+    return chains
 
 
 def build_tensor_basis(n: int) -> list[JordanChain]:
@@ -243,10 +267,7 @@ def build_tensor_basis(n: int) -> list[JordanChain]:
 
     The chain for s in band k has length 2^(b_k) and terminates at z_s.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    valid = _valid_masks("tensor", n)
-    return [_chain_from_top(_top(s, n, beta), s, valid) for s, _, beta in _bands(n)]
+    return _basis("tensor", n)
 
 
 def project_to_sym(vec: SparseVec) -> SparseVec:
@@ -265,14 +286,7 @@ def build_sym_basis(n: int) -> list[JordanChain]:
     Even s contribute the single fixed vector pi(w_s); odd s in band k keep
     the full chain of length 2^(b_k) starting at pi(w_s).
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    valid = _valid_masks("sym2", n)
-    chains = []
-    for s, _, beta in _bands(n):
-        top = project_to_sym(_top(s, n, beta))
-        chains.append(JordanChain(s, (top,)) if s % 2 == 0 else _chain_from_top(top, s, valid))
-    return chains
+    return _basis("sym2", n)
 
 
 @dataclass
@@ -318,12 +332,13 @@ def verify_basis(
     the masks' frame a diagonal at a time.
 
     The forms of all degrees are packed side by side, one int per diagonal,
-    the sources of degree d in slot d, and so is each chain, a mask per slot
-    (its degrees fall by one, as its constructor checks).  Its image, an AND
-    and a shift per diagonal, must be the chain without its top raised one
-    slot: one comparison covers every link and the terminal kill.  Where it
-    fails, slot d of the difference is the link from the vector of degree d,
-    the last degree's slot the terminal kill; zero masks are zero vectors.
+    in the slots of a packed chain, so one shift lines a chain up with them.
+    Its image, an AND and a shift per diagonal, must be the chain without
+    its top raised one slot: one comparison covers every link and the
+    terminal kill.  Where it fails, slot d of the difference is the link
+    from the vector of degree d, the last degree's slot the terminal kill;
+    zero masks are zero vectors.  Where it holds, a zero vector makes every
+    later one zero, so only the lowest slot is read.
 
     When every chain passes, the vectors are independent if and only if
     the chains' last vectors are: in a relation, apply the action h times,
@@ -337,8 +352,9 @@ def verify_basis(
         return VerificationReport(0, 0)
     space, n = chains[0].space, chains[0].n
     counts, forms = action
-    sym2 = space == "sym2"  # degree d holds v_i v_(d-i) for the bits i of _valid_mask
-    square = {d: min(n, d // 2 if sym2 else d - 1) - max(1, d - n) + 1 for d in range(2, 2 * n + 1)}
+    # degree d holds v_i v_(d-i) for the bits i of _valid_mask: as many as in degree 2n + 2 - d
+    rise = [d // 2 if space == "sym2" else d - 1 for d in range(2, n + 2)]
+    square = dict(zip(range(2, 2 * n + 1), rise + rise[-2::-1]))
     if counts != square:
         have, want = sum(counts.values()), sum(square.values())
         if have == want:
@@ -348,34 +364,29 @@ def verify_basis(
         raise ValueError(f"action has {have} images, expected {want}")
 
     failures = []
-    width = n // 8 + 1  # bytes per degree slot, enough for bits 0..n of a mask
+    width = _slot_width(n)
     bits, slot = 8 * width, (1 << 8 * width) - 1
-    diagonals: defaultdict[int, list[int]] = defaultdict(lambda: [0] * (2 * n + 1))
+    # each diagonal's sources of every degree, degree d in bytes d * width onward
+    diagonals: defaultdict[int, bytearray] = defaultdict(lambda: bytearray(width * (2 * n + 1)))
     for d, form in forms.items():
-        lo = max(1, d - n)  # the lowest valid bit of degree d; of degree d - 1 it is lo - (d > n + 1)
+        lo = d - n if d > n else 1  # the lowest valid bit of degree d; of d - 1 it is lo - (d > n + 1)
         for shift, sources in form.items():
-            diagonals[shift - (d > n + 1)][d] = sources << lo
-    packed = [  # (shift, that diagonal's sources of every degree, each in its slot)
-        (shift, int.from_bytes(b"".join(m.to_bytes(width, "big") for m in reversed(column)), "big"))
-        for shift, column in diagonals.items()
-    ]
+            diagonals[shift - (d > n + 1)][d * width:(d + 1) * width] = (sources << lo).to_bytes(width, "little")
+    packed = [(shift, int.from_bytes(table, "little")) for shift, table in diagonals.items()]
     total, failed = 0, False
     for ci, chain in enumerate(chains):
-        where = f"chain {ci} (s={chain.s})"
         if chain.space != space or chain.n != n:
-            raise ValueError(f"{where} is not in the {space} square for n={n}")
-        masks, top = chain.masks, chain.degree
-        low = top - len(masks) + 1
-        total += len(masks)
-        x = int.from_bytes(b"".join(map(int.to_bytes, masks, repeat(width), repeat("big"))),
-                           "big") << low * bits
+            raise ValueError(f"chain {ci} (s={chain.s}) is not in the {space} square for n={n}")
+        top, low = chain.degree, chain.degree - chain.length + 1
+        total += chain.length
+        x = chain.packed << low * bits
         image = 0
         for shift, sources in packed:
             image ^= (x & sources) << shift if shift >= 0 else (x & sources) >> -shift
-        diff = image ^ (x ^ masks[0] << top * bits) << bits
-        if diff or 0 in masks:
-            failed = True
-            for pos, mask in enumerate(masks):
+        diff = image ^ (x ^ x >> top * bits << top * bits) << bits
+        if diff or not chain.packed & slot:
+            failed, where = True, f"chain {ci} (s={chain.s})"
+            for pos, mask in enumerate(chain.masks):
                 if pos and diff >> (top - pos + 1) * bits & slot:
                     failures.append(f"{where}: link {pos - 1} -> {pos} broken")
                 if not mask:
@@ -384,9 +395,9 @@ def verify_basis(
                 failures.append(f"{where}: terminal vector not killed")
         if expected_terminals is not None:
             _, _, end_degree, end_mask = expected_terminals[ci]
-            if not (end_mask == masks[-1] and (end_degree == low or not end_mask)):
-                failures.append(f"{where}: terminal differs from expected vector")
-    ends = ((c.degree - c.length + 1, c.masks[-1]) for c in chains)
+            if not (end_mask == chain.packed & slot and (end_degree == low or not end_mask)):
+                failures.append(f"chain {ci} (s={chain.s}): terminal differs from expected vector")
+    ends = ((c.degree - c.length + 1, c.packed & slot) for c in chains)
     if failed or _rank(ends, n) < len(chains):
         matrix_rank = _rank(((d, m) for c in chains for d, m in zip(count(c.degree, -1), c.masks)), n)
     else:

@@ -148,12 +148,15 @@ def _decompose(expr, input_desc: dict, args, out, err) -> int:
             if args.method == "oracle":
                 raise
             print(f"warning: {exc}; falling back to formula only", file=err)
-    # total_dim bounds every size and multiplicity printed: from 10^4300 on,
-    # Python will not print it in JSON.  Below that their digits, bounded
-    # from bit_length() without printing them, may still run to megabytes.
-    huge = any(result.total_dim >= PRINTABLE_LIMIT for result in results)
-    digits = sum(x.bit_length() * 30103 // 100000 + 1
-                 for result in results for part in result.parts for x in part)
+    # total_dim bounds every size and multiplicity printed: from 10^4300 on, Python
+    # will not print it in JSON.  Below that their digits may run to megabytes; they
+    # are counted per part only where 2 * parts * digits(total_dim) reaches the limit.
+    dims = [result.total_dim for result in results]
+    huge = any(dim >= PRINTABLE_LIMIT for dim in dims)
+    digits = sum(2 * len(r.parts) * (d.bit_length() * 30103 // 100000 + 1) for r, d in zip(results, dims))
+    if not huge and digits >= OUTPUT_DIGIT_LIMIT:
+        digits = sum(x.bit_length() * 30103 // 100000 + 1
+                     for result in results for part in result.parts for x in part)
     if huge or digits >= OUTPUT_DIGIT_LIMIT:
         form = "JSON" if args.format == "json" else "text"
         what = "total_dim reaches 10^4300" if huge else "sizes and multiplicities reach 10^6 digits"
@@ -216,7 +219,7 @@ def _cmd_basis(args, out, err) -> int:
         chains = basis_mod.build_sym_basis(args.n)
         terminals = None
     if args.dump:
-        monomials = sum(mask.bit_count() for chain in chains for mask in chain.masks)
+        monomials = sum(chain.packed.bit_count() for chain in chains)
         if monomials > DUMP_MONOMIAL_LIMIT:
             raise LimitExceeded(
                 f"dump has {monomials} monomials, above the limit {DUMP_MONOMIAL_LIMIT}")

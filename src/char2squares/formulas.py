@@ -26,8 +26,6 @@ from .core import (
     expr_kind,
 )
 
-Parts = tuple[tuple[int, int], ...]  # (size, multiplicity), sizes descending
-
 
 def _q(n: int) -> int:
     """The smallest power of two q >= n, so that q/2 < n <= q."""
@@ -46,56 +44,28 @@ def tensor_decompose(m: int, n: int) -> JordanType:
     return JordanType.from_pairs(acc.items())
 
 
-# --- recursion steps on q - n -----------------------------------------------
+# --- recursions on q - n -----------------------------------------------------
 #
-# Each step takes n >= 2 and returns the blocks that the square of n adds to
-# a square of q - n < n, and q - n.  A block it adds has a size of its own,
-# except where its docstring names a merge.
-
-
-def _ext2_unipotent_step(n: int) -> tuple[Parts, int]:
-    """Gow-Laffey: ext2(V_n) is (q, n - q/2 - 1), (3q/2 - n, 1), then ext2(V_{q-n}).
-
-    The first block is left out when its multiplicity is 0, at n = q/2 + 1.
-    """
-    q = _q(n)
-    half = q // 2
-    if n == half + 1:
-        return ((half + q - n, 1),), q - n
-    return ((q, n - half - 1), (half + q - n, 1)), q - n
-
-
-def _sym2_unipotent_step(n: int) -> tuple[Parts, int]:
-    """sym2(V_n) is (q, n - q/2), (q/2, 1), then ext2(V_{q-n}).
-
-    The (q/2, 1) block merges with the top block of ext2(V_{q-n}) when that
-    block also has size q/2.
-    """
-    q = _q(n)
-    return ((q, n - q // 2), (q // 2, 1)), q - n
-
-
-def _ext2_nilpotent_step(n: int) -> tuple[Parts, int]:
-    """ext2(W_n) is (q - 1, n - q/2), then ext2(W_{q-n})."""
-    q = _q(n)
-    return ((q - 1, n - q // 2),), q - n
-
-
-def _sym2_nilpotent_step(n: int) -> tuple[Parts, int]:
-    """sym2(W_n) is (q, n - q/2), (1, n - q/2), then sym2(W_{q-n}).
-
-    The ones merge with the ones of sym2(W_{q-n}), its last block; sym2(W_1) is 1.
-    """
-    q = _q(n)
-    return ((q, n - q // 2), (1, n - q // 2)), q - n
+# Each step of a recursion takes n >= 2, adds the blocks that the square of
+# n adds to a square of q - n < n, and goes on with q - n.  A block it adds
+# has a size of its own, except where a docstring names a merge.
 
 
 def _ext2_unipotent_pairs(n: int) -> list[tuple[int, int]]:
-    """Parts of ext2(V_n) for n >= 0, unmerged, following the recursion on q - n."""
+    """Parts of ext2(V_n) for n >= 0, unmerged, following the recursion on q - n.
+
+    Gow-Laffey: ext2(V_n) is (q, n - q/2 - 1), (3q/2 - n, 1), then
+    ext2(V_{q-n}).  The first block is left out when its multiplicity is 0,
+    at n = q/2 + 1.
+    """
     pairs = []
     while n >= 2:
-        head, n = _ext2_unipotent_step(n)
-        pairs += head
+        q = _q(n)
+        half = q // 2
+        if n > half + 1:
+            pairs.append((q, n - half - 1))
+        pairs.append((half + q - n, 1))
+        n = q - n
     return pairs
 
 
@@ -107,13 +77,18 @@ def ext2_unipotent(n: int) -> JordanType:
 
 
 def sym2_unipotent(n: int) -> JordanType:
-    """Symmetric square of the unipotent block V_n."""
+    """Symmetric square of the unipotent block V_n.
+
+    sym2(V_n) is (q, n - q/2), (q/2, 1), then ext2(V_{q-n}).  The (q/2, 1)
+    block merges with the top block of ext2(V_{q-n}) when that block also
+    has size q/2.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     if n == 1:
         return JordanType.from_pairs([(1, 1)])
-    head, rest = _sym2_unipotent_step(n)
-    return JordanType.from_pairs([*head, *_ext2_unipotent_pairs(rest)])
+    q = _q(n)
+    return JordanType.from_pairs([(q, n - q // 2), (q // 2, 1), *_ext2_unipotent_pairs(q - n)])
 
 
 def ext2_nilpotent(n: int) -> JordanType:
@@ -151,24 +126,34 @@ def _nilpotent_bands(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def ext2_nilpotent_rec(n: int) -> JordanType:
-    """Exterior square of W_n via the recursion on q - n (cross-check path)."""
+    """Exterior square of W_n via the recursion on q - n (cross-check path).
+
+    ext2(W_n) is (q - 1, n - q/2), then ext2(W_{q-n}).
+    """
     if n < 1:
         raise ValueError("n must be positive")
     pairs = []
     while n >= 2:
-        head, n = _ext2_nilpotent_step(n)
-        pairs += head
+        q = _q(n)
+        pairs.append((q - 1, n - q // 2))
+        n = q - n
     return JordanType.from_pairs(pairs)
 
 
 def sym2_nilpotent_rec(n: int) -> JordanType:
-    """Symmetric square of W_n via the recursion on q - n (cross-check path)."""
+    """Symmetric square of W_n via the recursion on q - n (cross-check path).
+
+    sym2(W_n) is (q, n - q/2), (1, n - q/2), then sym2(W_{q-n}).  The ones
+    merge with the ones of sym2(W_{q-n}), its last block; sym2(W_1) is 1.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     pairs = []
     while n >= 2:
-        head, n = _sym2_nilpotent_step(n)
-        pairs += head
+        q = _q(n)
+        k = n - q // 2
+        pairs += ((q, k), (1, k))
+        n = q - n
     if n == 1:
         pairs.append((1, 1))
     return JordanType.from_pairs(pairs)
@@ -178,7 +163,7 @@ def square_rows(max_n: int) -> Iterator[tuple[int, str, str, str, str]]:
     """(n, ext2(V_n), sym2(V_n), ext2(W_n), sym2(W_n)) as canonical strings, for n = 1, ..., max_n.
 
     Row n >= 2 is built as text: each square is the text of the head that
-    its step function above gives, then the text of a row already built,
+    its recursion above adds, then the text of a row already built,
     the same square of q - n < n, or ext2(V_{q-n}) for sym2(V_n).  The rows
     below _q(max_n)/2, which later rows read, are kept as the strings
     yielded, and held only while the generator runs.  Two steps merge equal

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import basis_loop
 from char2squares.basis import (
     JordanChain,
     SparseVec,
@@ -24,7 +25,7 @@ from char2squares.basis import (
 )
 from char2squares.core import parse_jordan_type, square_expr
 from char2squares.formulas import sym2_nilpotent, tensor_decompose
-from char2squares.gf2 import Gf2Matrix, Graded, graded, rank
+from char2squares.gf2 import Gf2Matrix, Graded, _support, graded, rank
 from char2squares.oracle import basis_keys, expr_images, square_action
 
 
@@ -290,6 +291,57 @@ class TestTensorBasis:
         assert report.failures == [
             f"chain vectors dependent: rank {full.rank} < count {report.vector_count}"
         ]
+
+
+def tau(v):
+    """The transpose of a tensor vector: v_i (x) v_j to v_j (x) v_i, bit i to bit degree - i."""
+    return SparseVec("tensor", v.n, v.degree, sum(1 << v.degree - i for i in _support(v.mask)))
+
+
+def tensor_monomials(n):
+    """Every monomial v_i (x) v_j of the tensor square of W_n, a basis of it."""
+    return [SparseVec("tensor", n, i + j, 1 << i) for i in range(1, n + 1) for j in range(1, n + 1)]
+
+
+class TestPackedChains:
+    """The builders make each chain as one packed int, by doubling e^(2^j) from
+    its top and, in sym2, folding the chains of w_s and of its transpose."""
+
+    @pytest.mark.parametrize("n", [*range(1, 65), 96, 128])
+    def test_builders_equal_the_loop(self, n):
+        for build, loop in ((build_tensor_basis, basis_loop.tensor_chains),
+                            (build_sym_basis, basis_loop.sym_chains)):
+            got = [(c.s, c.degree, c.length, c.masks) for c in build(n)]
+            assert got == [(s, degree, len(masks), masks) for s, degree, masks in loop(n)]
+
+    # The identities below are linear in the vector, so checking them on
+    # every monomial checks them on every vector of the square.
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_e_to_a_power_of_two_shifts_and_xors(self, n):
+        # C(h, k) is even for 0 < k < h = 2^j: e^h(v_i v_j) = v_(i-h) v_j + v_i v_(j-h)
+        for v in tensor_monomials(n):
+            power = v
+            for h in range(1, v.degree - 1):
+                power = power.apply_e()
+                if not h & (h - 1):
+                    mask = ((v.mask >> h) ^ v.mask) & _valid_mask("tensor", n, v.degree - h)
+                    assert power == SparseVec("tensor", n, v.degree - h, mask), (v, h)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_projection_is_the_transpose_fold(self, n):
+        # pi(x) is x ^ tau(x) below the centre of the degree, and x at it: x on
+        # the bits i <= d / 2 of degree d, tau(x) on the bits i < d / 2, those
+        # of i <= (d - 1) / 2
+        for v in tensor_monomials(n):
+            d = v.degree
+            fold = v.mask & (2 << d // 2) - 1 ^ tau(v).mask & (2 << (d - 1) // 2) - 1
+            assert project_to_sym(v) == SparseVec("sym2", n, d, fold), v
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_transpose_commutes_with_e(self, n):
+        for v in tensor_monomials(n):
+            assert tau(v.apply_e()) == tau(v).apply_e(), v
 
 
 class TestVerifyFrame:

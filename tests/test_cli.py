@@ -373,6 +373,20 @@ class TestExpr:
         form = "JSON" if fmt == "json" else "text"
         assert err == f"error: sizes and multiplicities reach 10^6 digits, too long for {form} output\n"
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_many_parts_under_the_digit_limit(self, fmt):
+        # 300 parts and a total_dim of 4,000 digits: twice the parts times its
+        # digits passes 10^6, but the parts themselves have under 5,000 digits
+        count = "7" * 4000
+        terms = " + ".join(f"W{n}" for n in range(2, 301))
+        code, out, err = run_cli("expr", f"{count}*W1 + {terms}", "--format", fmt)
+        assert (code, err) == (0, "")
+        if fmt == "text":
+            assert out == " ".join(map(str, range(300, 1, -1))) + f" 1^{count}\n"
+        else:
+            blocks = json.loads(out)["blocks"]
+            assert blocks[-1] == {"size": 1, "multiplicity": int(count)} and len(blocks) == 300
+
     def test_expr_json(self):
         code, out, _ = run_cli("expr", "E2(V9)", "--format", "json")
         assert code == 0
