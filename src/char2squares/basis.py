@@ -23,7 +23,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .core import JordanType, _trusted, cones_expansion
-from .gf2 import Gf2Matrix, Graded, _support, rank as gf2_rank
+from .gf2 import Form, Gf2Matrix, Graded, _apply_form, _support, rank as gf2_rank
 
 Space = str  # "tensor" or "sym2"
 
@@ -372,7 +372,7 @@ def verify_basis(
         lo = d - n if d > n else 1  # the lowest valid bit of degree d; of d - 1 it is lo - (d > n + 1)
         for shift, sources in form.items():
             diagonals[shift - (d > n + 1)][d * width:(d + 1) * width] = (sources << lo).to_bytes(width, "little")
-    packed = [(shift, int.from_bytes(table, "little")) for shift, table in diagonals.items()]
+    packed: Form = {shift: int.from_bytes(table, "little") for shift, table in diagonals.items()}
     total, failed = 0, False
     for ci, chain in enumerate(chains):
         if chain.space != space or chain.n != n:
@@ -380,10 +380,7 @@ def verify_basis(
         top, low = chain.degree, chain.degree - chain.length + 1
         total += chain.length
         x = chain.packed << low * bits
-        image = 0
-        for shift, sources in packed:
-            image ^= (x & sources) << shift if shift >= 0 else (x & sources) >> -shift
-        diff = image ^ (x ^ x >> top * bits << top * bits) << bits
+        diff = _apply_form(packed, x) ^ (x ^ x >> top * bits << top * bits) << bits
         if diff or not chain.packed & slot:
             failed, where = True, f"chain {ci} (s={chain.s})"
             for pos, mask in enumerate(chain.masks):

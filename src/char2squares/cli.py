@@ -180,18 +180,13 @@ def _decompose(expr, input_desc: dict, args, out, err) -> int:
     return EXIT_OK
 
 
-def table_rows(max_n: int) -> list[tuple[int, str, str, str, str]]:
-    """Rows (n, ext2(V_n), sym2(V_n), ext2(W_n), sym2(W_n)) for n = 1, ..., max_n,
-    as the text formulas.square_rows builds from the text of row q - n."""
-    return list(formulas.square_rows(max_n))
-
-
 def _cmd_table(args, out, err) -> int:
     if args.max_n < 1:
         raise _CliError("--max must be positive")
     if args.max_n > TABLE_ROW_LIMIT:
         raise LimitExceeded(f"table has {args.max_n} rows, above the limit {TABLE_ROW_LIMIT}")
-    rows = table_rows(args.max_n)
+    # (n, ext2(V_n), sym2(V_n), ext2(W_n), sym2(W_n)), each row built as text from row q - n
+    rows = list(formulas.square_rows(args.max_n))
     headers = ("n", "ext2(V_n)", "sym2(V_n)", "ext2(W_n)", "sym2(W_n)")
     # the widest n is max_n; each square is as wide as its widest cell
     widths = [len(str(args.max_n))] + [max(map(len, map(itemgetter(i), rows))) for i in range(1, 5)]

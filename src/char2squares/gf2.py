@@ -199,9 +199,31 @@ def _squared_factors(supports: list[Sequence[int]]) -> list[list[itemgetter]] | 
 def _ranks(n: int, factors: list[list[itemgetter]]) -> list[int]:
     """[rank(m^0), rank(m^1), ...] up to the first 0, for an n x n matrix m
     whose factors[j] holds the gathers of m^(2^j), the last of them nonzero
-    and m^(2^len(factors)) = 0.  See jordan_type_of_images for why the loop
-    is correct.  Beside the factors, it keeps the power it stands on and the
-    next one.
+    and m^(2^len(factors)) = 0.  Beside the factors, it keeps the power it
+    stands on and the next one.
+
+    The number of blocks of size >= k is the drop d_k = rank(m^(k-1)) -
+    rank(m^k), so the multiplicity of size k is d_k - d_(k+1).  The drops
+    never rise, and that lets the loop skip powers.  Standing on m^k with
+    the last drop d, it jumps to m^(k+h), h = 2^j, and eliminates there.
+    Each of the h drops in between is at most d, so a rank of rank(m^k) -
+    h d makes them all d: the ranks in between lie on that line, and the
+    next jump is twice as long.  Any other rank is kept as a known rank
+    above k, and the loop goes on with 1-steps, which read each drop
+    exactly.  Known ranks on the current line are reached by applying
+    factors without an elimination, and the nearest one off it bounds every
+    jump.  It also bounds how far the current line must still hold, derived
+    where it is used: a rank at p that lies short above the line keeps every
+    power up to p - short on it, as each drop after the line is at least 1
+    short of d.  That covers a rank 1 above the line too: every power but
+    the last lies on the line.  m^(2^len(factors)) = 0 is a known rank 0,
+    which ends the last line without an elimination.
+
+    Row c of m^(k+h) is row c of m^k times m^h.  So the rows of m^(k+h) at
+    the indices whose rows of m^k span the row space of m^k span the row
+    space of m^(k+h): each elimination visits only those rows, and the
+    indices that give pivots are kept for the next one, also beside a rank
+    kept as known, for the step that reaches it.
     """
     # powers above k of measured rank, nearest last, with the indices whose
     # rows span them: m^(2^len(factors)) = 0 and the jumps that left the line
@@ -354,37 +376,15 @@ def jordan_type_of_images(images: Sequence[Sequence[int]]) -> JordanType:
 
     images[c] lists the rows of the nonzero entries of column c, each once:
     where basis vector c goes; images is not changed.  The rank loop reads
-    them as the rows of the transpose t, which has the ranks of powers of m.
-
-    The number of blocks of size >= k is the drop d_k = rank(t^(k-1)) -
-    rank(t^k), so the multiplicity of size k is d_k - d_(k+1).  The drops
-    never rise, and that lets the rank loop skip powers.  Standing on t^k
-    with the last drop d, it jumps to t^(k+h), h = 2^j, and eliminates
-    there.  Each of the h drops in between is at most d, so a rank of
-    rank(t^k) - h d makes them all d: the ranks in between lie on that line,
-    and the next jump is twice as long.  Any other rank is kept as a known
-    rank above k, and the loop goes on with 1-steps, which read each drop
-    exactly.  Known ranks on the current line are reached by applying
-    factors without an elimination, and the nearest one off it bounds every
-    jump.  It also bounds how far the current line must still hold, derived
-    where it is used: a rank at p that lies short above the line keeps every
-    power up to p - short on it, as each drop after the line is at least 1
-    short of d.  That covers a rank 1 above the line too: every power but
-    the last lies on the line.
-
-    Row c of t^(k+h) is row c of t^k times t^h.  So the rows of t^(k+h) at
-    the indices whose rows of t^k span the row space of t^k span the row
-    space of t^(k+h): each elimination visits only those rows, and the
-    indices that give pivots are kept for the next one, also beside a rank
-    kept as known, for the step that reaches it.
+    them as the rows of the transpose t, which has the ranks of powers of m;
+    _ranks says why its skips are sound.
 
     Here the factors t, t^2, t^4, ... come from squaring (_squared_factors),
     each applied by gathers, one per set bit of its fullest row (_gathers).
     The squaring stops at the first zero factor.  A factor t^(2^j) that is
     still nonzero with 2^j >= len(images) shows that m is not nilpotent, and
-    ValueError is raised.  Otherwise t^(2^J) = 0 is a known rank 0, which
-    ends the last line without an elimination.  The oracle runs the same
-    loop (_ranks) on factors of u - 1 that it builds without squaring.
+    ValueError is raised.  The oracle runs the same loop (_ranks) on factors
+    of u - 1 that it builds without squaring.
     """
     n = len(images)
     factors = _squared_factors(list(images))  # which empties the list it reads

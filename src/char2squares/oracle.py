@@ -41,7 +41,7 @@ from .core import (
     expr_kind, shown_count, square_expr,
 )
 from .gf2 import (  # noqa: F401
-    Form, Gf2Matrix, Graded, _graded_sweep, _ranks, _type_of_ranks, jordan_type_of_nilpotent,
+    Form, Gf2Matrix, Graded, _graded_sweep, _ranks, _support, _type_of_ranks, jordan_type_of_nilpotent,
 )
 from .parser import IntegerTooLong, to_int
 
@@ -398,22 +398,15 @@ def _repunit(k: int, width: int) -> int:
 
 def _spread(sources: int, width: int) -> int:
     """sources with each bit p widened to the field of bits p*width .. p*width + width - 1."""
-    spread, field, ones = 0, 0, (1 << width) - 1
-    while sources:
-        if sources & 1:
-            spread |= ones << field
-        sources >>= 1
-        field += width
-    return spread
+    return sum(((1 << width) - 1) << p * width for p in _support(sources))
 
 
 def _targets(form: Form, count: int) -> list[list[int]]:
     """targets[p]: where source p goes under a map in shift form over count sources."""
     targets: list[list[int]] = [[] for _ in range(count)]
     for shift, sources in form.items():
-        for p in range(count):
-            if sources >> p & 1:
-                targets[p].append(p + shift)
+        for p in _support(sources):
+            targets[p].append(p + shift)
     return targets
 
 

@@ -100,22 +100,19 @@ class _Parser:
         # stack frames (expr, factor) rather than three
         terms = []
         while True:
-            count = self.integer() if self.peek().isdecimal() else None
-            if count is not None:
+            if not self.peek().isdecimal():
+                terms.append(self.factor())
+            else:  # 'count * factor'
+                count = self.integer()
                 self.expect("*")
-            terms.append(self.repeat(count, self.factor()))
+                inner = self.factor()
+                if count < 1:
+                    raise self.error("multiplicity must be positive")
+                terms.append(Scaled(count, inner))
             if self.peek() != "+":
                 break
             self.pos += 1
         return terms[0] if len(terms) == 1 else Sum(tuple(terms))
-
-    def repeat(self, count: int | None, factor: ModuleExpr) -> ModuleExpr:
-        """The term 'count * factor' (just factor when count is None)."""
-        if count is None:
-            return factor
-        if count < 1:
-            raise self.error("multiplicity must be positive")
-        return Scaled(count, factor)
 
     def factor(self) -> ModuleExpr:
         ch = self.peek()

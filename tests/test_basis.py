@@ -774,3 +774,16 @@ class TestSparseVec:
         chain = build_tensor_basis(2)[1]
         text = format_chain(chain)
         assert "v" in text and "|" in text
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: band_index(0, 3), "s=0 out of range for n=3"),
+    (lambda: find_j0(1, 3, 0), "beta must be positive"),
+    (lambda: find_j0(5, 5, 3), "no valid j0 for s=5, n=5, beta=3"),
+    (lambda: build_tensor_basis(0), "n must be positive"),
+    (lambda: project_to_sym(SparseVec("sym2", 3, 2, 2)), "projection applies to tensor-square vectors"),
+])
+def test_refusals(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

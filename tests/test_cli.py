@@ -490,7 +490,7 @@ class TestTable:
         # the table reads each row off row q - n; the per-n functions evaluate n alone
         squares = (formulas.ext2_unipotent, formulas.sym2_unipotent,
                    formulas.ext2_nilpotent, formulas.sym2_nilpotent)
-        rows = cli.table_rows(1 << 14)
+        rows = list(formulas.square_rows(1 << 14))
         assert [row[0] for row in rows] == list(range(1, (1 << 14) + 1))
         for n, *cells in rows:
             assert cells == [format_jordan_type(square(n)) for square in squares], n
@@ -514,7 +514,7 @@ class TestTable:
         assert code == 1
 
     def test_row_limit_before_computing(self, monkeypatch):
-        monkeypatch.setattr(cli, "table_rows", None)  # computing a row would call it
+        monkeypatch.setattr(formulas, "square_rows", None)  # computing a row would call it
         assert cli.TABLE_ROW_LIMIT == 65536
         code, out, err = run_cli("table", "--max", "65537")
         assert (code, out) == (3, "")
@@ -577,6 +577,38 @@ class TestBasis:
                 digest.update(out.encode())
         assert digest.hexdigest() == (
             "ce2667058ccf3bb101355af2e949929b55ad6f05a17e9d3f4b7b2e055f4a0414")
+
+    @pytest.mark.parametrize("functor, n, s, slot", [
+        ("sym2", 9, 1, 0),  # a bit of the top of a chain of length 16
+        ("tensor", 6, 2, -1),  # a bit of the last vector, so the terminal is not z_s
+    ])
+    def test_failed_verification_exits_2(self, monkeypatch, functor, n, s, slot):
+        # the builder hands over one chain with one bit of packed flipped: the
+        # header stands as it is, each failure goes to stderr, and the exit is 2
+        from char2squares import oracle
+        from char2squares.core import _trusted, square_expr
+
+        name = "build_tensor_basis" if functor == "tensor" else "build_sym_basis"
+        chains = getattr(basis, name)(n)
+        chain = chains[s - 1]
+        mask = chain.masks[slot]
+        bit = (mask & -mask) << 8 * basis._slot_width(n) * (chain.length - 1 - slot % chain.length)
+        chains[s - 1] = _trusted(basis.JordanChain, s=chain.s, space=chain.space, n=n,
+                                 degree=chain.degree, length=chain.length,
+                                 packed=chain.packed ^ bit)
+        terminals = [basis.build_z(c.s, n) for c in chains] if functor == "tensor" else None
+        action = oracle.expr_forms(square_expr(functor, "nilpotent", n))
+        failures = basis.verify_basis(chains, action, terminals).failures
+        assert failures
+        if functor == "tensor":
+            assert f"chain {s - 1} (s={s}): terminal differs from expected vector" in failures
+        _, clean, _ = run_cli("basis", "--n", str(n), "--functor", functor)
+
+        monkeypatch.setattr(basis, name, lambda size: list(chains))
+        code, out, err = run_cli("basis", "--n", str(n), "--functor", functor, "--verify")
+        assert code == cli.EXIT_MISMATCH == 2
+        assert out == clean
+        assert err == "".join(f"verification failure: {failure}\n" for failure in failures)
 
     def test_cap(self, monkeypatch):
         code, _, _ = run_cli(

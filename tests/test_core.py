@@ -120,6 +120,9 @@ class TestJordanType:
     def test_round_trip(self):
         assert format_jordan_type(parse_jordan_type("7^3")) == "7^3"
 
+    def test_format_leaves_a_multiplicity_of_one_bare(self):
+        assert format_jordan_type(JordanType.from_pairs([(1, 1), (3, 1), (2, 2)])) == "3 2^2 1"
+
     @pytest.mark.parametrize("bad", ["", "x", "3^", "-2", "0^2", "4^0", "2 3^x"])
     def test_parse_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
@@ -174,3 +177,16 @@ class TestModuleExpr:
             square_expr("cube", "nilpotent", 4)
         with pytest.raises(ValueError):
             square_expr("sym2", "nilpotent", 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: JordanType(parts=((0, 1),)), "invalid part (0, 1)"),
+    (lambda: JordanType(parts=((2, 1), (3, 1))), "parts must have strictly decreasing sizes"),
+    (lambda: JordanType.from_pairs([(0, 1)]), "non-positive block size 0"),
+    (lambda: ConesExpansion(1, (1, -1)), "exponents must be non-negative"),
+    (lambda: expr_kind(Sum(())), "expression contains no atoms"),
+])
+def test_refusals(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -314,3 +314,10 @@ class TestWideSquares:
         assert result.block_count == total + sum(
             min(a, b) for i, a in enumerate(dims) for b in dims[i + 1 :]
         )
+
+
+@pytest.mark.parametrize("recursion", [ext2_nilpotent_rec, sym2_nilpotent_rec])
+def test_recursions_refuse_n_below_1(recursion):
+    with pytest.raises(ValueError) as info:
+        recursion(0)
+    assert str(info.value) == "n must be positive"

@@ -579,3 +579,14 @@ class TestDegrees:
     def test_degree_count_must_match(self):
         with pytest.raises(ValueError, match="2 degrees for a matrix of size 3"):
             graded(images_of(shift_matrix(3)), [0, 1])
+
+
+@pytest.mark.parametrize("rows, cols, data, message", [
+    (-1, 2, (), "negative dimensions"),
+    (2, 2, (1,), "row count mismatch"),
+    (1, 2, (4,), "row has bits outside the column range"),
+])
+def test_matrix_refusals(rows, cols, data, message):
+    with pytest.raises(ValueError) as info:
+        Gf2Matrix(rows, cols, data)
+    assert str(info.value) == message

@@ -122,9 +122,12 @@ def test_cli_routes_never_touch_the_dense_views(monkeypatch):
 
 def test_graded_paths_map_masks_by_their_diagonals(monkeypatch):
     # verify_basis maps whole chains by the packed diagonals of the forms and
-    # the graded sweep moves masks down a degree with gf2._apply_form; a walk
-    # over their bits would call gf2._support, which only the chain builders
-    # (project_to_sym) and SparseVec.terms still use
+    # the graded sweep moves masks down a degree, both with gf2._apply_form; a
+    # walk over their bits would call gf2._support, which only the chain
+    # builders (the sym2 transpose, project_to_sym), SparseVec.terms and
+    # format_chain still use.  The oracle binds its own _support name and
+    # walks only the few source bits of a form (_spread, _targets), never a
+    # vector's mask, so it is left unpatched
     from char2squares import basis, gf2, oracle
     from char2squares.core import square_expr
 

@@ -642,3 +642,10 @@ class TestExprForms:
         # u - 1 lowers degrees by 1 or more, so it has no forms of one step
         with pytest.raises(ValueError, match="W \\(nilpotent\\) expression"):
             expr_forms(parse_expr("S2(V3)"))
+
+
+@pytest.mark.parametrize("functor", ["wedge", "Tensor", ""])
+def test_basis_keys_refuses_an_unknown_functor(functor):
+    with pytest.raises(ValueError) as info:
+        basis_keys(functor, 3)
+    assert str(info.value) == f"unknown functor {functor!r}"
