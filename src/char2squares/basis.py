@@ -20,7 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import count
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .core import JordanType, _trusted, cones_expansion
 from .gf2 import Form, Gf2Matrix, Graded, _apply_form, _support, rank as gf2_rank
@@ -302,14 +302,21 @@ class VerificationReport:
         return not self.failures
 
 
-def _rank(vectors: Iterable[tuple[int, int]], n: int) -> int:
-    """Rank of (degree, mask) vectors of the square for n, one gf2_rank per degree."""
-    by_degree: defaultdict[int, list[int]] = defaultdict(list)
-    for degree, mask in vectors:
-        by_degree[degree].append(mask)
-    # the masks were checked against (space, n), so the matrices are built unchecked
-    return sum(gf2_rank(_trusted(Gf2Matrix, rows=len(r), cols=n + 1, data=tuple(r)))
-               for r in by_degree.values())
+def _rank(vectors: list[tuple[int, int]], n: int) -> int:
+    """Rank of (degree, mask) vectors of the square for n, in one gf2_rank call.
+
+    Each mask goes to the slot of its degree, counted from the lowest degree
+    among them, as in a packed chain.  Rows in different slots share no bit,
+    and each pivot reduces only rows whose highest bit lies in its own slot,
+    so the rank is the sum of the ranks of the degrees.  A row is as wide as
+    the slots below it.
+    """
+    bits = 8 * _slot_width(n)
+    low = min(degree for degree, _ in vectors)
+    high = max(degree for degree, _ in vectors)
+    rows = tuple(mask << (degree - low) * bits for degree, mask in vectors)
+    # the masks were checked against (space, n), so the matrix is built unchecked
+    return gf2_rank(_trusted(Gf2Matrix, rows=len(rows), cols=(high - low + 1) * bits, data=rows))
 
 
 def verify_basis(
@@ -336,9 +343,10 @@ def verify_basis(
     Its image, an AND and a shift per diagonal, must be the chain without
     its top raised one slot: one comparison covers every link and the
     terminal kill.  Where it fails, slot d of the difference is the link
-    from the vector of degree d, the last degree's slot the terminal kill;
-    zero masks are zero vectors.  Where it holds, a zero vector makes every
-    later one zero, so only the lowest slot is read.
+    from the vector of degree d, the last degree's slot the terminal kill,
+    and a difference outside the chain's slots is named as such; zero masks
+    are zero vectors.  Where it holds, a zero vector makes every later one
+    zero, so only the lowest slot is read.
 
     When every chain passes, the vectors are independent if and only if
     the chains' last vectors are: in a relation, apply the action h times,
@@ -380,7 +388,10 @@ def verify_basis(
         top, low = chain.degree, chain.degree - chain.length + 1
         total += chain.length
         x = chain.packed << low * bits
-        diff = _apply_form(packed, x) ^ (x ^ x >> top * bits << top * bits) << bits
+        # a chain at a time: shifted into the slots of every degree, all
+        # chains and their images together would hold n^3 bits at once
+        [image] = _apply_form(packed, [x])
+        diff = image ^ (x ^ x >> top * bits << top * bits) << bits
         if diff or not chain.packed & slot:
             failed, where = True, f"chain {ci} (s={chain.s})"
             for pos, mask in enumerate(chain.masks):
@@ -390,13 +401,20 @@ def verify_basis(
                     failures.append(f"{where}: vector {pos} is zero")
             if diff >> low * bits & slot:
                 failures.append(f"{where}: terminal vector not killed")
+            if diff >> (top + 1) * bits or diff & (1 << low * bits) - 1:
+                failures.append(f"{where}: image outside its slots")
         if expected_terminals is not None:
             _, _, end_degree, end_mask = expected_terminals[ci]
             if not (end_mask == chain.packed & slot and (end_degree == low or not end_mask)):
                 failures.append(f"chain {ci} (s={chain.s}): terminal differs from expected vector")
-    ends = ((c.degree - c.length + 1, c.packed & slot) for c in chains)
+    ends = [(c.degree - c.length + 1, c.packed & slot) for c in chains]
     if failed or _rank(ends, n) < len(chains):
-        matrix_rank = _rank(((d, m) for c in chains for d, m in zip(count(c.degree, -1), c.masks)), n)
+        # a degree at a time: in one matrix, n^2 rows would reach over 2n slots
+        by_degree: defaultdict[int, list[int]] = defaultdict(list)
+        for c in chains:
+            for d, m in zip(count(c.degree, -1), c.masks):
+                by_degree[d].append(m)
+        matrix_rank = sum(_rank([(d, m) for m in masks], n) for d, masks in by_degree.items())
     else:
         matrix_rank = total
     if matrix_rank != total:

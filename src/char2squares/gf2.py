@@ -4,16 +4,21 @@ Each row of a matrix is a Python int: bit j holds the entry in column j.
 Row XOR is then a single word-parallel operation, which is all Gaussian
 elimination needs over GF(2).  A map between two such bit spaces that is
 applied to many masks is held in shift form, as its diagonals:
-_apply_form then maps a mask with one AND, one shift and one XOR per
-diagonal, however many bits the mask has.  Each input has one route to
-its Jordan type.  A map that lowers every degree by exactly 1 is held as
-a Graded: per degree, the number of basis vectors and the map into the
-degree below in this form.  oracle.expr_forms builds one from an
-expression's factors, and graded reads one off images, checking each
-entry where it reads it.  The graded sweep moves vectors down a degree
-with _apply_form; verify_basis packs the forms of all degrees side by
-side and checks a whole chain at once, in one comparison of packed ints,
-which also names its failures.  Any other nilpotent matrix, given as the
+_apply_form then maps a list of masks with one C-level map pass per AND,
+shift and XOR of each diagonal, however many bits the masks have.  Each
+input has one route to its Jordan type.  A map that lowers every degree by
+exactly 1 is held as a Graded: per degree, the number of basis vectors and
+the map into the degree below in this form.  oracle.expr_forms builds one
+from an expression's factors, and graded reads one off images, checking
+each entry where it reads it.  The graded sweep moves a whole degree down
+with one _apply_form call and carries each surviving vector reduced
+against the older ones, which leaves the span of the t oldest unchanged
+for every t, and so the bars; it has its own elimination loop, as it
+needs the deaths and the reduced vectors in age order, where
+_independent_rows gives only the kept indices.  verify_basis packs the
+forms of all degrees side by side and checks a whole chain at once, in
+one comparison of packed ints, which also names its failures.  Any other
+nilpotent matrix, given as the
 images of its basis vectors (jordan_type_of_images, which takes no
 degrees), has its type read off the ranks of its powers (_ranks).  Those
 ranks fall by drops that never rise, so the loop eliminates only where
@@ -32,7 +37,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
-from operator import itemgetter, lshift, rshift, setitem, xor
+from operator import and_, itemgetter, lshift, rshift, setitem, xor
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import JordanType
@@ -67,15 +72,20 @@ class Graded(NamedTuple):
     forms: dict[int, Form]
 
 
-def _apply_form(form: Form, mask: int) -> int:
-    """The image of mask under the map whose diagonals form holds."""
-    image = 0
+def _apply_form(form: Form, masks: list[int]) -> list[int]:
+    """The images of masks under the map whose diagonals form holds.
+
+    Each diagonal is one C-level map pass over the whole list for its AND,
+    one for its shift (none on the main diagonal) and one for its XOR into
+    the images, as _apply does for gathers.
+    """
+    images = None
     for shift, sources in form.items():
-        if shift < 0:
-            image ^= (mask & sources) >> -shift
-        else:
-            image ^= (mask & sources) << shift
-    return image
+        moved = map(and_, masks, repeat(sources))
+        if shift:
+            moved = map(rshift, moved, repeat(-shift)) if shift < 0 else map(lshift, moved, repeat(shift))
+        images = list(moved) if images is None else list(map(xor, images, moved))
+    return [0] * len(masks) if images is None else images
 
 
 @dataclass(frozen=True)
@@ -299,25 +309,49 @@ def _graded_sweep(counts: dict[int, int], forms: dict[int, Form]) -> JordanType:
     bit, which complete them.  An image that depends on older ones closes its
     vector's bar (the elder rule of persistence: in a relation the youngest
     vector dies), and a bar born at degree b and closed on the way down from
-    degree d is a Jordan block of size b + 1 - d.  A vector is moved down one
-    degree by _apply_form, at a cost set by that map's diagonals rather than
-    by the vector's bits; the sweep does dim such moves, where eliminating
-    at every power would visit about sum(size^2) / 2 rows.
+    degree d is a Jordan block of size b + 1 - d.
+
+    Each survivor is carried in the form its elimination leaves it, reduced
+    against the older survivors.  That changes no bar: a reduction adds only
+    older vectors, so for every t the span of the t oldest survivors (the
+    flag they make) stays the same, and as the map is linear, an image
+    depends on the older images at any later degree exactly when it did
+    before.  The pivots stay the same, and so do the fresh basis vectors.
+    So at the next degree an image mostly needs one reduction step, where
+    an unreduced one would repeat the reductions of the degrees above.
+
+    The loop is the elimination of _independent_rows, kept apart because
+    the sweep needs the deaths and the reduced survivors, oldest first,
+    where _independent_rows returns only the kept indices, which is all
+    rank and _ranks need.  A whole degree is moved down by one _apply_form
+    call, at a cost set by that map's diagonals rather than by the vectors'
+    bits; the sweep makes dim such moves, where eliminating at every power
+    would visit about sum(size^2) / 2 rows.
     """
     sizes: list[int] = []
     births: list[int] = []  # births[t] is where the bar of alive[t] began
-    alive: list[int] = []  # masks over the positions of degree prev
+    alive: list[int] = []  # reduced masks over the positions of degree prev, oldest first
     prev = None
     for d in sorted(counts, reverse=True):
-        # forms[prev] is empty if nothing lives in degree prev - 1 > d
-        alive = [_apply_form(forms[prev], v) for v in alive]
-        pivots = [0] * (counts[d] + 1)
-        kept = _independent_rows(alive, range(len(alive)), pivots)
-        survivors = set(kept)
-        sizes.extend(b + 1 - prev for t, b in enumerate(births) if t not in survivors)
+        # forms[prev] is empty if nothing lives in degree prev - 1 > d; the
+        # first degree has no prev, and nothing alive
+        images = _apply_form(forms[prev], alive) if alive else []
+        pivots = [0] * (counts[d] + 1)  # as in _independent_rows
+        reduced, born = [], []
+        for b, x in zip(births, images):
+            while x:
+                top = x.bit_length()
+                p = pivots[top]
+                if not p:
+                    pivots[top] = x
+                    reduced.append(x)
+                    born.append(b)
+                    break
+                x ^= p
+            else:  # the image depends on older ones: its bar closes
+                sizes.append(b + 1 - prev)
         fresh = [1 << k for k in range(counts[d]) if not pivots[k + 1]]
-        births = [births[t] for t in kept] + [d] * len(fresh)
-        alive = [alive[t] for t in kept] + fresh
+        alive, births = reduced + fresh, born + [d] * len(fresh)
         prev = d
     sizes.extend(b + 1 - prev for b in births)
     return JordanType.from_sizes(sizes)

@@ -592,9 +592,10 @@ def _forms(expr: ModuleExpr) -> Graded:
 # Kept in the package only because bench/tracing.py wraps them by name:
 # expr_action, square_action and tensor_action here, jordan_type_of_nilpotent
 # imported into this namespace, and basis.gf2_rank, which is why
-# verify_basis hands its masks over as a Gf2Matrix, one per degree: the
-# chains' last vectors when every chain passes its packed check, and all
-# the vectors only when one does not or the last vectors are dependent.
+# verify_basis hands its masks over as Gf2Matrix rows: the chains' last
+# vectors in one, a slot per degree, when every chain passes its packed
+# check, and all the vectors, one matrix per degree, only when one does not
+# or the last vectors are dependent.
 # No command calls the first four; the tests read them as the dense
 # reference, and jordan_type_of_nilpotent, which takes no degrees, always
 # runs the rank loop, so it never checks the graded sweep against itself.

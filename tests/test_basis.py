@@ -10,6 +10,8 @@ from char2squares.basis import (
     JordanChain,
     SparseVec,
     VerificationReport,
+    _rank,
+    _slot_width,
     _unchecked,
     _valid_mask,
     band_index,
@@ -344,6 +346,15 @@ class TestPackedChains:
             assert tau(v.apply_e()) == tau(v).apply_e(), v
 
 
+def test_rank_sums_the_ranks_of_the_degrees():
+    # one elimination, each degree's masks in a slot of their own: equal
+    # masks are independent in two degrees and dependent in one
+    n = 9
+    assert _rank([(3, 0b110), (5, 0b110)], n) == 2
+    assert _rank([(3, 0b110), (3, 0b110), (4, 0b10)], n) == 2
+    assert _rank([(17, 1 << 8), (2, 0b10), (17, 1 << 8), (2, 0b10)], n) == 2
+
+
 class TestVerifyFrame:
     """verify_basis reads the action per degree; its verdicts match the dense frame."""
 
@@ -378,6 +389,21 @@ class TestVerifyFrame:
         action = graded_action("tensor", n, ((5, 5), (5, 4)))
         report = verify_basis(chains, action)
         assert report.failures and not any("grading" in f for f in report.failures)
+
+    @pytest.mark.parametrize("space", ["tensor", "sym2"])
+    def test_image_outside_the_chains_slots_is_named(self, space):
+        # v_n v_n, alone in degree 2n, is the top of its chain; an action
+        # that also sends it one slot up lands outside every slot its chain
+        # is read in.  That chain is named as failed, and only that chain
+        n = 6
+        chains = build_tensor_basis(n) if space == "tensor" else build_sym_basis(n)
+        counts, forms = graded_action(space, n)
+        up = 8 * _slot_width(n)
+        action = Graded(counts, {**forms, 2 * n: {**forms[2 * n], up: 1}})
+        a = next(a for a, c in enumerate(chains) if c.degree == 2 * n)
+        count = sum(counts.values())
+        assert verify_basis(chains, action) == VerificationReport(
+            count, count, [f"chain {a} (s={chains[a].s}): image outside its slots"])
 
     # failure lists of the dense n^2-bit check, recorded before it was
     # replaced ("repeated"), or of the vector-by-vector walk that the packed

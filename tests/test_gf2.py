@@ -379,17 +379,19 @@ def bit_maps(draw):
 
 
 class TestShiftForm:
-    """_apply_form maps a mask by the diagonals of a map, as the bit-by-bit
-    XOR of the images of its bits would."""
+    """_apply_form maps a list of masks by the diagonals of a map, each as the
+    bit-by-bit XOR of the images of its bits would."""
 
     @settings(max_examples=300)
     @given(bit_maps())
     def test_equals_bit_by_bit(self, case):
         images, mask = case
-        assert gf2._apply_form(form_of(images), mask) == map_bit_by_bit(images, mask)
+        masks = [mask, 0, mask, (1 << len(images)) - 1]
+        assert gf2._apply_form(form_of(images), masks) == [map_bit_by_bit(images, m) for m in masks]
 
     def test_empty_map(self):
-        assert gf2._apply_form({}, 0) == gf2._apply_form({}, 0b1011) == 0
+        assert gf2._apply_form({}, [0, 0b1011]) == [0, 0]
+        assert gf2._apply_form({}, []) == gf2._apply_form({0: 1, -1: 2}, []) == []
 
     @pytest.mark.parametrize("mask", [0, 1 << 5, 0b111111111])
     def test_one_source_many_targets(self, mask):
@@ -397,7 +399,7 @@ class TestShiftForm:
         images = [[]] * 5 + [list(range(13))] + [[]] * 3
         form = form_of(images)
         assert sorted(form) == list(range(-5, 8)) and set(form.values()) == {1 << 5}
-        assert gf2._apply_form(form, mask) == (0x1FFF if mask >> 5 & 1 else 0)
+        assert gf2._apply_form(form, [mask]) == [0x1FFF if mask >> 5 & 1 else 0]
 
     @pytest.mark.parametrize("shift", [-3, -1, 0, 1, 4])
     def test_one_diagonal(self, shift):
@@ -405,9 +407,8 @@ class TestShiftForm:
         form = form_of([[i + shift] if 3 <= i <= 9 else [] for i in range(12)])
         assert list(form) == [shift]
         run = 0b1111111 << 3
-        assert gf2._apply_form(form, (1 << 12) - 1) == gf2._apply_form(form, run)
-        assert gf2._apply_form(form, run) == (run << shift if shift >= 0 else run >> -shift)
-        assert gf2._apply_form(form, 0) == 0
+        moved = run << shift if shift >= 0 else run >> -shift
+        assert gf2._apply_form(form, [(1 << 12) - 1, run, 0]) == [moved, moved, 0]
 
 
 @st.composite
@@ -456,7 +457,7 @@ class TestGraded:
             below = {c: p for p, c in enumerate(members.get(d - 1, ()))}
             exact = [[below[i] for i in images[c]] for c in sources]
             mask = data.draw(st.integers(0, (1 << len(exact)) - 1))
-            assert gf2._apply_form(forms[d], mask) == map_bit_by_bit(exact, mask)
+            assert gf2._apply_form(forms[d], [mask]) == [map_bit_by_bit(exact, mask)]
 
     def test_positions_count_within_each_degree(self):
         # v1 -> v0 and v3 -> v2 from degree 1 into 0; v4 -> v1 + v3 from 2 into 1

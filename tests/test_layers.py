@@ -218,6 +218,32 @@ def test_verify_ranks_only_the_last_vectors(monkeypatch):
         report = basis.verify_basis(build(n), action)
         assert report.ok and report.rank == report.vector_count == sum(action.counts.values())
         assert sum(rows) == n
+        assert len(rows) == 1  # every degree in its own slot of one matrix
+
+
+def test_verify_ranks_all_the_vectors_a_degree_at_a_time(monkeypatch):
+    # after a failed chain the rank runs over all n^2 vectors; in one matrix
+    # with a slot per degree a row would reach over up to 2n slots, n^4 bits
+    # in all, so each degree gets a matrix of its own, one slot wide
+    from char2squares import basis, oracle
+    from char2squares.core import _trusted, square_expr
+
+    shapes, real = [], basis.gf2_rank
+
+    def counted(m):
+        shapes.append((m.rows, m.cols))
+        return real(m)
+
+    monkeypatch.setattr(basis, "gf2_rank", counted)
+    n = 16
+    chains = basis.build_tensor_basis(n)
+    c = chains[-1]  # s = n: bit 1 of its last vector, z_n, cleared
+    chains[-1] = _trusted(basis.JordanChain, s=c.s, space=c.space, n=n, degree=c.degree,
+                          length=c.length, packed=c.packed ^ 0b10)
+    report = basis.verify_basis(chains, oracle.expr_forms(square_expr("tensor", "nilpotent", n)))
+    assert not report.ok and report.rank == n * n
+    assert len(shapes) == 2 * n - 1 and sum(rows for rows, _ in shapes) == n * n
+    assert {cols for _, cols in shapes} == {8 * basis._slot_width(n)}
 
 
 def test_tracer_hooks_count_a_basis_verify(monkeypatch):
@@ -286,3 +312,43 @@ def test_rank_loop_eliminations_pinned(monkeypatch):
     for expr in exprs:
         oracle.oracle_expr_jordan_type(expr)
     assert (len(calls), sum(calls)) == (1249, 216786)
+
+
+def _reduction_steps(images):
+    """The pivot lookups of the graded sweep's elder-rule loop on one degree's
+    images, counted: each image in order is reduced against the pivots kept
+    before it, and becomes one unless it reduces to 0."""
+    pivots, steps = {}, 0
+    for x in images:
+        while x:
+            steps += 1
+            top = x.bit_length()
+            if top not in pivots:
+                pivots[top] = x
+                break
+            x ^= pivots[top]
+    return steps
+
+
+def test_graded_sweep_work_pinned(monkeypatch):
+    # the sweep moves each degree with one gf2._apply_form call, and carries
+    # each survivor reduced against the older ones, so an image at the next
+    # degree mostly needs one step.  Carrying the images unreduced gives the
+    # same types but repeats those reductions, so the steps are pinned on E2
+    # and S2 of W_n, n <= 40, and T(W_m, W_n), m <= n <= 16
+    from char2squares import gf2, oracle
+    from char2squares.core import square_expr
+
+    moves, real = [], gf2._apply_form
+
+    def recorded(form, masks):
+        moves.append(real(form, masks))
+        return moves[-1]
+
+    monkeypatch.setattr(gf2, "_apply_form", recorded)
+    exprs = [square_expr(f, "nilpotent", n) for f in ("ext2", "sym2") for n in range(1, 41)]
+    exprs += [square_expr("tensor", "nilpotent", n, m) for n in range(1, 17) for m in range(1, n + 1)]
+    for expr in exprs:
+        oracle.oracle_expr_jordan_type(expr)
+    vectors, steps = sum(map(len, moves)), sum(map(_reduction_steps, moves))
+    assert (len(moves), vectors, steps) == (5082, 31921, 32835)

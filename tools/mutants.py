@@ -120,11 +120,24 @@ MUTANTS = (
            "free = max(free, p - short)", "free = max(free, p - short + 1)",
            ("tests/test_gf2.py", "tests/test_oracle.py")),
     Mutant("gf2: _graded_sweep closes a bar one size short", PKG + "gf2.py",
-           "sizes.extend(b + 1 - prev for t, b in enumerate(births) if t not in survivors)",
-           "sizes.extend(b - prev for t, b in enumerate(births) if t not in survivors)",
-           ("tests/test_gf2.py",)),
+           "sizes.append(b + 1 - prev)", "sizes.append(b - prev)", ("tests/test_gf2.py",)),
+    Mutant("gf2: _graded_sweep lists the fresh vectors before the survivors", PKG + "gf2.py",
+           "alive, births = reduced + fresh, born + [d] * len(fresh)",
+           "alive, births = fresh + reduced, [d] * len(fresh) + born", ("tests/test_gf2.py",)),
+    Mutant("gf2: _graded_sweep carries its survivors unreduced", PKG + "gf2.py",
+           "for b, x in zip(births, images):\n            while x:\n                top = x.bit_length()\n"
+           "                p = pivots[top]\n                if not p:\n                    pivots[top] = x\n"
+           "                    reduced.append(x)",
+           "for b, x, image in zip(births, images, images):\n            while x:\n"
+           "                top = x.bit_length()\n                p = pivots[top]\n                if not p:\n"
+           "                    pivots[top] = x\n                    reduced.append(image)",
+           # the types stay right; only the pinned reduction steps show it
+           ("tests/test_layers.py::test_graded_sweep_work_pinned",)),
+    Mutant("gf2: _apply_form keeps only its last diagonal", PKG + "gf2.py",
+           "images = list(moved) if images is None else list(map(xor, images, moved))",
+           "images = list(moved)", ("tests/test_gf2.py",)),
     Mutant("gf2: _independent_rows stops after one reduction step", PKG + "gf2.py",
-           "while x:", "if x:", ("tests/test_gf2.py",)),
+           "x = rows[i]\n        while x:", "x = rows[i]\n        if x:", ("tests/test_gf2.py",)),
     Mutant("gf2: jordan_type_of_images empties the caller's images", PKG + "gf2.py",
            "factors = _squared_factors(list(images))", "factors = _squared_factors(images)",
            ("tests/test_gf2.py",)),
@@ -147,10 +160,18 @@ MUTANTS = (
     Mutant("basis: verify_basis without its zero check", PKG + "basis.py",
            "if diff or not chain.packed & slot:", "if diff:", ("tests/test_basis.py",)),
     Mutant("basis: verify_basis keeps the top slot in the expected image", PKG + "basis.py",
-           "(x ^ x >> top * bits << top * bits) << bits", "x << bits",
-           # every chain then counts as failed, though no failure is named, and
-           # the rank runs over all the vectors: only the cost shows it
-           ("tests/test_basis.py", "tests/test_layers.py::test_verify_ranks_only_the_last_vectors")),
+           "(x ^ x >> top * bits << top * bits) << bits", "x << bits", ("tests/test_basis.py",)),
+    Mutant("basis: verify_basis names no image above the top slot", PKG + "basis.py",
+           "if diff >> (top + 1) * bits or diff & (1 << low * bits) - 1:",
+           "if diff & (1 << low * bits) - 1:", ("tests/test_basis.py",)),
+    Mutant("basis: verify_basis ranks all the vectors in one matrix", PKG + "basis.py",
+           "matrix_rank = sum(_rank([(d, m) for m in masks], n) for d, masks in by_degree.items())",
+           "matrix_rank = _rank([(d, m) for d, masks in by_degree.items() for m in masks], n)",
+           # the rank stays right; only the width of the matrix shows it
+           ("tests/test_layers.py::test_verify_ranks_all_the_vectors_a_degree_at_a_time",)),
+    Mutant("basis: _rank puts every degree in one slot", PKG + "basis.py",
+           "rows = tuple(mask << (degree - low) * bits for degree, mask in vectors)",
+           "rows = tuple(mask for degree, mask in vectors)", ("tests/test_basis.py",)),
     Mutant("basis: verify_basis takes chains of another square", PKG + "basis.py",
            "if chain.space != space or chain.n != n:", "if False:", ("tests/test_basis.py",)),
     Mutant("basis: verify_basis reads the terminal kill from the top slot", PKG + "basis.py",
